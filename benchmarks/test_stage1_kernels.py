@@ -13,7 +13,7 @@ The "before" side is the real pre-rework code: the per-frame
 as it existed before filters were precomputed and transforms moved to
 ``scipy.fft``), the per-keypoint descriptor loop
 (:meth:`BvftDescriptorExtractor._reference_compute`) and the sequential
-RANSAC loop (:func:`_reference_ransac_rigid_2d`).  The end-to-end
+RANSAC loop (``tests/_reference/ransac.py``).  The end-to-end
 comparison swaps those implementations into the production
 :class:`BVMatcher` via monkeypatching, so both sides run the identical
 orchestration code.
@@ -45,10 +45,9 @@ from repro.features.descriptors import BvftDescriptorExtractor
 from repro.features.fast import _reference_detect_fast, detect_fast
 from repro.features.matching import match_descriptors
 from repro.geometry import ransac as ransac_module
-from repro.geometry.ransac import (
-    _reference_ransac_rigid_2d,
-    ransac_rigid_2d,
-)
+from repro.geometry.ransac import ransac_rigid_2d
+
+from tests._reference.ransac import reference_ransac_rigid_2d
 
 # The paper-scale configuration the acceptance bar is measured on:
 # 2 * 76.8 m / 0.48 m per cell = 320 x 320 pixels.
@@ -308,15 +307,15 @@ def test_stage1_kernels_write_bench_trajectory(bench_inputs, results_dir,
     kwargs = dict(threshold=config.bv_ransac.threshold_pixels,
                   max_iterations=config.bv_ransac.max_iterations)
     before, after = _ab_best(
-        lambda: _reference_ransac_rigid_2d(
+        lambda: reference_ransac_rigid_2d(
             matches.src_xy, matches.dst_xy,
             rng=np.random.default_rng(_RNG_SEED), **kwargs),
         lambda: ransac_rigid_2d(
             matches.src_xy, matches.dst_xy,
             rng=np.random.default_rng(_RNG_SEED), **kwargs))
-    ref_r = _reference_ransac_rigid_2d(matches.src_xy, matches.dst_xy,
-                                       rng=np.random.default_rng(_RNG_SEED),
-                                       **kwargs)
+    ref_r = reference_ransac_rigid_2d(matches.src_xy, matches.dst_xy,
+                                      rng=np.random.default_rng(_RNG_SEED),
+                                      **kwargs)
     new_r = ransac_rigid_2d(matches.src_xy, matches.dst_xy,
                             rng=np.random.default_rng(_RNG_SEED), **kwargs)
     assert new_r.num_inliers == ref_r.num_inliers
@@ -454,9 +453,9 @@ def test_stage1_kernels_write_bench_trajectory(bench_inputs, results_dir,
             lambda self, other, flipped: self._extractor.compute(
                 flipped.mim, flipped.keypoints))
         patch.setattr(ransac_module, "ransac_rigid_2d",
-                      _reference_ransac_rigid_2d)
+                      reference_ransac_rigid_2d)
         patch.setattr("repro.core.bv_matching.ransac_rigid_2d",
-                      _reference_ransac_rigid_2d)
+                      reference_ransac_rigid_2d)
         # The seed matcher ran one unblocked float64 distance matrix.
         patch.setattr("repro.features.matching._nn_statistics",
                       _seed_nn_statistics)

@@ -7,22 +7,17 @@ inlier count.  The paper uses the inlier count as the confidence signal
 that drives the success criterion (``Inliers_bv > 25 and Inliers_box > 6``)
 and the Fig. 9 analysis, so the result type carries full diagnostics.
 
-Hypotheses are evaluated in chunks: minimal samples are still drawn one
-``rng.choice`` call at a time (the call sequence *is* the determinism
-contract — the same generator feeds stage 2 downstream, so consuming the
-stream differently would change pipeline outputs), but the closed-form
-2-point solve and the residual test run as ``(chunk, N)`` array ops over a
-whole chunk at once.  The adaptive stopping rule is replayed sequentially
-over the chunk's inlier counts; when it fires mid-chunk, the generator
-state is rewound to the chunk start and exactly the consumed draws are
-re-taken, so the stream position on exit matches the sequential loop
-draw-for-draw.  The pre-vectorization loop is preserved as
-:func:`_reference_ransac_rigid_2d` for the equivalence tests and the
-stage-1 micro-benchmark.
+The determinism contract is the stream: trials sample the pairs that
+``rng.choice(n, size=2, replace=False)`` returns, and the generator ends
+where those calls leave it (stage 2 draws from it next).  On PCG64 a chunk
+of trials replays ``Generator.choice`` over one ``random_raw`` call
+(:func:`_draw_pairs`; DESIGN.md 4b says why it is exact); other generators
+keep the per-trial ``choice`` loop.  Solves and residuals are array ops.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,12 +28,13 @@ from repro.geometry.se2 import SE2
 
 __all__ = ["RansacResult", "ransac_rigid_2d"]
 
-# Hypotheses solved/evaluated per batch.  The residual matrix is
-# (chunk, N) floats — small enough to stay cache-friendly at the
-# few-hundred-match scale of BV images, large enough to amortize the
-# per-chunk fixed cost on long adaptive runs (128 measures fastest on
-# the 320-pixel end-to-end path; 64 and 256 are both a few ms slower).
+# Hypotheses drawn, solved and scored per batch ((chunk, N) residuals).
+# With batched draws 128 still times fastest per 8-vehicle fleet frame:
+# 64 and 96 run 1-9 % slower, 256 4 %, 32 12 % (CPU time, 2-vCPU host).
 _HYPOTHESIS_CHUNK = 128
+
+_REPLAY_MAX_N = 10000  # Generator.choice's Floyd path, which is replayed
+_LOW32 = np.uint64(0xFFFFFFFF)
 
 
 @dataclass(frozen=True)
@@ -111,7 +107,7 @@ def _refine(src: np.ndarray, dst: np.ndarray, threshold: float,
 
 def _solve_and_score(src: np.ndarray, dst: np.ndarray,
                      idx: np.ndarray, threshold: float
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                     ) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form 2-point rigid solve + residual test for a whole chunk.
 
     Replicates :func:`kabsch_2d` (uniform weights, 2 points) and
@@ -119,9 +115,8 @@ def _solve_and_score(src: np.ndarray, dst: np.ndarray,
     inlier mask matches the sequential per-trial path.
 
     Returns:
-        ``(degenerate, masks, counts)`` — a (C,) bool array flagging
-        coincident samples, the (C, N) inlier masks and their (C,) counts
-        (both zeroed on degenerate rows, which the caller must skip).
+        ``(masks, counts)``: (C, N) inlier masks and (C,) counts, zeroed on
+        degenerate (coincident-point) samples so those never win.
     """
     a, b = src[idx[:, 0]], src[idx[:, 1]]
     diff = a - b
@@ -156,7 +151,76 @@ def _solve_and_score(src: np.ndarray, dst: np.ndarray,
     ry = (sw[:, None] * x + cw[:, None] * y + ty[:, None]) - dst[:, 1]
     masks = np.sqrt(rx * rx + ry * ry) <= threshold
     masks[degenerate] = False
-    return degenerate, masks, masks.sum(axis=1)
+    return masks, masks.sum(axis=1)
+
+
+def _choice2_from_uint32(words: np.ndarray, n: int, trials: int
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """Replay ``trials`` calls of ``Generator.choice(n, 2, replace=False)``
+    (``n <= 10000``) over a ``next_uint32`` stream, as (T, 2) pairs and
+    the words consumed through each trial (``T < trials`` if the stream
+    runs out).  Each call is Floyd's draws in ``[0, n-2]`` and ``[0, n-1]``
+    (a repeat becomes ``n - 1``), then a swap on a 0 in ``[0, 1]``; each
+    draw is Lemire's, ``word * bound >> 32``, skipping a word whose low
+    half is below ``2**32 % bound``.  A range of 0 takes no word."""
+    bounds = np.array([b for b in (n - 1, n, 2) if b > 1], dtype=np.uint64)
+    width = len(bounds)
+    words = np.asarray(words, dtype=np.uint64)
+    skipped = np.zeros(trials, dtype=np.intp)
+    while True:
+        rows = min(trials, len(words) // width)
+        scaled = words[:rows * width].reshape(rows, width) * bounds
+        rejected = np.flatnonzero((scaled & _LOW32) < (1 << 32) % bounds)
+        if not rejected.size:
+            break
+        # Rejections are rare (p < n / 2**32): drop the word and replay.
+        words = np.delete(words, rejected[0])
+        skipped[rejected[0] // width] += 1
+    drawn = scaled >> np.uint64(32)
+    first = drawn[:, 0] if n > 2 else np.zeros(rows, dtype=np.uint64)
+    second = np.where(drawn[:, -2] == first, np.uint64(n - 1), drawn[:, -2])
+    pairs = np.stack([first, second], axis=1).astype(np.intp)
+    swap = drawn[:, -1] == 0
+    pairs[swap] = pairs[swap, ::-1]
+    return pairs, width * np.arange(1, rows + 1) + np.cumsum(skipped[:rows])
+
+
+def _draw_pairs(rng: np.random.Generator, n: int, trials: int
+                ) -> tuple[np.ndarray, Callable[[int], None]]:
+    """The pairs ``trials`` calls of ``rng.choice(n, size=2, replace=False)``
+    return, and ``settle(consumed)``, which must run once: it leaves
+    ``rng`` exactly where ``consumed`` such calls would."""
+    bitgen = rng.bit_generator
+    start = bitgen.state
+    if type(bitgen) is np.random.PCG64 and n <= _REPLAY_MAX_N:
+        # PCG64's next_uint32 hands out a raw word's low half, then
+        # buffers the high half (has_uint32/uinteger) for the next call.
+        buffered = start["has_uint32"]
+        raw = bitgen.random_raw(3 * trials // 2 + 8)
+        words = np.stack([raw & _LOW32, raw >> np.uint64(32)], axis=1)
+        idx, ends = _choice2_from_uint32(np.concatenate(
+            [np.full(buffered, start["uinteger"], np.uint64), words.ravel()]),
+            n, trials)
+
+        def settle(consumed: int) -> None:
+            used = int(ends[consumed - 1]) - buffered
+            bitgen.state = start
+            bitgen.random_raw((used + 1) // 2, output=False)
+            bitgen.state = {**bitgen.state, "has_uint32": used % 2,
+                            "uinteger": int(words[(used - 1) // 2, 1])}
+        if len(idx) == trials:  # else over 15 rejections: take the loop
+            return idx, settle
+        bitgen.state = start
+
+    idx = np.array([rng.choice(n, size=2, replace=False)
+                    for _ in range(trials)])
+
+    def rewind(consumed: int) -> None:
+        if consumed < trials:
+            bitgen.state = start
+            for _ in range(consumed):
+                rng.choice(n, size=2, replace=False)
+    return idx, rewind
 
 
 def ransac_rigid_2d(src: np.ndarray, dst: np.ndarray,
@@ -189,98 +253,33 @@ def ransac_rigid_2d(src: np.ndarray, dst: np.ndarray,
         rng = np.random.default_rng(rng)
 
     n = len(src)
-    if n < 2:
-        return RansacResult(SE2.identity(), np.zeros(n, dtype=bool), 0, 0,
-                            False, float("nan"))
-
     sample_size = 2
     best_mask = None
     best_count = 0
-    trials_needed = max_iterations
+    # Fewer than two points give no hypothesis: the run fails at once.
+    trials_needed = max_iterations if n >= sample_size else 0
     iteration = 0
-    while iteration < min(trials_needed, max_iterations):
-        chunk = min(_HYPOTHESIS_CHUNK,
-                    min(trials_needed, max_iterations) - iteration)
-        # One choice() call per trial: the draw sequence is the contract.
-        state = rng.bit_generator.state
-        idx = np.empty((chunk, sample_size), dtype=np.intp)
-        for t in range(chunk):
-            idx[t] = rng.choice(n, size=sample_size, replace=False)
+    while iteration < trials_needed:
+        chunk = min(_HYPOTHESIS_CHUNK, trials_needed - iteration)
+        idx, settle = _draw_pairs(rng, n, chunk)
+        masks, counts = _solve_and_score(src, dst, idx, threshold)
 
-        degenerate, masks, counts = _solve_and_score(src, dst, idx, threshold)
-
-        # Replay the sequential adaptive-stopping logic over the chunk.
-        # Fast path: no trial beats the current best, so trials_needed is
-        # unchanged and (the while-condition already capped the chunk at
-        # the stopping bound) no mid-chunk stop can fire.
-        if int(counts.max(initial=0)) <= best_count:
-            iteration += chunk
-            continue
+        # Replay the sequential adaptive stop over the chunk.  If no trial
+        # beats the best, no stop can fire: the while-condition capped it.
         consumed = chunk
-        for t in range(chunk):
-            iteration += 1
-            if not degenerate[t]:
+        if int(counts.max(initial=0)) > best_count:
+            for t in range(chunk):
                 count = int(counts[t])
                 if count > best_count:
                     best_count = count
                     best_mask = masks[t]
                     trials_needed = _adaptive_trials(
                         count / n, sample_size, confidence, max_iterations)
-            if iteration >= min(trials_needed, max_iterations):
-                consumed = t + 1
-                break
-        if consumed < chunk:
-            # Stopping fired mid-chunk: rewind and re-take exactly the
-            # draws the sequential loop would have consumed.
-            rng.bit_generator.state = state
-            for _ in range(consumed):
-                rng.choice(n, size=sample_size, replace=False)
-            break
-
-    if best_mask is None or best_count < min_inliers:
-        return RansacResult(SE2.identity(), np.zeros(n, dtype=bool), 0,
-                            iteration, False, float("nan"))
-    return _refine(src, dst, threshold, best_mask, best_count, iteration)
-
-
-def _reference_ransac_rigid_2d(src: np.ndarray, dst: np.ndarray,
-                               threshold: float = 1.0,
-                               max_iterations: int = 2000,
-                               confidence: float = 0.999,
-                               min_inliers: int = 2,
-                               rng: np.random.Generator | int | None = None
-                               ) -> RansacResult:
-    """Pre-vectorization sequential loop (equivalence/benchmark twin)."""
-    src, dst = _validate(src, dst, threshold, min_inliers)
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-
-    n = len(src)
-    if n < 2:
-        return RansacResult(SE2.identity(), np.zeros(n, dtype=bool), 0, 0,
-                            False, float("nan"))
-
-    sample_size = 2
-    best_mask = None
-    best_count = 0
-    trials_needed = max_iterations
-    iteration = 0
-    while iteration < min(trials_needed, max_iterations):
-        iteration += 1
-        idx = rng.choice(n, size=sample_size, replace=False)
-        a, b = src[idx]
-        # Degenerate sample: coincident points give no rotation constraint.
-        if np.hypot(*(a - b)) < 1e-9:
-            continue
-        model = kabsch_2d(src[idx], dst[idx])
-        residuals = np.linalg.norm(model.apply(src) - dst, axis=1)
-        mask = residuals <= threshold
-        count = int(mask.sum())
-        if count > best_count:
-            best_count = count
-            best_mask = mask
-            trials_needed = _adaptive_trials(count / n, sample_size,
-                                             confidence, max_iterations)
+                if iteration + t + 1 >= trials_needed:
+                    consumed = t + 1
+                    break
+        iteration += consumed
+        settle(consumed)
 
     if best_mask is None or best_count < min_inliers:
         return RansacResult(SE2.identity(), np.zeros(n, dtype=bool), 0,

@@ -1,8 +1,8 @@
 """Equivalence properties of the vectorized stage-1 kernels.
 
 Every stage-1 hot path keeps its pre-vectorization implementation as a
-``_reference_*`` twin (see CONTRIBUTING.md).  These tests pin the
-equivalence contracts down:
+reference twin, in its module or under ``tests/_reference/`` (see
+CONTRIBUTING.md).  These tests pin the equivalence contracts down:
 
 - BV projection: the fused binning (BLAS finite screen, in-place range
   mask) is bit-identical to the reference height map, including the
@@ -37,12 +37,11 @@ from repro.features.fast import (
     detect_fast,
 )
 from repro.features.matching import match_descriptors
-from repro.geometry.ransac import (
-    _reference_ransac_rigid_2d,
-    ransac_rigid_2d,
-)
+from repro.geometry.ransac import ransac_rigid_2d
 from repro.geometry.se2 import SE2
 from repro.pointcloud.cloud import PointCloud
+
+from tests._reference.ransac import reference_ransac_rigid_2d
 
 
 def structured_cloud(rng: np.random.Generator) -> PointCloud:
@@ -279,7 +278,7 @@ class TestRansacEquivalence:
         rng_new = np.random.default_rng(seed)
         rng_ref = np.random.default_rng(seed)
         new = ransac_rigid_2d(src, dst, rng=rng_new, **kwargs)
-        ref = _reference_ransac_rigid_2d(src, dst, rng=rng_ref, **kwargs)
+        ref = reference_ransac_rigid_2d(src, dst, rng=rng_ref, **kwargs)
         assert new.success == ref.success
         assert new.num_inliers == ref.num_inliers
         assert new.iterations == ref.iterations
