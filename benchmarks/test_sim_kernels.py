@@ -20,9 +20,9 @@ loop (:func:`_reference_visible_objects`), the scalar ``bev_iou``
 candidate loop (:func:`_reference_iou_matrix`), the pre-rework dataset
 loop (which never screened doomed attempts early) — and the
 pre-stage-1-wave-2 extraction kernels: the scratch-allocating Log-Gabor
-bank pass, the wave-1 FAST packing, the unfused BV projection, and
-serial (unbatched) per-car extraction.  All sides run the identical
-sweep orchestration with the feature cache disabled.
+bank pass, the wave-1 FAST packing and the unfused BV projection.  All
+sides run the identical sweep orchestration with the feature cache
+disabled.
 
 Timing assertions are tolerant by default (shared CI runners make
 wall-clock flaky); set ``REPRO_BENCH_STRICT=1`` to enforce the
@@ -51,7 +51,6 @@ from repro.boxes.box import Box2D
 from repro.boxes.iou import _reference_iou_matrix, iou_matrix
 from repro.core import bv_matching as bv_matching_module
 from repro.core.config import BBAlignConfig
-from repro.experiments import common as common_module
 from repro.experiments.common import default_dataset, run_pose_recovery_sweep
 from repro.geometry.polygon import (
     convex_polygon_area,
@@ -245,7 +244,7 @@ def test_polygon_clip_batch_kernel(report):
         "speedup": round(before / after, 2), "num_pairs": pairs}
 
 
-def _wave1_orientation_amplitude_sum(self, image, precision="float64"):
+def _wave1_orientation_amplitude_sum(self, image):
     """The bank pass as it stood after stage-1 wave 1: packed real
     windows over the shared FFT backend, but fresh scratch allocations
     on every call (wave 2 moved these into the bank's reusable
@@ -273,33 +272,18 @@ def _wave1_orientation_amplitude_sum(self, image, precision="float64"):
     return sums
 
 
-def _serial_features_for_pair(aligner, pair, index, cache, dataset_fp,
-                              extraction_fp, timings):
-    """The pre-wave-2 pair handling: each car extracted independently
-    (no shared bank pass, no priors)."""
-    ego = common_module._features_for(
-        aligner, pair.ego_cloud, "ego", index, cache, dataset_fp,
-        extraction_fp, timings)
-    other = common_module._features_for(
-        aligner, pair.other_cloud, "other", index, cache, dataset_fp,
-        extraction_fp, timings)
-    return ego, other
-
-
 def _stage1_baseline_patches(patch) -> None:
     """Swap the pre-wave-2 stage-1 extraction kernels into the sweep:
-    the scratch-allocating bank pass, wave-1 FAST packing, the unfused
-    BV projection, and serial per-car extraction.  All four are
-    byte-identical to the current defaults, so the before side's sweep
-    outcomes still compare field-identical."""
+    the scratch-allocating bank pass, wave-1 FAST packing and the unfused
+    BV projection.  All three are byte-identical to the current
+    defaults, so the before side's sweep outcomes still compare
+    field-identical."""
     from test_stage1_kernels import _wave1_detect_fast
 
     patch.setattr(LogGaborBank, "orientation_amplitude_sum",
                   _wave1_orientation_amplitude_sum)
     patch.setattr(bv_matching_module, "detect_fast", _wave1_detect_fast)
     patch.setattr(bv_matching_module, "height_map", _reference_height_map)
-    patch.setattr(common_module, "_features_for_pair",
-                  _serial_features_for_pair)
 
 
 def _baseline_patches(patch) -> None:

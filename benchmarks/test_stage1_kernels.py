@@ -1,10 +1,9 @@
 """Stage-1 kernel micro-benchmarks (the BENCH trajectory baseline).
 
 Measures the vectorized stage-1 kernels — Log-Gabor/MIM, BVFT
-descriptors, chunked RANSAC, FAST keypoints, the BV projection, the
-pair-batched bank pass, overlap-ROI culling, and the opt-in float32
-path — against their kept predecessors, plus the end-to-end stage-1
-path (BV image -> ``T_bv``), and writes
+descriptors, chunked RANSAC, FAST keypoints, the BV projection and
+overlap-ROI culling — against their kept predecessors, plus the
+end-to-end stage-1 path (BV image -> ``T_bv``), and writes
 ``benchmarks/results/BENCH_stage1.json`` so future PRs accumulate a
 perf trajectory.
 
@@ -135,10 +134,9 @@ def _seed_flipped(self):
     return BVFeatures(flipped_image, flipped_mim, flipped_kp, empty)
 
 
-def _seed_compute_mim(bv, config=None, precision="float64"):
+def _seed_compute_mim(bv, config=None):
     """Seed ``compute_mim``: float64 amplitudes with axis-0 argmax/gather
-    (the rework replaced these with a float32 maximum sweep).  The seed
-    predates the precision knob; the argument is accepted and ignored."""
+    (the rework replaced these with a float32 maximum sweep)."""
     image = bv.image if isinstance(bv, mim_module.BVImage) \
         else np.asarray(bv, dtype=float)
     config = config or mim_module.LogGaborConfig()
@@ -371,25 +369,7 @@ def test_stage1_kernels_write_bench_trajectory(bench_inputs, results_dir,
         "num_points": int(len(cloud.points))}
 
     # ------------------------------------------------------------------
-    # Kernel 6: pair-batched extraction vs two single extractions.
-    # Bitwise-identical outputs; the gain is the shared bank pass.
-    # ------------------------------------------------------------------
-    pa, pb = matcher.extract_pair(ego_bv, other_bv)
-    sa = matcher.extract(ego_bv)
-    sb = matcher.extract(other_bv)
-    for pair_f, single_f in ((pa, sa), (pb, sb)):
-        assert np.array_equal(pair_f.keypoints.xy, single_f.keypoints.xy)
-        assert np.array_equal(pair_f.descriptors.descriptors,
-                              single_f.descriptors.descriptors)
-    before, after = _ab_best(
-        lambda: (matcher.extract(ego_bv), matcher.extract(other_bv)),
-        lambda: matcher.extract_pair(ego_bv, other_bv), rounds=5)
-    report["kernels"]["pair_batched_extraction"] = {
-        "before_ms": round(before, 3), "after_ms": round(after, 3),
-        "speedup": round(before / after, 2)}
-
-    # ------------------------------------------------------------------
-    # Kernel 7: overlap-ROI culling.  Not an equivalence pair — cropping
+    # Kernel 6: overlap-ROI culling.  Not an equivalence pair — cropping
     # deliberately changes which keypoints exist (see DESIGN.md) — so
     # this records the cost ratio of a culled extraction against the
     # same extraction without a prior.
@@ -409,25 +389,6 @@ def test_stage1_kernels_write_bench_trajectory(bench_inputs, results_dir,
         "speedup": round(before / after, 2),
         "window_size": int(roi_features.roi.size),
         "image_size": int(ego_bv.size)}
-
-    # ------------------------------------------------------------------
-    # Kernel 8: the opt-in float32 stage-1 path, BV image -> T_bv.
-    # Agreement (not identity) with float64: same success verdict here;
-    # the sweep-level contract lives in tests/test_stage1_precision.py.
-    # ------------------------------------------------------------------
-    matcher32 = BVMatcher(BBAlignConfig(
-        bv_image=BVImageConfig(cell_size=_CELL_SIZE),
-        stage1_precision="float32"))
-    result64 = _run_stage1(matcher, other_bv, ego_bv)
-    result32 = _run_stage1(matcher32, other_bv, ego_bv)
-    assert result32.success == result64.success
-    before, after = _ab_best(
-        lambda: _run_stage1(matcher, other_bv, ego_bv),
-        lambda: _run_stage1(matcher32, other_bv, ego_bv), rounds=3)
-    report["kernels"]["float32_stage1"] = {
-        "before_ms": round(before, 3), "after_ms": round(after, 3),
-        "speedup": round(before / after, 2),
-        "success": bool(result32.success)}
 
     # ------------------------------------------------------------------
     # End to end: BV image -> T_bv through the production BVMatcher, with

@@ -6,7 +6,7 @@ detection: the height-map BV projection (Eq. 4), the Log-Gabor filter bank
 """
 
 from repro.bev.log_gabor import LogGaborBank, LogGaborConfig
-from repro.bev.mim import MIMResult, compute_mim, compute_mim_batch
+from repro.bev.mim import MIMResult, compute_mim
 from repro.bev.phase_congruency import (
     PhaseCongruencyResult,
     compute_phase_congruency,
@@ -27,7 +27,6 @@ __all__ = [
     "RoiCullConfig",
     "RoiWindow",
     "compute_mim",
-    "compute_mim_batch",
     "compute_phase_congruency",
     "density_map",
     "height_map",

@@ -10,9 +10,7 @@ spectrum), falling back to ``numpy.fft`` otherwise.
 Both helpers transform over the last two axes, so a ``(B, H, W)`` stack
 is one batched call; pocketfft iterates the leading axis internally and
 produces outputs bitwise-identical to per-slice transforms (asserted by
-``tests/test_bev_fft.py``), which is what lets the bank batch both cars
-of a pair through one pass without perturbing the byte-identical
-float64 contract.
+``tests/test_bev_fft.py``).
 
 The module also owns the process-wide ``workers`` setting forwarded to
 SciPy (pocketfft's plan-level multithreading).  The default of ``None``

@@ -30,17 +30,11 @@ Performance notes (the stage-1 hot path runs this on every frame):
   pocketfft when available — SIMD-vectorized and ~2x faster than
   ``numpy.fft`` on this workload — falling back to ``numpy.fft``).
 * The bank owns its **scratch workspace**: the per-scale scaled spectra,
-  the product buffer and the magnitude temporary are allocated once per
-  batch size and reused across every image of a sweep
+  the product buffer and the magnitude temporary are allocated once, on
+  first use, and reused across every image of a sweep
   (:meth:`LogGaborBank._workspace`), so the hot loop performs no
   per-call allocations beyond the returned sums and the backend's
   inverse-transform outputs.
-* :meth:`LogGaborBank.orientation_amplitude_sums` accepts a ``(B, H, W)``
-  **batch** — both cars of a pair go through the bank in one pass, so
-  windows and scratch are streamed once per pair instead of once per
-  image.  Batched transforms over the leading axis are bitwise-identical
-  to per-image transforms (asserted in ``tests/test_bev_fft.py``), so the
-  single-image method is literally a batch of one.
 * The inverse transforms are applied filter-by-filter rather than as one
   giant batched transform: the angular window is one-sided, so the complex
   response *is* the analytic signal and a single complex ``ifft2`` already
@@ -56,9 +50,7 @@ Performance notes (the stage-1 hot path runs this on every frame):
   only consumed through wide-margin discrete decisions — the MIM
   orientation argmax, FAST thresholding, descriptor votes — and the
   relative ``~1e-7`` single-precision rounding does not move any of
-  them; the seeded integration suite produces bit-identical transforms
-  and inlier counts under either precision, while complex64 transforms
-  run ~2x faster on SIMD hosts.
+  them, while complex64 transforms run ~2x faster on SIMD hosts.
 
 The pre-rework implementations are preserved as ``_reference_*`` methods.
 They compute in double precision exactly as the original code did, so the
@@ -170,9 +162,9 @@ class LogGaborBank:
             [_pack_window(r) for r in self._radial])
         self._angular_packed = np.stack(
             [_pack_window(a) for a in self._angular])
-        # Reusable scratch buffers keyed by batch size (see _workspace).
-        self._scratch: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] \
-            = {}
+        # Reusable scratch buffers (see _workspace).
+        self._scratch: tuple[np.ndarray, np.ndarray, np.ndarray] | None \
+            = None
 
     # ------------------------------------------------------------------
     def _frequency_grid(self) -> tuple[np.ndarray, np.ndarray]:
@@ -257,101 +249,47 @@ class LogGaborBank:
             out.append(per_scale)
         return out
 
-    def _workspace(self, batch: int
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Scratch buffers for a ``batch``-image pass, reused across calls.
+    def _workspace(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Scratch buffers for one image pass, allocated on first use.
 
         Returns ``(scaled, product, magnitude)``: the per-scale scaled
-        spectra ``(N_s, B, H, 2W)``, the complex product buffer
-        ``(B, H, W)`` and the magnitude temporary ``(B, H, W)``.  A sweep
-        touches one or two batch sizes (single images and pairs), so the
-        dict stays tiny; it is cleared wholesale if it ever grows past a
-        handful of entries to bound memory.
+        spectra ``(N_s, H, 2W)``, the complex product buffer ``(H, W)``
+        and the magnitude temporary ``(H, W)``.
         """
-        workspace = self._scratch.get(batch)
-        if workspace is None:
-            cfg = self.config
-            scaled = np.empty(
-                (cfg.num_scales, batch, self.size, 2 * self.size),
-                dtype=np.float32)
-            product = np.empty((batch, self.size, self.size),
-                               dtype=np.complex64)
-            magnitude = np.empty((batch, self.size, self.size),
-                                 dtype=np.float32)
-            if len(self._scratch) >= 4:
-                self._scratch.clear()
-            workspace = self._scratch[batch] = (scaled, product, magnitude)
-        return workspace
+        if self._scratch is None:
+            n = self.size
+            self._scratch = (
+                np.empty((self.config.num_scales, n, 2 * n),
+                         dtype=np.float32),
+                np.empty((n, n), dtype=np.complex64),
+                np.empty((n, n), dtype=np.float32))
+        return self._scratch
 
-    def orientation_amplitude_sum(self, image: np.ndarray,
-                                  precision: str = "float64") -> np.ndarray:
+    def orientation_amplitude_sum(self, image: np.ndarray) -> np.ndarray:
         """Eq. (9): per-orientation amplitude summed over scales.
 
         Returns an array of shape ``(N_o, H, H)``, float32 — the
         transforms run in single precision (see the module docstring);
         consumers needing double precision cast at their boundary.
-        ``precision`` selects the *forward* transform's precision (see
-        :meth:`orientation_amplitude_sums`).
         """
-        return self.orientation_amplitude_sums(
-            self._check_image(image)[None], precision=precision)[0]
-
-    def orientation_amplitude_sums(self, images: np.ndarray,
-                                   precision: str = "float64") -> np.ndarray:
-        """Batched Eq. (9) over a ``(B, H, H)`` image stack.
-
-        One pass streams every window and scratch buffer once for the
-        whole batch (the two cars of a pair share the bank's traffic).
-        Batched transforms are bitwise-identical to per-image transforms,
-        so ``orientation_amplitude_sums(stack)[i]`` equals
-        ``orientation_amplitude_sum(stack[i])`` bit-for-bit.
-
-        Args:
-            images: ``(B, H, H)`` float stack, ``H`` matching the bank.
-            precision: ``"float64"`` (default) computes the forward FFT
-                in double precision and downcasts the spectrum — the
-                byte-identical reference path; ``"float32"`` runs the
-                forward transform in single precision end-to-end (the
-                opt-in stage-1 fast path, validated by tolerance + pose
-                agreement rather than byte identity).
-
-        Returns:
-            ``(B, N_o, H, H)`` float32 amplitude sums.
-        """
-        if precision not in ("float64", "float32"):
-            raise ValueError(
-                "precision must be 'float64' or 'float32', "
-                f"got {precision!r}")
-        images = np.asarray(
-            images,
-            dtype=np.float64 if precision == "float64" else np.float32)
-        if images.ndim != 3 or images.shape[1:] != (self.size, self.size):
-            raise ValueError(
-                f"expected a (B, {self.size}, {self.size}) stack, "
-                f"got {images.shape}")
         cfg = self.config
-        batch = images.shape[0]
-        # float64: double-precision forward FFT, then downcast — the
-        # input spectrum keeps full accuracy while the 48 products and
-        # inverse transforms run at complex64 speed.  float32: the
-        # forward transform itself runs single precision (scipy returns
-        # complex64 natively; the numpy fallback downcasts).
-        spectra = _fft2(images)
-        if spectra.dtype != np.complex64:
-            spectra = spectra.astype(np.complex64)
-        fview = spectra.view(np.float32)  # (B, H, 2W) interleaved re/im
-        scaled, product, magnitude = self._workspace(batch)
+        # Double-precision forward FFT, then downcast: the input spectrum
+        # keeps full accuracy while the 48 products and inverse
+        # transforms run at complex64 speed.
+        spectrum = _fft2(self._check_image(image)).astype(np.complex64)
+        fview = spectrum.view(np.float32)  # (H, 2W) interleaved re/im
+        scaled, product, magnitude = self._workspace()
         # Hoist the radial product: scaled[s] = spectrum * radial[s], then
         # each filter is one angular multiply away.  All operands are
         # interleaved-f32 views (see _pack_window), so every product is a
-        # contiguous real SIMD multiply broadcast over the batch.
+        # contiguous real SIMD multiply.
         for s in range(cfg.num_scales):
             np.multiply(fview, self._radial_packed[s], out=scaled[s])
-        sums = np.empty((batch, cfg.num_orientations, self.size, self.size),
+        sums = np.empty((cfg.num_orientations, self.size, self.size),
                         dtype=np.float32)
         pview = product.view(np.float32)
         for o in range(cfg.num_orientations):
-            acc = sums[:, o]  # accumulate in place, no final copy
+            acc = sums[o]  # accumulate in place, no final copy
             # The first scale writes its magnitude straight into the
             # accumulator (0.0 + x == x, so skipping the zero-fill and
             # first add is bit-identical and two passes cheaper).

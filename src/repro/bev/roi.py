@@ -18,10 +18,8 @@ properties matter for correctness downstream:
 
 * **Symmetric sizing** — the window *size* depends only on the quantized
   scalar distance ``d_q``, which is identical from either car's
-  viewpoint, so both cars of a pair share one window size.  That keeps
-  the two crops batchable through the bank in one ``(2, S, S)`` pass and
-  makes pair-batched extraction bitwise-identical to two single
-  extractions (the FeatureCache can mix entries from either path).
+  viewpoint, so both cars of a pair share one window size and hence one
+  cached Log-Gabor bank.
 * **Quantized distance** — ``d`` is snapped to ``quantize``-meter steps
   before sizing, and ``margin`` covers the worst-case quantization error
   plus prior noise, so a slightly-off prior moves the window but never

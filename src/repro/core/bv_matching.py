@@ -15,7 +15,7 @@ from typing import Callable, ContextManager
 
 import numpy as np
 
-from repro.bev.mim import MIMResult, compute_mim, compute_mim_batch
+from repro.bev.mim import MIMResult, compute_mim
 from repro.bev.projection import BVImage, density_map, height_map
 from repro.bev.roi import RoiWindow, roi_window
 from repro.core.config import BBAlignConfig
@@ -184,14 +184,21 @@ class BVMatcher:
         r0, c0, s = window.row0, window.col0, window.size
         return np.ascontiguousarray(bv_image.image[r0:r0 + s, c0:c0 + s])
 
-    def _finish_extract(self, bv_image: BVImage, image: np.ndarray,
-                        mim: MIMResult, window: RoiWindow | None,
-                        timer: StageTimer) -> BVFeatures:
-        """Keypoints + descriptors on an (optionally cropped) MIM.
+    def extract(self, bv_image: BVImage,
+                timer: StageTimer | None = None,
+                prior=None) -> BVFeatures:
+        """Compute MIM, keypoints and descriptors for one BV image.
 
-        Shared verbatim by the single and pair extraction paths, so the
-        two produce identical features for identical inputs.
+        ``prior`` is an optional coarse (x, y) translation of the other
+        sensor in this image's frame (meters); with ROI culling enabled
+        it crops extraction to the predicted overlap window (see
+        :mod:`repro.bev.roi`).
         """
+        timer = timer or _no_timing
+        window = self._roi_window(bv_image, prior)
+        image = self._roi_crop(bv_image, window)
+        with timer("bv_extract/mim"):
+            mim = compute_mim(image, self.config.log_gabor)
         with timer("bv_extract/keypoints"):
             if window is None:
                 keypoints = self._detect_keypoints(bv_image)
@@ -211,55 +218,6 @@ class BVMatcher:
                 descriptors.keypoint_indices,
                 descriptors.dominant_bins)
         return BVFeatures(bv_image, mim, keypoints, descriptors, roi=window)
-
-    def extract(self, bv_image: BVImage,
-                timer: StageTimer | None = None,
-                prior=None) -> BVFeatures:
-        """Compute MIM, keypoints and descriptors for one BV image.
-
-        ``prior`` is an optional coarse (x, y) translation of the other
-        sensor in this image's frame (meters); with ROI culling enabled
-        it crops extraction to the predicted overlap window (see
-        :mod:`repro.bev.roi`).
-        """
-        timer = timer or _no_timing
-        window = self._roi_window(bv_image, prior)
-        image = self._roi_crop(bv_image, window)
-        with timer("bv_extract/mim"):
-            mim = compute_mim(image, self.config.log_gabor,
-                              precision=self.config.stage1_precision)
-        return self._finish_extract(bv_image, image, mim, window, timer)
-
-    def extract_pair(self, bv_a: BVImage, bv_b: BVImage,
-                     timer: StageTimer | None = None,
-                     priors=(None, None)) -> tuple[BVFeatures, BVFeatures]:
-        """Extract both cars of a pair through the bank in one pass.
-
-        The two (optionally ROI-cropped) images go through the Log-Gabor
-        bank as one ``(2, S, S)`` batch, touching windows and scratch
-        once per pair.  Results are bitwise-identical to two
-        :meth:`extract` calls (batched transforms match per-image
-        transforms bit-for-bit, and the symmetric ROI sizing guarantees
-        both crops share one size); when the sizes *cannot* be batched
-        (mixed crop fallbacks or differing image sizes), the pair is
-        extracted separately, same results either way.
-        """
-        timer = timer or _no_timing
-        window_a = self._roi_window(bv_a, priors[0])
-        window_b = self._roi_window(bv_b, priors[1])
-        size_a = window_a.size if window_a is not None else bv_a.size
-        size_b = window_b.size if window_b is not None else bv_b.size
-        if size_a != size_b:
-            return (self.extract(bv_a, timer=timer, prior=priors[0]),
-                    self.extract(bv_b, timer=timer, prior=priors[1]))
-        image_a = self._roi_crop(bv_a, window_a)
-        image_b = self._roi_crop(bv_b, window_b)
-        with timer("bv_extract/mim"):
-            mims = compute_mim_batch(
-                (image_a, image_b), self.config.log_gabor,
-                precision=self.config.stage1_precision)
-        return (self._finish_extract(bv_a, image_a, mims[0], window_a, timer),
-                self._finish_extract(bv_b, image_b, mims[1], window_b, timer))
 
     def extract_from_cloud(self, cloud: PointCloud,
                            timer: StageTimer | None = None,

@@ -198,59 +198,6 @@ def _features_for(aligner: BBAlign, cloud, role: str, index: int,
     return features
 
 
-def _features_for_pair(aligner: BBAlign, pair: FramePair, index: int,
-                       cache: FeatureCache | None, dataset_fp: tuple | None,
-                       extraction_fp: tuple | None,
-                       timings: SweepTimings | None):
-    """Stage-1 features for both cars of a pair, batched when possible.
-
-    Per-car cache accounting is unchanged from the single path: each
-    role is looked up (and its hit or miss counted) exactly once.  When
-    *both* cars miss, extraction runs as one batched bank pass
-    (:meth:`BBAlign.extract_features_pair`) — bitwise-identical to two
-    single extractions, so cache entries written by either path are
-    interchangeable.  When exactly one car is cached, only the other is
-    extracted (inline, not via :func:`_features_for`, which would
-    repeat the lookup and double-count the miss).
-    """
-    priors = _pair_priors(aligner, pair)
-    ego_key = other_key = None
-    ego = other = None
-    identifiable = (cache is not None and dataset_fp is not None
-                    and extraction_fp is not None)
-    if identifiable:
-        ego_key = feature_key(dataset_fp, index, "ego", extraction_fp)
-        other_key = feature_key(dataset_fp, index, "other", extraction_fp)
-        ego = cache.get(ego_key)
-        other = cache.get(other_key)
-        if timings is not None:
-            timings.cache_hits += int(ego is not None) \
-                + int(other is not None)
-            timings.cache_misses += int(ego is None) + int(other is None)
-    timer = None if timings is None else functools.partial(stage, timings)
-    if ego is None and other is None:
-        with stage(timings, "bv_extract"):
-            ego, other = aligner.extract_features_pair(
-                pair.ego_cloud, pair.other_cloud, timer=timer, priors=priors)
-        if identifiable:
-            cache.put(ego_key, ego)
-            cache.put(other_key, other)
-        return ego, other
-    if ego is None:
-        with stage(timings, "bv_extract"):
-            ego = aligner.extract_features(pair.ego_cloud, timer=timer,
-                                           prior=priors[0])
-        if identifiable:
-            cache.put(ego_key, ego)
-    if other is None:
-        with stage(timings, "bv_extract"):
-            other = aligner.extract_features(pair.other_cloud, timer=timer,
-                                             prior=priors[1])
-        if identifiable:
-            cache.put(other_key, other)
-    return ego, other
-
-
 def evaluate_pair(record, aligner: BBAlign, detector: SimulatedDetector,
                   *,
                   seed: int = 7,
@@ -283,9 +230,13 @@ def evaluate_pair(record, aligner: BBAlign, detector: SimulatedDetector,
     with stage(timings, "detection"):
         ego_dets, other_dets = detect_for_pair(pair, detector, seed,
                                                record.index)
-    ego_features, other_features = _features_for_pair(
-        aligner, pair, record.index, cache, dataset_fp, extraction_fp,
-        timings)
+    ego_prior, other_prior = _pair_priors(aligner, pair)
+    ego_features = _features_for(aligner, pair.ego_cloud, "ego",
+                                 record.index, cache, dataset_fp,
+                                 extraction_fp, timings, prior=ego_prior)
+    other_features = _features_for(aligner, pair.other_cloud, "other",
+                                   record.index, cache, dataset_fp,
+                                   extraction_fp, timings, prior=other_prior)
     timer = None if timings is None else functools.partial(stage, timings)
     result = aligner.recover(
         ego_features, other_features,
@@ -435,7 +386,7 @@ def _run_sweep_serial(dataset, config, detector_profile, include_vips,
 
     # The sweep's registry becomes the ambient instrument store for the
     # duration, so pipeline/degradation counters recorded deep inside
-    # recover_from_features land next to the stage timings they explain
+    # recover() land next to the stage timings they explain
     # (pool workers get the same treatment from the engine's chunk-local
     # registry).
     registry_cm = (use_registry(timings.registry)

@@ -57,6 +57,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -259,7 +260,7 @@ atexit.register(_shutdown_pool_at_exit)
 def _collect_chunks(pool: ProcessPoolExecutor, tasks: list,
                     per_chunk: dict[int, tuple], merged: SweepTimings,
                     chunk_timeout: float | None,
-                    worker=None) -> list[tuple]:
+                    worker: Callable) -> list[tuple]:
     """Submit ``tasks`` and gather results; returns the failed ones.
 
     Successful chunks land in ``per_chunk`` keyed by first pair index
@@ -268,11 +269,9 @@ def _collect_chunks(pool: ProcessPoolExecutor, tasks: list,
     per-chunk failure — worker death, timeout, serialization error, an
     exception escaping the worker — is captured with its task for the
     caller's retry ladder, never raised.  ``worker`` is the function the
-    pool runs per chunk (default: the sweep's :func:`_run_chunk`); it
-    must return ``(first_index, outcomes, telemetry)``.
+    pool runs per chunk; it must return ``(first_index, outcomes,
+    telemetry)``.
     """
-    if worker is None:
-        worker = _run_chunk
     failed: list[tuple] = []
     futures: list[tuple] = []
     for task in tasks:
@@ -306,6 +305,54 @@ def _run_chunk_serially(task: _ChunkTask) -> tuple[int, list, dict]:
         outcomes = [PairErrorOutcome.from_exception(index, error)
                     for index in task.indices]
         return task.indices[0], outcomes, {"snapshot": {}, "spans": []}
+
+
+def _retry_failed_chunks(failed: list[tuple], *, workers: int,
+                         per_chunk: dict[int, tuple], merged: SweepTimings,
+                         chunk_timeout: float | None,
+                         retry: RetryPolicy | None,
+                         retry_rng: np.random.Generator,
+                         worker: Callable, serial: Callable) -> None:
+    """The chunk retry ladder shared by the sweep and the generic map.
+
+    Each rung of ``retry`` (default :data:`ENGINE_DEFAULT`) resubmits
+    the still-failed chunks to a fresh pool; jitter draws from
+    ``retry_rng``.  Chunks that fail every rung run in-process through
+    ``serial``, which never raises.  Results land in ``per_chunk`` and
+    telemetry folds into ``merged``, chunk-keyed as in
+    :func:`_collect_chunks`.
+    """
+    policy = retry if retry is not None else ENGINE_DEFAULT
+    attempt = 0
+    for delay in policy.delays(retry_rng):
+        if not failed:
+            break
+        # Retry the failures on a fresh pool.  Cancel anything still
+        # queued and tear the old pool down without waiting, so the
+        # retry (and a possible serial fallback) never races chunks
+        # still running in half-broken workers.
+        attempt += 1
+        shutdown_pool(wait=False, cancel_futures=True)
+        merged.registry.counter("engine/chunk_retries").inc(len(failed))
+        if delay > 0:
+            time.sleep(delay)
+        retry_tasks = [replace(task, attempt=attempt)
+                       for task, _ in failed]
+        try:
+            pool = _get_pool(workers)
+            failed = _collect_chunks(pool, retry_tasks, per_chunk,
+                                     merged, chunk_timeout, worker)
+        except PoolUnavailableError:
+            failed = [(replace(task, attempt=attempt), error)
+                      for task, error in failed]
+    if failed:
+        shutdown_pool(wait=False, cancel_futures=True)
+    for task, _error in failed:
+        merged.registry.counter("engine/serial_fallbacks").inc()
+        first_index, outcomes, telemetry = serial(
+            replace(task, attempt=attempt + 1))
+        per_chunk[first_index] = (outcomes, telemetry)
+        merged.merge_chunk(first_index, telemetry["snapshot"])
 
 
 def run_sweep_parallel(
@@ -370,39 +417,12 @@ def run_sweep_parallel(
         merged = SweepTimings()
         merged.registry.counter("engine/chunks").inc(len(chunks))
         failed = _collect_chunks(pool, tasks, per_chunk, merged,
-                                 chunk_timeout)
-        policy = retry if retry is not None else ENGINE_DEFAULT
-        retry_rng = np.random.default_rng([seed, 0x52])
-        attempt = 0
-        for delay in policy.delays(retry_rng):
-            if not failed:
-                break
-            # Retry the failures on a fresh pool.  Cancel anything
-            # still queued and tear the old pool down without waiting,
-            # so the retry (and a possible serial fallback) never races
-            # chunks still running in half-broken workers.
-            attempt += 1
-            shutdown_pool(wait=False, cancel_futures=True)
-            merged.registry.counter("engine/chunk_retries").inc(len(failed))
-            if delay > 0:
-                time.sleep(delay)
-            retry_tasks = [replace(task, attempt=attempt)
-                           for task, _ in failed]
-            try:
-                pool = _get_pool(workers)
-                failed = _collect_chunks(pool, retry_tasks, per_chunk,
-                                         merged, chunk_timeout)
-            except PoolUnavailableError:
-                failed = [(replace(task, attempt=attempt), error)
-                          for task, error in failed]
-        if failed:
-            shutdown_pool(wait=False, cancel_futures=True)
-        for task, _error in failed:
-            merged.registry.counter("engine/serial_fallbacks").inc()
-            first_index, outcomes, telemetry = _run_chunk_serially(
-                replace(task, attempt=attempt + 1))
-            per_chunk[first_index] = (outcomes, telemetry)
-            merged.merge_chunk(first_index, telemetry["snapshot"])
+                                 chunk_timeout, _run_chunk)
+        _retry_failed_chunks(
+            failed, workers=workers, per_chunk=per_chunk, merged=merged,
+            chunk_timeout=chunk_timeout, retry=retry,
+            retry_rng=np.random.default_rng([seed, 0x52]),
+            worker=_run_chunk, serial=_run_chunk_serially)
 
         ordered = []
         for first_index in sorted(per_chunk):
@@ -528,39 +548,15 @@ def run_tasks_parallel(fn, items, *, workers: int | None = None,
     try:
         pool = _get_pool(workers)
         failed = _collect_chunks(pool, tasks, per_chunk, merged,
-                                 chunk_timeout, worker=_run_map_chunk)
+                                 chunk_timeout, _run_map_chunk)
     except PoolUnavailableError:
         failed = [(task, PoolUnavailableError("pool unavailable"))
                   for task in tasks]
-    policy = retry if retry is not None else ENGINE_DEFAULT
-    retry_rng = np.random.default_rng([seed, 0x53])
-    attempt = 0
-    for delay in policy.delays(retry_rng):
-        if not failed:
-            break
-        attempt += 1
-        shutdown_pool(wait=False, cancel_futures=True)
-        merged.registry.counter("engine/chunk_retries").inc(len(failed))
-        if delay > 0:
-            time.sleep(delay)
-        retry_tasks = [replace(task, attempt=attempt)
-                       for task, _ in failed]
-        try:
-            pool = _get_pool(workers)
-            failed = _collect_chunks(pool, retry_tasks, per_chunk,
-                                     merged, chunk_timeout,
-                                     worker=_run_map_chunk)
-        except PoolUnavailableError:
-            failed = [(replace(task, attempt=attempt), error)
-                      for task, error in failed]
-    if failed:
-        shutdown_pool(wait=False, cancel_futures=True)
-    for task, _error in failed:
-        merged.registry.counter("engine/serial_fallbacks").inc()
-        first_index, results, telemetry = _run_map_chunk_serially(
-            replace(task, attempt=attempt + 1))
-        per_chunk[first_index] = (results, telemetry)
-        merged.merge_chunk(first_index, telemetry["snapshot"])
+    _retry_failed_chunks(
+        failed, workers=workers, per_chunk=per_chunk, merged=merged,
+        chunk_timeout=chunk_timeout, retry=retry,
+        retry_rng=np.random.default_rng([seed, 0x53]),
+        worker=_run_map_chunk, serial=_run_map_chunk_serially)
     ordered: list = []
     for first_index in sorted(per_chunk):
         ordered.extend(per_chunk[first_index][0])

@@ -1,10 +1,9 @@
 """The shared bev FFT backend (``repro.bev._fft``).
 
-The batched-pair extraction path rests on one numerical fact: a batched
-``(B, H, W)`` transform is bitwise-identical to ``B`` independent
-``(H, W)`` transforms.  These tests pin that fact for both directions
-and both precisions, plus the workers bookkeeping and the numpy
-fallback used when SciPy is absent.
+The backend's numerical contract: a batched ``(B, H, W)`` transform is
+bitwise-identical to ``B`` independent ``(H, W)`` transforms.  These
+tests pin that fact for both directions and both precisions, plus the
+workers bookkeeping and the numpy fallback used when SciPy is absent.
 """
 
 import numpy as np

@@ -2,7 +2,7 @@
 
 The window math has two contracts the pipeline leans on (see
 ``repro/bev/roi.py``): the *size* is a function of the quantized scalar
-distance only (so the two cars of a pair always batch), and every
+distance only (so the two cars of a pair share one size), and every
 fallback path degrades to the uncropped full image rather than failing.
 The extraction-level tests check that ROI keypoints are reported in
 full-frame coordinates and that the cropped window pixels equal the
@@ -51,7 +51,7 @@ class TestWindowGeometry:
 
     def test_symmetric_sizing_both_directions(self):
         """The two cars see inverse priors; sizes must match for every
-        distance so pair extraction can always batch."""
+        distance so both cars of a pair share one bank."""
         rng = np.random.default_rng(0)
         for _ in range(50):
             t = rng.uniform(-70, 70, 2)

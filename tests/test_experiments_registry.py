@@ -65,15 +65,6 @@ class TestRunShim:
         assert spec.run(5, 7, workers=3) == "ok"
         assert seen == {"num_pairs": 5, "seed": 7, "workers": 3}
 
-    def test_legacy_runner_warns_and_drops_workers(self):
-        def legacy(num_pairs, seed):
-            return (num_pairs, seed)
-
-        spec = ExperimentSpec(name="_legacy", runner=legacy,
-                              formatter=str, description="test")
-        with pytest.warns(DeprecationWarning, match="legacy"):
-            assert spec.run(5, 7, workers=3) == (5, 7)
-
     def test_format_delegates(self):
         spec = ExperimentSpec(name="_fmt", runner=lambda: None,
                               formatter=lambda r: f"<{r}>",

@@ -4,12 +4,14 @@ from dataclasses import replace
 
 import numpy as np
 
+from repro.bev.roi import RoiCullConfig
 from repro.core.config import BBAlignConfig
 from repro.core.pipeline import BBAlign
+from repro.detection.simulated import SimulatedDetector
 from repro.experiments.common import (
     _features_for,
-    _features_for_pair,
     default_dataset,
+    evaluate_pair,
     run_pose_recovery_sweep,
 )
 from repro.runtime.cache import (
@@ -126,54 +128,62 @@ def _same_features(a, b):
 
 
 class TestPairBatchedCache:
-    """Cache accounting and interchangeability under pair-batched
-    extraction (`_features_for_pair`), which batches the Log-Gabor bank
-    only when *both* roles miss and must keep per-role keys intact."""
+    """Per-role cache accounting for one pair: `evaluate_pair` looks up
+    and extracts each role on its own, so each role's hit or miss is
+    counted exactly once and a missing role is backfilled."""
 
     def setup_method(self):
         self.record = next(iter(default_dataset(1, seed=31)))
         self.aligner = BBAlign()
+        self.detector = SimulatedDetector()
         self.ds_fp = dataset_fingerprint(DatasetConfig(seed=31))
         self.ext_fp = extraction_fingerprint(self.aligner.config)
 
-    def _pair_features(self, cache, timings=None):
-        return _features_for_pair(self.aligner, self.record.pair,
-                                  self.record.index, cache,
-                                  self.ds_fp, self.ext_fp, timings)
+    def _key(self, role):
+        return feature_key(self.ds_fp, self.record.index, role, self.ext_fp)
+
+    def _evaluate(self, cache, timings=None):
+        return evaluate_pair(self.record, self.aligner, self.detector,
+                             include_vips=False, cache=cache,
+                             dataset_fp=self.ds_fp, extraction_fp=self.ext_fp,
+                             timings=timings)
+
+    def _single(self, role):
+        return self.aligner.extract_features(
+            getattr(self.record.pair, f"{role}_cloud"))
 
     def test_both_miss_then_both_hit(self):
         cache = FeatureCache(max_entries=8)
         timings = SweepTimings()
-        ego, other = self._pair_features(cache, timings)
+        cold = self._evaluate(cache, timings)
         assert timings.cache_misses == 2 and timings.cache_hits == 0
         assert len(cache) == 2
+        ego, other = cache.get(self._key("ego")), cache.get(self._key("other"))
         warm = SweepTimings()
-        ego2, other2 = self._pair_features(cache, warm)
+        assert self._evaluate(cache, warm) == cold
         assert warm.cache_hits == 2 and warm.cache_misses == 0
-        assert ego2 is ego and other2 is other
+        assert cache.get(self._key("ego")) is ego
+        assert cache.get(self._key("other")) is other
 
     def test_mixed_hit_miss(self):
         """One role cached, the other not: exactly one hit and one
-        miss, and the missing role extracts to the same bits the
-        batched path produced."""
-        full = FeatureCache(max_entries=8)
-        ego, other = self._pair_features(full)
-        for present, absent, role in ((ego, other, "ego"),
-                                      (other, ego, "other")):
+        miss, and the missing role is backfilled with the same bits a
+        cold extraction produces."""
+        cold = self._evaluate(None)
+        for present, absent in (("ego", "other"), ("other", "ego")):
             cache = FeatureCache(max_entries=8)
-            cache.put(feature_key(self.ds_fp, self.record.index, role,
-                                  self.ext_fp), present)
+            cache.put(self._key(present), self._single(present))
             timings = SweepTimings()
-            got_ego, got_other = self._pair_features(cache, timings)
+            assert self._evaluate(cache, timings) == cold
             assert timings.cache_hits == 1
             assert timings.cache_misses == 1
-            assert _same_features(got_ego, ego)
-            assert _same_features(got_other, other)
             assert len(cache) == 2  # the miss was backfilled
+            assert _same_features(cache.get(self._key(absent)),
+                                  self._single(absent))
 
     def test_pair_and_single_entries_interchangeable(self):
-        """Entries written by the single-extraction path serve the pair
-        path bit-for-bit, and vice versa."""
+        """Entries written by direct per-role `_features_for` calls serve
+        `evaluate_pair` bit-for-bit, and vice versa."""
         single_cache = FeatureCache(max_entries=8)
         ego_single = _features_for(
             self.aligner, self.record.pair.ego_cloud, "ego",
@@ -182,13 +192,15 @@ class TestPairBatchedCache:
             self.aligner, self.record.pair.other_cloud, "other",
             self.record.index, single_cache, self.ds_fp, self.ext_fp, None)
         timings = SweepTimings()
-        ego, other = self._pair_features(single_cache, timings)
+        from_single = self._evaluate(single_cache, timings)
         assert timings.cache_hits == 2
-        assert ego is ego_single and other is other_single
+        assert single_cache.get(self._key("ego")) is ego_single
+        assert single_cache.get(self._key("other")) is other_single
         pair_cache = FeatureCache(max_entries=8)
-        ego_pair, other_pair = self._pair_features(pair_cache)
-        assert _same_features(ego_pair, ego_single)
-        assert _same_features(other_pair, other_single)
+        assert self._evaluate(pair_cache) == from_single
+        assert _same_features(pair_cache.get(self._key("ego")), ego_single)
+        assert _same_features(pair_cache.get(self._key("other")),
+                              other_single)
 
     def test_eviction_bounds_memory_during_sweep(self):
         """A sweep over more pairs than the cache holds stays bounded
@@ -203,3 +215,34 @@ class TestPairBatchedCache:
         uncached = run_pose_recovery_sweep(dataset, include_vips=False,
                                            cache=False)
         assert bounded == uncached
+
+
+class TestRoiSweepExtraction:
+    def test_both_roles_extract_with_their_priors(self):
+        """With ROI culling on, a sweep extracts each role with its own
+        prior: both roles' features are cropped, and they equal a direct
+        `extract_features(cloud, prior=...)` bit for bit."""
+        config = BBAlignConfig(roi=RoiCullConfig(enabled=True))
+        dataset = default_dataset(2, seed=33)
+        cache = FeatureCache(max_entries=16)
+        run_pose_recovery_sweep(dataset, config=config, include_vips=False,
+                                workers=1, cache=cache)
+        aligner = BBAlign(config)
+        ds_fp = dataset_fingerprint(dataset.config)
+        ext_fp = extraction_fingerprint(config)
+        for record in dataset:
+            gt = record.pair.gt_relative  # other -> ego
+            for role, cloud, prior in (
+                    ("ego", record.pair.ego_cloud, gt.translation),
+                    ("other", record.pair.other_cloud,
+                     gt.inverse().translation)):
+                got = cache.get(feature_key(ds_fp, record.index, role,
+                                            ext_fp))
+                assert got is not None
+                assert got.roi is not None
+                want = aligner.extract_features(cloud, prior=prior)
+                assert got.roi == want.roi
+                assert _same_features(got, want)
+                assert np.array_equal(got.mim.mim, want.mim.mim)
+                assert np.array_equal(got.mim.max_amplitude,
+                                      want.mim.max_amplitude)
