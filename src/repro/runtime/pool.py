@@ -14,7 +14,9 @@ problem so the two callers share one implementation:
   failed submission used; when several concurrent batches crash on the
   same broken pool, only the *first* restart happens and the rest see
   ``False`` — which is what makes the service's restart counter equal
-  its injected-fault count instead of racing past it;
+  its injected-fault count instead of racing past it.  The check,
+  teardown and bump hold one lock, so this holds for callers on
+  different threads too;
 * **worker liveness** — :meth:`dead_workers` counts pool processes
   that exited without being asked to (the supervisor's heartbeat
   probe), and ``kill_workers=True`` on restart SIGKILLs survivors so a
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import os
 import signal
+import threading
 from concurrent.futures import Future, ProcessPoolExecutor
 from typing import Any, Callable
 
@@ -93,6 +96,10 @@ class WorkerPool:
         self.generation = 0
         #: Total restarts over the pool's lifetime (supervision metric).
         self.restarts = 0
+        # Callers restart from executor threads (the service's batch
+        # failure path and its supervisor), so the generation check,
+        # teardown and bump must be one atomic step.
+        self._restart_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def executor(self) -> ProcessPoolExecutor:
@@ -158,13 +165,14 @@ class WorkerPool:
                 the engine keeps the historical drain-on-their-own
                 behavior.
         """
-        if generation is not None and generation != self.generation:
-            return False
-        self._teardown(wait=False, cancel_futures=True,
-                       kill_workers=kill_workers)
-        self.generation += 1
-        self.restarts += 1
-        return True
+        with self._restart_lock:
+            if generation is not None and generation != self.generation:
+                return False
+            self._teardown(wait=False, cancel_futures=True,
+                           kill_workers=kill_workers)
+            self.generation += 1
+            self.restarts += 1
+            return True
 
     def shutdown(self, wait: bool = True, cancel_futures: bool = False,
                  *, kill_workers: bool = False) -> None:

@@ -1,8 +1,8 @@
 """Queue-depth-driven micro-batch sizing for the pose service.
 
-The dispatcher's fixed ``batch_size``/``batch_window`` is a single
-operating point: small batches waste pool round-trips under load, large
-windows add latency when the service is idle.
+The dispatcher's fixed ``batch_size`` cap and ``batch_window`` are a
+single operating point: small batches waste pool round-trips under
+load, large windows add latency when the service is idle.
 :class:`AdaptiveBatchController` walks a bounded ladder of batch sizes
 (doubling from ``min_batch`` to ``max_batch``) driven by the
 ``service/queue_depth`` gauge the supervisor already maintains, with the

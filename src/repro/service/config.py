@@ -72,7 +72,9 @@ class ServiceConfig:
         queue_limit: bounded admission queue; the ``queue_limit + 1``-th
             waiting request is refused with :class:`ServiceOverloaded`.
         batch_size: max requests per worker dispatch (micro-batching
-            amortizes the pool round-trip over warm worker state).
+            amortizes the pool round-trip over warm worker state); a
+            queue shorter than the idle workers can take is spread
+            over them in smaller batches instead.
         batch_window: seconds the dispatcher lingers for a batch to
             fill once work is queued; 0 dispatches immediately.
         batch_timeout: per-attempt wall bound on one batch; exceeding

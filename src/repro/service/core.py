@@ -11,9 +11,14 @@ through four stages, each with an explicit failure story:
    ways a request can fail to get a future.  Submitting ``B`` requests
    against a queue of depth ``Q`` in one event-loop tick yields exactly
    ``B - Q`` typed rejections, deterministically.
-2. **Batching**: the dispatcher drains the queue into micro-batches
-   (``batch_size``, with a short ``batch_window`` linger) so one pool
-   round-trip amortizes over warm worker state.
+2. **Batching** is work-conserving: the dispatcher drains the queue
+   into micro-batches of ``ceil(queued / idle workers)`` requests,
+   capped at ``batch_size`` (after a short ``batch_window`` linger), so
+   two requests reaching an idle two-worker pool run side by side
+   instead of back to back on one worker.  Under load — more queued
+   than the idle workers can take — batches still fill to
+   ``batch_size`` and one pool round-trip amortizes over several
+   requests.
 3. **Execution with retry**: a batch that crashes its worker or hangs
    past ``batch_timeout`` triggers a generation-guarded pool restart
    (hung workers are SIGKILLed) and a jittered-backoff retry per the
@@ -377,6 +382,17 @@ class PoseService:
                     self._controller.batch_window)
         return self.config.batch_size, self.config.batch_window
 
+    def _fair_share(self, batch_size: int) -> int:
+        """The next batch's size: the queue spread over the idle
+        workers, ``ceil(queued / idle)``, capped at ``batch_size``.
+
+        Called with a dispatch slot held, so every in-flight batch is in
+        ``self._batches`` and the worker about to take this batch counts
+        as idle.
+        """
+        idle = self.pool.workers - len(self._batches)
+        return min(batch_size, -(-len(self._queue) // idle))
+
     def _next_batch(self, batch_size: int) -> list[_Pending]:
         """Pop the next micro-batch: up to ``batch_size`` requests of
         one kind (indexed batches ride the engine's chunk runner,
@@ -410,7 +426,7 @@ class PoseService:
                 batch_size, _ = self._batch_limits()
             while self._queue:
                 await self._slots.acquire()
-                batch = self._next_batch(batch_size)
+                batch = self._next_batch(self._fair_share(batch_size))
                 if not batch:
                     self._slots.release()
                     continue
@@ -630,11 +646,15 @@ class PoseService:
                 # Idle periods step the controller back down even when
                 # no dispatch is happening to observe the queue.
                 self._controller.observe(len(self._queue))
+            # Snapshot the generation *before* probing: a batch-failure
+            # restart landing between the probe and the snapshot would
+            # otherwise hand this path the fresh pool's generation, and
+            # it would restart that pool a second time.
+            generation = self.pool.generation
             if self.pool.started and self.pool.dead_workers():
                 # A worker died between batches (or its batch has not
                 # noticed yet).  Generation-guarded: if a batch failure
                 # restarts first, this probe is a no-op.
-                generation = self.pool.generation
                 if await loop.run_in_executor(None, functools.partial(
                         self.pool.restart, generation,
                         kill_workers=True)):

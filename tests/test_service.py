@@ -8,6 +8,9 @@ Fast, deterministic versions of the chaos-soak contract
   byte-identical to the sweep engine's outcome for pair ``i``;
 * an admitted request always gets a response: through worker kills,
   hangs, per-pair raises, deadlines, and both shutdown modes;
+* dispatch is work-conserving: a short queue spreads over idle
+  workers, a burst still fills whole batches, and racing restarts of
+  one pool generation collapse to one;
 * the TCP transport survives malformed frames and maps admission
   rejections onto typed wire responses.
 
@@ -23,6 +26,7 @@ import signal
 import struct
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -174,6 +178,51 @@ class TestParity:
         assert abs(by_scan.theta - by_index.theta) < 0.05
 
 
+def scan_request(index: int, request_id: int) -> ServiceRequest:
+    pair = V2VDatasetSim(DATASET)[index].pair
+    return ServiceRequest(
+        request_id=request_id,
+        ego=build_message(Tier.FULL_SCAN, [], cloud=pair.ego_cloud),
+        other=build_message(Tier.FULL_SCAN, [], cloud=pair.other_cloud))
+
+
+class TestDispatch:
+    def test_idle_workers_split_a_tick(self):
+        """Two scan pairs arriving together at an idle two-worker pool
+        run side by side, one batch each, and answer byte for byte what
+        one worker answers running them back to back."""
+        requests = [scan_request(0, 11), scan_request(1, 12)]
+
+        async def leg(workers: int):
+            async with PoseService(service_config(workers=workers)) as svc:
+                responses = await asyncio.gather(*[
+                    svc.submit_nowait(request) for request in requests])
+                return [r.encode() for r in responses], counters(svc)
+
+        spread, spread_stats = run(leg(2))
+        serial, serial_stats = run(leg(1))
+        assert spread_stats["batches"] == 2
+        assert serial_stats["batches"] == 1
+        assert spread == serial
+
+    def test_burst_still_fills_batches(self):
+        """More queued than the idle workers can take: every batch fills
+        to ``batch_size``, as before work-conserving dispatch."""
+        config = service_config()
+        burst = 2 * config.workers * config.batch_size
+
+        async def scenario():
+            async with PoseService(config) as svc:
+                responses = await asyncio.gather(*[
+                    svc.submit_nowait(indexed(i % PAIRS, request_id=i + 1))
+                    for i in range(burst)])
+                return responses, counters(svc)
+
+        responses, stats = run(scenario())
+        assert [r.status for r in responses] == ["ok"] * burst
+        assert stats["batches"] == 4
+
+
 class TestDeadline:
     def test_expired_deadline_resolves_typed(self):
         async def scenario():
@@ -207,6 +256,35 @@ class TestChaos:
         assert stats["worker_restarts"] == 1
         assert stats["batch_retries"] >= 1
         assert stats["responses"] == PAIRS
+
+    def test_concurrent_restarts_of_one_generation_collapse(self):
+        """The batch-failure path and the supervisor restart from
+        executor threads: two restarts racing on one generation must
+        make exactly one restart."""
+        from repro.runtime.pool import WorkerPool
+        pool = WorkerPool(2)
+        try:
+            for _ in range(10):
+                assert pool.submit(abs, -3).result() == 3  # started
+                generation, restarts = pool.generation, pool.restarts
+                barrier = threading.Barrier(2)
+                results: list[bool] = []
+
+                def race():
+                    barrier.wait()
+                    results.append(pool.restart(generation,
+                                                kill_workers=True))
+
+                threads = [threading.Thread(target=race) for _ in range(2)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join()
+                assert sorted(results) == [False, True]
+                assert pool.generation == generation + 1
+                assert pool.restarts == restarts + 1
+        finally:
+            pool.shutdown(kill_workers=True)
 
     def test_worker_hang_is_killed_and_retried(self, tmp_path):
         fault = WorkerFault(kind="hang", indices=(1,),
