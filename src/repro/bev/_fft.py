@@ -12,11 +12,9 @@ is one batched call; pocketfft iterates the leading axis internally and
 produces outputs bitwise-identical to per-slice transforms (asserted by
 ``tests/test_bev_fft.py``).
 
-The module also owns the process-wide ``workers`` setting forwarded to
-SciPy (pocketfft's plan-level multithreading).  The default of ``None``
-keeps transforms single-threaded — sweep parallelism already saturates
-cores at the process level — but a streaming service with one hot worker
-can call :func:`set_fft_workers` to spread a single pair's transforms.
+Transforms are single-threaded: parallelism lives a level up, in the
+sweep's and the service's worker processes and in
+:func:`repro.runtime.fanout.fan_out` within a process.
 """
 
 from __future__ import annotations
@@ -28,29 +26,7 @@ try:  # SciPy's pocketfft is SIMD-vectorized; numpy's is scalar C.
 except ImportError:  # pragma: no cover - scipy is a standard dependency
     _sp_fft = None
 
-__all__ = ["fft2", "ifft2", "set_fft_workers", "get_fft_workers"]
-
-# Thread count forwarded to scipy.fft (None = backend default, single
-# threaded).  Module-level rather than per-call: every bev consumer
-# should agree, and the setting is a deployment decision, not an
-# algorithmic one.
-_workers: int | None = None
-
-
-def set_fft_workers(workers: int | None) -> int | None:
-    """Set the scipy.fft ``workers`` count; returns the previous value.
-
-    A no-op (beyond bookkeeping) under the numpy fallback.
-    """
-    global _workers
-    previous = _workers
-    _workers = workers
-    return previous
-
-
-def get_fft_workers() -> int | None:
-    """The current scipy.fft ``workers`` setting."""
-    return _workers
+__all__ = ["fft2", "ifft2"]
 
 
 def fft2(image: np.ndarray) -> np.ndarray:
@@ -61,7 +37,7 @@ def fft2(image: np.ndarray) -> np.ndarray:
     fallback always returns complex128 (callers downcast as needed).
     """
     if _sp_fft is not None:
-        return _sp_fft.fft2(image, workers=_workers)
+        return _sp_fft.fft2(image)
     return np.fft.fft2(image)
 
 
@@ -69,6 +45,5 @@ def ifft2(spectrum: np.ndarray, overwrite: bool = False) -> np.ndarray:
     """Inverse FFT over the last two axes; ``overwrite`` lets the backend
     destroy the input (safe for freshly-computed product spectra)."""
     if _sp_fft is not None:
-        return _sp_fft.ifft2(spectrum, overwrite_x=overwrite,
-                             workers=_workers)
+        return _sp_fft.ifft2(spectrum, overwrite_x=overwrite)
     return np.fft.ifft2(spectrum)

@@ -29,12 +29,14 @@ Performance notes (the stage-1 hot path runs this on every frame):
 * Transforms go through the shared :mod:`repro.bev._fft` backend (SciPy's
   pocketfft when available — SIMD-vectorized and ~2x faster than
   ``numpy.fft`` on this workload — falling back to ``numpy.fft``).
-* The bank owns its **scratch workspace**: the per-scale scaled spectra,
-  the product buffer and the magnitude temporary are allocated once, on
-  first use, and reused across every image of a sweep
-  (:meth:`LogGaborBank._workspace`), so the hot loop performs no
-  per-call allocations beyond the returned sums and the backend's
-  inverse-transform outputs.
+* The bank owns its **scratch workspace**, one per thread: the
+  per-scale scaled spectra, the product buffer and the magnitude
+  temporary are allocated on a thread's first use and reused across
+  every image that thread filters (:meth:`LogGaborBank._workspace`), so
+  the hot loop performs no per-call allocations beyond the returned
+  sums and the backend's inverse-transform outputs, and two threads
+  sharing one cached bank (:mod:`repro.runtime.fanout`) never write
+  each other's buffers.
 * The inverse transforms are applied filter-by-filter rather than as one
   giant batched transform: the angular window is one-sided, so the complex
   response *is* the analytic signal and a single complex ``ifft2`` already
@@ -61,6 +63,7 @@ bitwise equality.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,9 +165,8 @@ class LogGaborBank:
             [_pack_window(r) for r in self._radial])
         self._angular_packed = np.stack(
             [_pack_window(a) for a in self._angular])
-        # Reusable scratch buffers (see _workspace).
-        self._scratch: tuple[np.ndarray, np.ndarray, np.ndarray] | None \
-            = None
+        # Reusable scratch buffers, per thread (see _workspace).
+        self._scratch = threading.local()
 
     # ------------------------------------------------------------------
     def _frequency_grid(self) -> tuple[np.ndarray, np.ndarray]:
@@ -250,20 +252,22 @@ class LogGaborBank:
         return out
 
     def _workspace(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Scratch buffers for one image pass, allocated on first use.
+        """The calling thread's scratch buffers, allocated on its first
+        use.
 
         Returns ``(scaled, product, magnitude)``: the per-scale scaled
         spectra ``(N_s, H, 2W)``, the complex product buffer ``(H, W)``
         and the magnitude temporary ``(H, W)``.
         """
-        if self._scratch is None:
+        buffers = getattr(self._scratch, "buffers", None)
+        if buffers is None:
             n = self.size
-            self._scratch = (
+            buffers = self._scratch.buffers = (
                 np.empty((self.config.num_scales, n, 2 * n),
                          dtype=np.float32),
                 np.empty((n, n), dtype=np.complex64),
                 np.empty((n, n), dtype=np.float32))
-        return self._scratch
+        return buffers
 
     def orientation_amplitude_sum(self, image: np.ndarray) -> np.ndarray:
         """Eq. (9): per-orientation amplitude summed over scales.

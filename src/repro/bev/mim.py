@@ -9,6 +9,8 @@ keypoint description possible at all (Fig. 4 of the paper).
 
 from __future__ import annotations
 
+import os
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -26,19 +28,28 @@ __all__ = ["MIMResult", "compute_mim"]
 # an earlier revision did) made them rebuild banks every frame.
 _BANK_CACHE: OrderedDict[tuple, LogGaborBank] = OrderedDict()
 _BANK_CACHE_CAPACITY = 8
+# Fanned-out extractions (repro.runtime.fanout) share the cache: one
+# thread builds a missing bank while the others wait for it.
+_BANK_LOCK = threading.Lock()
+
+# A fork waits for the lock, so no child inherits it held.
+os.register_at_fork(before=_BANK_LOCK.acquire,
+                    after_in_parent=_BANK_LOCK.release,
+                    after_in_child=_BANK_LOCK.release)
 
 
 def _get_bank(size: int, config: LogGaborConfig) -> LogGaborBank:
     key = (size, config)
-    bank = _BANK_CACHE.get(key)
-    if bank is not None:
-        _BANK_CACHE.move_to_end(key)
+    with _BANK_LOCK:
+        bank = _BANK_CACHE.get(key)
+        if bank is not None:
+            _BANK_CACHE.move_to_end(key)
+            return bank
+        bank = LogGaborBank(size, config)
+        _BANK_CACHE[key] = bank
+        while len(_BANK_CACHE) > _BANK_CACHE_CAPACITY:  # bound memory
+            _BANK_CACHE.popitem(last=False)
         return bank
-    bank = LogGaborBank(size, config)
-    _BANK_CACHE[key] = bank
-    while len(_BANK_CACHE) > _BANK_CACHE_CAPACITY:  # bound memory
-        _BANK_CACHE.popitem(last=False)
-    return bank
 
 
 @dataclass(frozen=True)

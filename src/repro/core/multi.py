@@ -21,7 +21,13 @@ exactly once (optionally through a :class:`~repro.runtime.cache.\
 FeatureCache`, so consecutive frames or repeated scenes skip
 re-extraction), runs pairwise :meth:`~repro.core.pipeline.BBAlign.\
 recover` over a caller-supplied connectivity graph (all pairs by
-default), and fuses the successful edges.  An *incremental* mode
+default), and fuses the successful edges.  The extractions, then the
+edges, run on the process's cores through
+:func:`repro.runtime.fanout.fan_out`: no item reads another's state,
+each edge draws its own ``[root, i, j]`` stream, and edge outcomes are
+settled in candidate order (:meth:`~repro.core.pipeline.BBAlign.\
+recover_many`), so every output is bit-identical to the serial run.
+An *incremental* mode
 (``incremental=True``) warm-starts from the previous call's graph and
 only re-solves connected components whose edges changed — on an
 unchanged graph the fused poses are returned without running a single
@@ -49,6 +55,7 @@ from repro.core.pose_graph import (
 from repro.core.result import PoseRecoveryResult
 from repro.geometry.se2 import SE2
 from repro.runtime.cache import FeatureCache, extraction_fingerprint
+from repro.runtime.fanout import fan_out
 
 __all__ = ["PairwiseEdge", "MultiAlignment", "MultiVehicleAligner"]
 
@@ -94,7 +101,13 @@ PoseGraphSolution` (component gauges; feed it back for incremental
 
 
 class MultiVehicleAligner:
-    """Pairwise BB-Align + cycle-gated robust pose-graph fusion."""
+    """Pairwise BB-Align + cycle-gated robust pose-graph fusion.
+
+    :meth:`align` fans a frame's per-vehicle extractions and then its
+    pairwise edges out over the process's cores (serially in pool-worker
+    processes and on one CPU); poses, recoveries, residuals and the
+    aligner's last-good pose equal those of the serial loop.
+    """
 
     def __init__(self, config: BBAlignConfig | None = None,
                  graph: PoseGraphConfig | None = None) -> None:
@@ -123,16 +136,24 @@ class MultiVehicleAligner:
         scenes (worker processes revisiting a frame, incremental
         re-alignment of an unchanged fleet) skip extraction entirely.
         """
+        extract = self.aligner.extract_features
         if cache is None or scene_key is None:
-            return [self.aligner.extract_features(cloud)
-                    for cloud in clouds]
+            return list(fan_out(extract, clouds))
         extraction_fp = extraction_fingerprint(self.aligner.config)
+        keys = [(scene_key, index, "multi", extraction_fp)
+                for index in range(len(clouds))]
+        # Extract what the cache lacks now side by side, then replay the
+        # loop's get/put order, so hits, misses and evictions are the
+        # loop's.  A key an earlier put evicts is extracted inline.
+        missing = [index for index, key in enumerate(keys)
+                   if key not in cache]
+        fresh = fan_out(extract, [clouds[index] for index in missing])
         features: list[BVFeatures] = []
-        for index, cloud in enumerate(clouds):
-            key = (scene_key, index, "multi", extraction_fp)
+        for index, key in enumerate(keys):
             cached = cache.get(key)
             if cached is None:
-                cached = self.aligner.extract_features(cloud)
+                cached = (next(fresh) if index in missing
+                          else extract(clouds[index]))
                 cache.put(key, cached)
             features.append(cached)
         return features
@@ -197,13 +218,13 @@ solve_incremental`).
         # connectivity graph replays the exact streams the full graph
         # would hand the same pairs.
         root = int(rng.integers(0, 2 ** 31))
+        results = self.aligner.recover_many(
+            (features[i], features[j], boxes_per_vehicle[i],
+             boxes_per_vehicle[j], np.random.default_rng([root, i, j]))
+            for i, j in candidate_pairs)
         recoveries: dict[tuple[int, int], PoseRecoveryResult] = {}
         measured: list[PoseGraphEdge] = []
-        for i, j in candidate_pairs:
-            result = self.aligner.recover(
-                features[i], features[j],
-                boxes_per_vehicle[i], boxes_per_vehicle[j],
-                rng=np.random.default_rng([root, i, j]))
+        for (i, j), result in zip(candidate_pairs, results):
             recoveries[(i, j)] = result
             if result.success:
                 weight = float(result.inliers_bv + result.inliers_box)

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import replace
-from typing import Callable, ContextManager
+from typing import Callable, ContextManager, NamedTuple
 
 import numpy as np
 
@@ -58,6 +58,7 @@ from repro.geometry.se2 import SE2
 from repro.geometry.se3 import SE3
 from repro.obs.metrics import histogram
 from repro.pointcloud.cloud import PointCloud
+from repro.runtime.fanout import fan_out
 
 __all__ = ["BBAlign"]
 
@@ -72,6 +73,15 @@ StageTimer = Callable[[str], ContextManager]
 
 def _no_timing(_stage: str) -> ContextManager:
     return contextlib.nullcontext()
+
+
+class _Degraded(NamedTuple):
+    """A recovery that fell to the ladder's bottom rungs, not yet
+    settled against the aligner's last-good pose."""
+
+    reason: FailureReason
+    diagnostics: StageDiagnostics
+    message_bytes: int
 
 
 def _empty_stage1() -> BVMatch:
@@ -242,19 +252,40 @@ class BBAlign:
         if stale:
             return self._degraded_result(FailureReason.MESSAGE_STALE,
                                          StageDiagnostics())
-        if isinstance(ego, PointCloud) or isinstance(other, PointCloud):
-            try:
-                with (timer or _no_timing)("bv_extract"):
-                    if isinstance(ego, PointCloud):
-                        ego = self.extract_features(ego, timer=timer)
-                    if isinstance(other, PointCloud):
-                        other = self.extract_features(other, timer=timer)
-            except Exception as error:
-                return self._degraded_result(
-                    FailureReason.EXTRACTION_ERROR,
-                    StageDiagnostics(stage1_error=repr(error)))
+        try:
+            ego, other = self._extract_all(
+                [(self.extract_features if isinstance(value, PointCloud)
+                  else None, value) for value in (ego, other)], timer)
+        except Exception as error:
+            return self._degraded_result(
+                FailureReason.EXTRACTION_ERROR,
+                StageDiagnostics(stage1_error=repr(error)))
         return self._recover_features(ego, other, ego_boxes, other_boxes,
                                       rng=rng, timer=timer)
+
+    def _extract_all(self, jobs, timer) -> list:
+        """Stage-1 features from ``(extract, source)`` jobs, side by side.
+
+        Each ``extract(source)`` runs in its own ``bv_extract`` stage; a
+        job whose ``extract`` is ``None`` passes ``source`` through.  The
+        extractions run through :func:`repro.runtime.fanout.fan_out` —
+        on two cores a pair's two scans overlap — and the first failing
+        job raises, as in a loop.
+        """
+        timer = timer or _no_timing
+
+        def run(job) -> BVFeatures:
+            extract, source = job
+            with timer("bv_extract"):
+                return extract(source, timer=timer)
+
+        features = [source for _, source in jobs]
+        raw = [index for index, (extract, _) in enumerate(jobs)
+               if extract is not None]
+        for index, extracted in zip(raw, fan_out(
+                run, [jobs[index] for index in raw])):
+            features[index] = extracted
+        return features
 
     def _recover_features(self, ego_features: BVFeatures,
                           other_features: BVFeatures,
@@ -270,6 +301,24 @@ class BBAlign:
         a pooled-geometry matcher); ``message_bytes`` overrides the
         dense-message estimate with actual wire bytes; ``tier`` labels
         the diagnostics.
+        """
+        return self._settle(self._match_and_align(
+            ego_features, other_features, ego_boxes, other_boxes, rng,
+            timer, matcher=matcher, message_bytes=message_bytes, tier=tier))
+
+    def _match_and_align(self, ego_features: BVFeatures,
+                         other_features: BVFeatures, ego_boxes,
+                         other_boxes, rng, timer, *,
+                         matcher: BVMatcher | None = None,
+                         message_bytes: int | None = None,
+                         tier: str | None = None,
+                         ) -> PoseRecoveryResult | _Degraded:
+        """Both stages, without touching the aligner's memory.
+
+        Returns the result, or the :class:`_Degraded` request that
+        :meth:`_settle` turns into one; only :meth:`_settle` reads or
+        writes the last-good pose and records the ladder transition, so
+        calls on different feature pairs may run concurrently.
         """
         matcher = matcher or self.bv_matcher
         timer = timer or _no_timing
@@ -293,10 +342,9 @@ class BBAlign:
                 stage1 = matcher.match(other_features, ego_features,
                                        rng=rng, timer=timer)
         except Exception as error:
-            return self._degraded_result(
-                FailureReason.STAGE1_ERROR,
-                replace(diagnostics, stage1_error=repr(error)),
-                message_bytes=message_bytes)
+            return _Degraded(FailureReason.STAGE1_ERROR,
+                             replace(diagnostics, stage1_error=repr(error)),
+                             message_bytes)
 
         stage2_failure: FailureReason | None = None
         if self.config.enable_box_alignment and stage1.success:
@@ -334,7 +382,6 @@ class BBAlign:
 
         if success:
             failure_reason = None
-            self._last_good = combined
         elif stage2_failure is not None:
             failure_reason = stage2_failure
         elif not stage1.success:
@@ -348,7 +395,6 @@ class BBAlign:
         degradation = (DegradationLevel.STAGE1_ONLY
                        if stage2_failure is not None
                        else DegradationLevel.FULL)
-        record_transition(degradation, failure_reason)
         return PoseRecoveryResult(
             transform=combined,
             transform_3d=transform_3d,
@@ -360,6 +406,36 @@ class BBAlign:
             degradation=degradation,
             diagnostics=diagnostics,
         )
+
+    def _settle(self, outcome: PoseRecoveryResult | _Degraded,
+                ) -> PoseRecoveryResult:
+        """Commit a :meth:`_match_and_align` outcome to the aligner.
+
+        A success becomes the last-good pose; a degraded request walks
+        the ladder's bottom rungs from the current last-good pose.
+        """
+        if isinstance(outcome, _Degraded):
+            return self._degraded_result(*outcome)
+        if outcome.success:
+            self._last_good = outcome.transform
+        record_transition(outcome.degradation, outcome.failure_reason)
+        return outcome
+
+    def recover_many(self, jobs) -> list[PoseRecoveryResult]:
+        """:meth:`recover` over precomputed features, several pairs at
+        once.
+
+        Each job is ``(ego_features, other_features, ego_boxes,
+        other_boxes, rng)``.  The two stages of every job run through
+        :func:`repro.runtime.fanout.fan_out`; their outcomes are settled
+        in job order, so results, the last-good pose and the recorded
+        ladder transitions equal those of calling :meth:`recover` on
+        each job in turn.
+        """
+        def run(job) -> PoseRecoveryResult | _Degraded:
+            return self._match_and_align(*job, None)
+
+        return [self._settle(outcome) for outcome in fan_out(run, jobs)]
 
     def _recover_payload(self, ego, payload, ego_boxes, other_boxes, rng,
                          timer, stale) -> PoseRecoveryResult:
@@ -432,21 +508,18 @@ class BBAlign:
             return self._recover_boxes_only(message, ego_boxes, rng, timer,
                                             num_bytes)
 
+        if isinstance(message, V2VMessage) \
+                or message.tier is Tier.BV_IMAGE:
+            other_job = (self.bv_matcher.extract, message.bv_image)
+        elif message.tier is Tier.FULL_SCAN:
+            other_job = (self.extract_features, message.cloud)
+        else:
+            other_job = (None, None)  # keypoints: no image to extract
+        ego_job = (self.extract_features if isinstance(ego, PointCloud)
+                   else None, ego)
         try:
-            with timer("bv_extract"):
-                if isinstance(ego, PointCloud):
-                    ego_features = self.extract_features(ego, timer=timer)
-                else:
-                    ego_features = ego
-                if isinstance(message, V2VMessage) \
-                        or message.tier is Tier.BV_IMAGE:
-                    other_features = self.bv_matcher.extract(
-                        message.bv_image, timer=timer)
-                elif message.tier is Tier.FULL_SCAN:
-                    other_features = self.extract_features(message.cloud,
-                                                           timer=timer)
-                else:
-                    other_features = None  # keypoints: no image to extract
+            ego_features, other_features = self._extract_all(
+                [ego_job, other_job], timer)
         except Exception as error:
             return self._degraded_result(
                 FailureReason.EXTRACTION_ERROR,

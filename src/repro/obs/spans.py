@@ -31,7 +31,7 @@ from typing import Any, Iterator
 from repro.obs.metrics import active_registry
 
 __all__ = ["SpanHandle", "TraceCollector", "active_collector",
-           "collect_spans", "span"]
+           "collect_spans", "current_span_id", "span"]
 
 
 class SpanHandle:
@@ -73,22 +73,55 @@ class TraceCollector:
     The parent process drains :attr:`events` into the JSONL exporter;
     pool workers return theirs inside the chunk result and the engine
     re-emits them (chunk-deduplicated) into the parent's collector.
+    ``id_prefix`` replaces the pid in span ids: a fanned-out task's
+    collector (:mod:`repro.runtime.fanout`) numbers its spans under a
+    prefix no pid can take, until :meth:`adopt` renumbers them.
     """
 
-    __slots__ = ("events", "root_parent", "_sequence")
+    __slots__ = ("events", "root_parent", "id_prefix", "_sequence")
 
-    def __init__(self, root_parent: str | None = None) -> None:
+    def __init__(self, root_parent: str | None = None,
+                 id_prefix: str | None = None) -> None:
         self.events: list[dict] = []
         self.root_parent = root_parent
+        self.id_prefix = id_prefix
         self._sequence = 0
+
+    def _span_id(self, sequence: int) -> str:
+        prefix = self.id_prefix if self.id_prefix is not None \
+            else os.getpid()
+        return f"{prefix}:{sequence}"
 
     def next_span_id(self) -> str:
         self._sequence += 1
-        return f"{os.getpid()}:{self._sequence}"
+        return self._span_id(self._sequence)
 
     def emit(self, event: dict) -> None:
         """Append an already-finished event (engine chunk re-emission)."""
         self.events.append(event)
+
+    def adopt(self, child: "TraceCollector") -> None:
+        """Append ``child``'s events as if its spans had opened here.
+
+        ``child`` (an ``id_prefix`` collector) recorded one task while
+        this collector went on; its span ids are renumbered to follow
+        every span opened here so far, parents included.  Adopting
+        fanned-out tasks in item order therefore leaves the ids, parents
+        and event order an inline run of the tasks would have left.
+        """
+        base = self._sequence
+        local = f"{child.id_prefix}:"
+        renamed = {event["span_id"]: self._span_id(
+            base + int(event["span_id"][len(local):]))
+            for event in child.events
+            if event["span_id"].startswith(local)}
+        self._sequence = base + child._sequence
+        for event in child.events:
+            self.events.append(dict(
+                event,
+                span_id=renamed.get(event["span_id"], event["span_id"]),
+                parent_id=renamed.get(event["parent_id"],
+                                      event["parent_id"])))
 
 
 _COLLECTOR: contextvars.ContextVar[TraceCollector | None] = \
@@ -102,16 +135,23 @@ def active_collector() -> TraceCollector | None:
     return _COLLECTOR.get()
 
 
+def current_span_id() -> str | None:
+    """The id a span opened here would report as its parent."""
+    return _PARENT.get()
+
+
 @contextlib.contextmanager
-def collect_spans(root_parent: str | None = None,
+def collect_spans(root_parent: str | None = None, *,
+                  id_prefix: str | None = None,
                   ) -> Iterator[TraceCollector]:
     """Install a fresh collector; spans in the block record into it.
 
     ``root_parent`` seeds the parent linkage: spans opened at the top
     level of the block report it as their parent.  The engine passes the
     parent-side chunk span id here so worker-side spans nest under it.
+    ``id_prefix`` is passed on to :class:`TraceCollector`.
     """
-    collector = TraceCollector(root_parent)
+    collector = TraceCollector(root_parent, id_prefix)
     token = _COLLECTOR.set(collector)
     parent_token = _PARENT.set(root_parent)
     try:

@@ -13,6 +13,10 @@ reproduction; this package makes it a schedulable, measurable unit:
   signal hygiene (inherited wakeup fds and handlers are detached so a
   pool worker's death can never echo a signal back into the parent's
   event loop);
+* :mod:`repro.runtime.fanout` — :func:`fan_out`, the in-process
+  counterpart: one call's independent items (a fleet frame's
+  extractions and edges, a pair's two extractions) on threads, with
+  results, exceptions and telemetry equal to the serial loop's;
 * :mod:`repro.runtime.retry` — :class:`RetryPolicy`, the seeded
   jittered-exponential-backoff schedule shared by the engine's chunk
   ladder and the service's batch ladder;
@@ -40,6 +44,7 @@ from repro.runtime.engine import (
     run_sweep_parallel,
     shutdown_pool,
 )
+from repro.runtime.fanout import fan_out
 from repro.runtime.faults import InjectedFault, WorkerFault
 from repro.runtime.pool import WorkerPool
 from repro.runtime.retry import ENGINE_DEFAULT, SERVICE_DEFAULT, RetryPolicy
@@ -67,6 +72,7 @@ __all__ = [
     "collect_timings",
     "dataset_fingerprint",
     "extraction_fingerprint",
+    "fan_out",
     "feature_key",
     "get_default_cache",
     "resolve_workers",

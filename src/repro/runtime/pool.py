@@ -37,6 +37,8 @@ import threading
 from concurrent.futures import Future, ProcessPoolExecutor
 from typing import Any, Callable
 
+from repro.runtime.fanout import run_serially
+
 __all__ = ["PoolUnavailableError", "WorkerPool", "resolve_workers"]
 
 
@@ -52,7 +54,11 @@ def _pool_worker_init(extra: Callable[..., None] | None,
     and the parent's loop would run the parent's own SIGTERM handler: a
     phantom shutdown of a process nobody signalled.  Resetting both in
     the child confines signals to the process they were sent to.
+
+    The pool runs one worker process per core, so a worker never fans
+    work out to threads (:func:`repro.runtime.fanout.run_serially`).
     """
+    run_serially()
     try:
         signal.set_wakeup_fd(-1)
     except (ValueError, OSError):  # non-main thread / closed fd

@@ -30,6 +30,8 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import os
+import threading
 import time
 from typing import Iterator, Mapping
 
@@ -51,6 +53,15 @@ STAGES: tuple[str, ...] = (
 
 # Registry key prefix for stage-seconds histograms.
 _STAGE_PREFIX = "stage/"
+# Serializes SweepTimings.add: a stage timer handed to fanned-out work
+# (repro.runtime.fanout) records from several threads into one registry.
+_ADD_LOCK = threading.Lock()
+
+# A fork waits for the lock, so no child inherits it held.
+os.register_at_fork(before=_ADD_LOCK.acquire,
+                    after_in_parent=_ADD_LOCK.release,
+                    after_in_child=_ADD_LOCK.release)
+
 _PAIRS_KEY = "sweep/pairs"
 _CACHE_HITS_KEY = "cache/hits"
 _CACHE_MISSES_KEY = "cache/misses"
@@ -154,14 +165,15 @@ class SweepTimings:
     # ------------------------------------------------------------------
     def add(self, stage_name: str, seconds: float,
             count: int = 1) -> None:
-        """Accumulate ``seconds`` into one stage bucket."""
-        histogram = self.registry.histogram(_STAGE_PREFIX + stage_name)
-        histogram.count += count
-        histogram.total += seconds
-        if seconds < histogram.min:
-            histogram.min = seconds
-        if seconds > histogram.max:
-            histogram.max = seconds
+        """Accumulate ``seconds`` into one stage bucket (thread-safe)."""
+        with _ADD_LOCK:
+            histogram = self.registry.histogram(_STAGE_PREFIX + stage_name)
+            histogram.count += count
+            histogram.total += seconds
+            if seconds < histogram.min:
+                histogram.min = seconds
+            if seconds > histogram.max:
+                histogram.max = seconds
 
     def stage_count(self, stage_name: str) -> int:
         """How many timed entries a stage accumulated (dedupe-exact)."""

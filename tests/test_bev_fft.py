@@ -3,20 +3,13 @@
 The backend's numerical contract: a batched ``(B, H, W)`` transform is
 bitwise-identical to ``B`` independent ``(H, W)`` transforms.  These
 tests pin that fact for both directions and both precisions, plus the
-workers bookkeeping and the numpy fallback used when SciPy is absent.
+numpy fallback used when SciPy is absent.
 """
 
 import numpy as np
 import pytest
 
 from repro.bev import _fft
-
-
-@pytest.fixture(autouse=True)
-def _restore_workers():
-    previous = _fft.get_fft_workers()
-    yield
-    _fft.set_fft_workers(previous)
 
 
 class TestBatchedBitwiseIdentity:
@@ -56,25 +49,6 @@ class TestBatchedBitwiseIdentity:
         expected = _fft.ifft2(spec.copy(), overwrite=False)
         overwritten = _fft.ifft2(spec.copy(), overwrite=True)
         assert np.array_equal(expected, overwritten)
-
-
-class TestWorkersSetting:
-    def test_set_returns_previous_and_takes_effect(self):
-        first = _fft.set_fft_workers(2)
-        assert _fft.get_fft_workers() == 2
-        assert _fft.set_fft_workers(first) == 2
-        assert _fft.get_fft_workers() == first
-
-    def test_transforms_identical_across_workers(self):
-        """The workers count is a scheduling knob; pocketfft's split
-        must not change a single bit of the result."""
-        rng = np.random.default_rng(11)
-        image = rng.standard_normal((64, 64))
-        baseline = _fft.fft2(image)
-        _fft.set_fft_workers(2)
-        assert np.array_equal(_fft.fft2(image), baseline)
-        _fft.set_fft_workers(None)
-        assert np.array_equal(_fft.fft2(image), baseline)
 
 
 class TestNumpyFallback:
