@@ -11,14 +11,22 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
-# Mirrors the CI lint job; degrades gracefully when the pinned tools
-# (pip install -e ".[dev]") are not installed locally.
+# Mirrors the CI lint job (same ruff and mypy paths); degrades
+# gracefully when the pinned tools (pip install -e ".[dev]") are not
+# installed locally.
+RUFF_PATHS = src/repro/core src/repro/experiments src/repro/obs \
+	src/repro/runtime src/repro/service \
+	tools/check_bench.py tools/smoke_data_plane.py
+MYPY_PATHS = src/repro/core src/repro/experiments src/repro/obs \
+	src/repro/runtime src/repro/service
+
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \
-		ruff check src/repro/obs src/repro/runtime tools/check_bench.py; \
+		ruff check $(RUFF_PATHS) && \
+		ruff format --check tools/smoke_data_plane.py; \
 	else echo "ruff not installed; skipping (pip install -e '.[dev]')"; fi
 	@if command -v mypy >/dev/null 2>&1; then \
-		mypy src/repro/obs src/repro/runtime; \
+		mypy $(MYPY_PATHS); \
 	else echo "mypy not installed; skipping (pip install -e '.[dev]')"; fi
 
 test-report:
@@ -31,26 +39,24 @@ bench-report:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 
 # Regenerate the BENCH_*.json trajectories and gate them against the
-# committed baselines (timing drift warns; metric drift fails).
+# committed baselines (timing drift warns; metric drift fails).  The
+# same three benches and gates as CI.
+BENCH_FILES = benchmarks/results/BENCH_comms.json \
+	benchmarks/results/BENCH_multi.json \
+	benchmarks/results/BENCH_service.json
+
 bench-check:
-	$(PYTHON) -m pytest benchmarks/test_stage1_kernels.py \
-		benchmarks/test_sim_kernels.py benchmarks/test_comms_bench.py \
-		benchmarks/test_service_soak.py -x -q -s
-	$(PYTHON) tools/check_bench.py benchmarks/results/BENCH_stage1.json \
-		benchmarks/results/BENCH_pipeline.json \
-		benchmarks/results/BENCH_comms.json \
-		benchmarks/results/BENCH_service.json
+	$(PYTHON) -m pytest benchmarks/test_comms_bench.py \
+		benchmarks/test_multi_study.py benchmarks/test_service_soak.py \
+		-x -q -s
+	$(PYTHON) tools/check_bench.py $(BENCH_FILES)
 
 # Accept the current BENCH_*.json outputs as the new baselines.  Run
 # the benchmarks first (make bench-check), eyeball the drift, then
 # commit the files this copies.
 bench-baseline:
 	mkdir -p benchmarks/results/baselines
-	cp benchmarks/results/BENCH_stage1.json \
-		benchmarks/results/BENCH_pipeline.json \
-		benchmarks/results/BENCH_comms.json \
-		benchmarks/results/BENCH_service.json \
-		benchmarks/results/baselines/
+	cp $(BENCH_FILES) benchmarks/results/baselines/
 
 examples:
 	$(PYTHON) examples/quickstart.py

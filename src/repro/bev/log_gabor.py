@@ -44,8 +44,8 @@ Performance notes (the stage-1 hot path runs this on every frame):
   amplitude — which also means a real-input ``rfft`` cannot halve the
   work (the product spectrum is not conjugate-symmetric) — and the
   per-filter working set stays cache-resident, which measures faster than
-  a ``(N_s*N_o, H, W)`` batched transform on cache-constrained hosts (see
-  ``benchmarks/test_stage1_kernels.py``).
+  a ``(N_s*N_o, H, W)`` batched transform on cache-constrained hosts (the
+  ``bev.mim_ms`` row of ``perfbench``'s per-layer table times this pass).
 * The per-filter product and inverse transform run in **single
   precision** (the forward FFT of the image stays double and is then
   downcast, so the input spectrum carries full accuracy).  Amplitudes are
@@ -54,11 +54,11 @@ Performance notes (the stage-1 hot path runs this on every frame):
   relative ``~1e-7`` single-precision rounding does not move any of
   them, while complex64 transforms run ~2x faster on SIMD hosts.
 
-The pre-rework implementations are preserved as ``_reference_*`` methods.
-They compute in double precision exactly as the original code did, so the
-equivalence tests assert identical MIM argmax decisions and amplitude
-agreement at single-precision tolerance (``rtol ~1e-5``) rather than
-bitwise equality.
+The pre-rework per-frame implementation is the test twin in
+``tests/_reference/log_gabor.py``.  It computes in double precision exactly
+as the original code did, so the equivalence tests assert identical MIM
+argmax decisions and amplitude agreement at single-precision tolerance
+(``rtol ~1e-5``) rather than bitwise equality.
 """
 
 from __future__ import annotations
@@ -303,43 +303,4 @@ class LogGaborBank:
                 np.multiply(scaled[s], self._angular_packed[o], out=pview)
                 np.abs(_ifft2(product, overwrite=True), out=magnitude)
                 acc += magnitude
-        return sums
-
-    # ------------------------------------------------------------------
-    # Reference (pre-vectorization) implementations, kept for the
-    # equivalence tests and the stage-1 micro-benchmark.  They rebuild
-    # the frequency-domain product per frame, exactly as the original
-    # code did; same FFT backend, so results match bit-for-bit.
-    # ------------------------------------------------------------------
-    def _reference_amplitudes_by_orientation(self, image: np.ndarray,
-                                             scales=None, orientations=None
-                                             ) -> list[list[np.ndarray]]:
-        image = self._check_image(image)
-        cfg = self.config
-        scales = range(cfg.num_scales) if scales is None else scales
-        orientations = (range(cfg.num_orientations) if orientations is None
-                        else orientations)
-        image_fft = _fft2(image)
-        out: list[list[np.ndarray]] = []
-        for o in orientations:
-            per_scale = []
-            for s in scales:
-                filt = self._radial[s] * self._angular[o]
-                response = _ifft2(image_fft * filt)
-                per_scale.append(np.abs(response))
-            out.append(per_scale)
-        return out
-
-    def _reference_orientation_amplitude_sum(self,
-                                             image: np.ndarray) -> np.ndarray:
-        image = self._check_image(image)
-        cfg = self.config
-        image_fft = _fft2(image)
-        sums = np.empty((cfg.num_orientations, self.size, self.size))
-        for o in range(cfg.num_orientations):
-            acc = np.zeros((self.size, self.size))
-            for s in range(cfg.num_scales):
-                filt = self._radial[s] * self._angular[o]
-                acc += np.abs(_ifft2(image_fft * filt))
-            sums[o] = acc
         return sums

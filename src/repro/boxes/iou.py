@@ -9,9 +9,9 @@ vectorized center-distance prefilter, their rectangle intersections are
 clipped together by
 :func:`repro.geometry.polygon.convex_polygon_clip_batch`, and only the
 per-polygon shoelace area stays scalar (its ``np.dot`` bits cannot be
-reproduced by a batched reduction).  The matrix is bit-identical to
-:func:`_reference_iou_matrix`'s ``bev_iou``-per-candidate loop —
-``tests/test_sim_equivalence.py`` enforces this.
+reproduced by a batched reduction).  The matrix is bit-identical to a
+``bev_iou``-per-candidate loop (the twin in ``tests/_reference/iou.py``)
+— ``tests/test_sim_equivalence.py`` enforces this.
 """
 
 from __future__ import annotations
@@ -100,26 +100,4 @@ def iou_matrix(boxes_a: list[Box2D], boxes_b: list[Box2D]) -> np.ndarray:
             continue
         result[cand_i[p], cand_j[p]] = float(
             np.clip(intersection / union, 0.0, 1.0))
-    return result
-
-
-def _reference_iou_matrix(boxes_a: list[Box2D],
-                          boxes_b: list[Box2D]) -> np.ndarray:
-    """Pre-rework :func:`iou_matrix`: scalar ``bev_iou`` per candidate.
-
-    Kept as the behavioral specification for the batched fast path
-    (bit-identical contract).
-    """
-    if not boxes_a or not boxes_b:
-        return np.zeros((len(boxes_a), len(boxes_b)))
-    centers_a = np.array([b.center for b in boxes_a])
-    centers_b = np.array([b.center for b in boxes_b])
-    radius_a = np.array([b.diagonal / 2.0 for b in boxes_a])
-    radius_b = np.array([b.diagonal / 2.0 for b in boxes_b])
-    dists = np.linalg.norm(centers_a[:, None] - centers_b[None, :], axis=2)
-    candidates = dists <= radius_a[:, None] + radius_b[None, :]
-
-    result = np.zeros((len(boxes_a), len(boxes_b)))
-    for i, j in zip(*np.nonzero(candidates)):
-        result[i, j] = bev_iou(boxes_a[i], boxes_b[j])
     return result

@@ -33,8 +33,7 @@ request gets its real response before the pool closes).  ``--chaos
 KIND:IDX[,IDX...]`` injects a fire-once worker fault — the lever the CI
 smoke uses to prove a killed worker is restarted mid-serve.  The data
 plane is tunable: ``--shm/--no-shm`` toggles the shared-memory scan
-transport, ``--cache-mb`` sizes the per-worker feature cache,
-``--adaptive-batch`` lets queue depth drive the micro-batch shape, and
+transport, ``--cache-mb`` sizes the per-worker feature cache, and
 ``--trace PATH`` exports per-request span trees.
 ``service-load`` is the closed-loop load client; ``--standalone`` runs
 service and load in one process (no TCP), ``--warmup`` absorbs cold
@@ -132,9 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--cache-mb", type=float, default=64.0,
                        help="per-worker feature cache budget in MiB "
                             "(default 64; 0 disables)")
-    serve.add_argument("--adaptive-batch", action="store_true",
-                       help="drive batch size/window from queue depth "
-                            "instead of the fixed --batch-size")
     serve.add_argument("--trace", type=pathlib.Path, default=None,
                        metavar="PATH",
                        help="export per-request trace spans to a "
@@ -254,8 +250,7 @@ def _cmd_serve(args) -> int:
         workers=args.workers, queue_limit=args.queue_limit,
         batch_size=args.batch_size, batch_timeout=args.batch_timeout,
         default_deadline=args.deadline, fault=fault,
-        use_shm=args.shm, worker_cache_mb=args.cache_mb,
-        adaptive_batch=args.adaptive_batch)
+        use_shm=args.shm, worker_cache_mb=args.cache_mb)
 
     async def run() -> None:
         service = PoseService(config)

@@ -20,6 +20,7 @@ import contextlib
 import functools
 import time
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,7 @@ from repro.detection.simulated import (
     SimulatedDetector,
 )
 from repro.metrics.pose_error import PoseErrors, pose_errors
-from repro.obs.metrics import use_registry
+from repro.obs.metrics import counter, use_registry
 from repro.obs.spans import span
 from repro.runtime.cache import (
     FeatureCache,
@@ -44,8 +45,9 @@ from repro.runtime.cache import (
     feature_key,
     get_default_cache,
 )
+from repro.runtime.faults import WorkerFault
 from repro.runtime.timings import SweepTimings, active_timings, stage
-from repro.simulation.dataset import DatasetConfig, V2VDatasetSim
+from repro.simulation.dataset import DatasetConfig, FrameRecord, V2VDatasetSim
 from repro.simulation.scenario import FramePair
 
 __all__ = ["PairOutcome", "PairErrorOutcome", "run_pose_recovery_sweep",
@@ -313,7 +315,9 @@ def run_pose_recovery_sweep(
     """Evaluate BB-Align (and optionally VIPS) over a whole dataset.
 
     Args:
-        dataset: the frame-pair dataset.
+        dataset: the frame-pair dataset, or any sized, indexable
+            sequence of its records (a list evaluates several
+            configurations on one generated set).
         config: BB-Align configuration (defaults).
         detector_profile: single-car detector model feeding stage 2 (and
             the VIPS object graphs).
@@ -364,18 +368,45 @@ def run_pose_recovery_sweep(
                              _resolve_cache(cache), timings)
 
 
-_DONE = object()
+def run_sweep_pair(index: int, load_record: Callable[[int], FrameRecord],
+                   aligner: BBAlign, detector: SimulatedDetector, *,
+                   seed: int, include_vips: bool,
+                   vips_config: VipsConfig | None,
+                   cache: FeatureCache | None, dataset_fp: tuple | None,
+                   extraction_fp: tuple | None,
+                   timings: SweepTimings | None,
+                   fault: WorkerFault | None = None,
+                   ) -> PairOutcome | PairErrorOutcome:
+    """One pair of a sweep, the loop body of the serial path and of the
+    pool workers' chunks alike.
+
+    ``load_record(index)`` produces the pair's record inside its
+    ``engine/pair`` span (timed as ``data_generation``); an injected
+    ``fault`` may fire first.  Any
+    exception becomes a :class:`PairErrorOutcome` and increments the
+    ambient ``engine/pair_errors`` counter, so a sweep never aborts on
+    a single pathological pair.
+    """
+    try:
+        if fault is not None:
+            fault.maybe_fire(index)
+        with span("engine/pair", index=index):
+            with stage(timings, "data_generation"):
+                record = load_record(index)
+            return evaluate_pair(
+                record, aligner, detector, seed=seed,
+                include_vips=include_vips, vips_config=vips_config,
+                cache=cache, dataset_fp=dataset_fp,
+                extraction_fp=extraction_fp, timings=timings)
+    except Exception as error:
+        counter("engine/pair_errors").inc()
+        return PairErrorOutcome.from_exception(index, error)
 
 
 def _run_sweep_serial(dataset, config, detector_profile, include_vips,
                       vips_config, seed, cache, timings,
                       ) -> list[PairOutcome | PairErrorOutcome]:
-    """The in-process path: same per-pair unit, no pool.
-
-    Mirrors the pool workers' per-pair error capture: a pair whose
-    simulation or evaluation raises becomes a :class:`PairErrorOutcome`
-    and the sweep continues.
-    """
+    """The in-process path: the pool workers' per-pair loop, no pool."""
     start = time.perf_counter()
     aligner = BBAlign(config)
     detector = SimulatedDetector(detector_profile)
@@ -391,26 +422,13 @@ def _run_sweep_serial(dataset, config, detector_profile, include_vips,
     # registry).
     registry_cm = (use_registry(timings.registry)
                    if timings is not None else contextlib.nullcontext())
-    outcomes: list[PairOutcome | PairErrorOutcome] = []
-    index = -1
-    iterator = iter(dataset)
     with registry_cm, span("engine/sweep", mode="serial",
                            pairs=len(dataset)):
-        while True:
-            index += 1
-            try:
-                with stage(timings, "data_generation"):
-                    record = next(iterator, _DONE)
-                if record is _DONE:
-                    break
-                with span("engine/pair", index=index):
-                    outcomes.append(evaluate_pair(
-                        record, aligner, detector, seed=seed,
-                        include_vips=include_vips, vips_config=vips_config,
-                        cache=cache, dataset_fp=ds_fp, extraction_fp=ext_fp,
-                        timings=timings))
-            except Exception as error:
-                outcomes.append(PairErrorOutcome.from_exception(index, error))
+        outcomes = [run_sweep_pair(
+            index, dataset.__getitem__, aligner, detector, seed=seed,
+            include_vips=include_vips, vips_config=vips_config,
+            cache=cache, dataset_fp=ds_fp, extraction_fp=ext_fp,
+            timings=timings) for index in range(len(dataset))]
     if timings is not None:
         timings.pairs += len(outcomes)
         timings.wall_seconds += time.perf_counter() - start

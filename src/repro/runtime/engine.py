@@ -169,14 +169,13 @@ def _run_chunk(task: _ChunkTask) -> tuple[int, list, dict]:
     """
     # Imported here (not at module top) so the runtime package carries no
     # import-time dependency on the experiments package.
-    from repro.experiments.common import PairErrorOutcome, evaluate_pair
+    from repro.experiments.common import run_sweep_pair
 
     dataset, aligner, detector = _worker_state(task)
     cache = get_default_cache()
     ds_fp = dataset_fingerprint(task.dataset_config)
     ext_fp = extraction_fingerprint(aligner.config)
     timings = SweepTimings()
-    outcomes = []
     # Span collection is paid only when the parent traced the sweep; the
     # chunk-local registry is installed either way so pipeline counters
     # always travel home with the chunk.
@@ -187,23 +186,12 @@ def _run_chunk(task: _ChunkTask) -> tuple[int, list, dict]:
     with use_registry(timings.registry), spans_cm as collector:
         with span("engine/chunk", first_index=task.indices[0],
                   pairs=len(task.indices), attempt=task.attempt):
-            for index in task.indices:
-                try:
-                    if task.fault is not None:
-                        task.fault.maybe_fire(index)
-                    with span("engine/pair", index=index):
-                        with stage(timings, "data_generation"):
-                            record = dataset[index]
-                        outcome = evaluate_pair(
-                            record, aligner, detector, seed=task.seed,
-                            include_vips=task.include_vips,
-                            vips_config=task.vips_config,
-                            cache=cache, dataset_fp=ds_fp,
-                            extraction_fp=ext_fp, timings=timings)
-                except Exception as error:
-                    timings.registry.counter("engine/pair_errors").inc()
-                    outcome = PairErrorOutcome.from_exception(index, error)
-                outcomes.append(outcome)
+            outcomes = [run_sweep_pair(
+                index, dataset.__getitem__, aligner, detector,
+                seed=task.seed, include_vips=task.include_vips,
+                vips_config=task.vips_config, cache=cache,
+                dataset_fp=ds_fp, extraction_fp=ext_fp, timings=timings,
+                fault=task.fault) for index in task.indices]
     timings.pairs = len(outcomes)
     telemetry = {"snapshot": timings.to_snapshot(),
                  "spans": collector.events if collector is not None else []}

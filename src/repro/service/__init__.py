@@ -16,9 +16,6 @@ while workers crash and hang.  This package is that service:
   requests run the sweep engine's own chunk runner, so service answers
   are byte-identical to sweep outcomes.  Scan-pair workers keep a warm
   per-process feature cache (:func:`configure_worker`).
-* :mod:`repro.service.batching` — :class:`AdaptiveBatchController`,
-  the queue-depth-driven micro-batch shaper (opt-in via
-  ``ServiceConfig.adaptive_batch``).
 * :mod:`repro.service.server` — the length-prefixed TCP transport
   (:class:`ServiceServer` / :class:`ServiceClient`) speaking
   :mod:`repro.comms.envelope` frames, including the shared-memory
@@ -30,10 +27,6 @@ The scan data plane itself (arena, descriptors, message packing) lives
 in :mod:`repro.runtime.shm`.
 """
 
-from repro.service.batching import (
-    AdaptiveBatchController,
-    BatchControllerConfig,
-)
 from repro.service.config import (
     ServiceClosed,
     ServiceConfig,
@@ -51,8 +44,6 @@ from repro.service.server import (
 from repro.service.worker import configure_worker
 
 __all__ = [
-    "AdaptiveBatchController",
-    "BatchControllerConfig",
     "LoadSummary",
     "PoseService",
     "ServiceClient",

@@ -16,7 +16,6 @@ from repro.core.config import BBAlignConfig
 from repro.detection.simulated import COBEVT_PROFILE, DetectorProfile
 from repro.runtime.faults import WorkerFault
 from repro.runtime.retry import SERVICE_DEFAULT, RetryPolicy
-from repro.service.batching import BatchControllerConfig
 from repro.simulation.dataset import DatasetConfig
 
 __all__ = [
@@ -98,14 +97,6 @@ class ServiceConfig:
             content-keyed :class:`~repro.runtime.cache.FeatureCache`
             for scan-pair stage-1 features; ``0`` disables caching.
             Cache on/off is also response-byte-identical.
-        adaptive_batch: drive ``batch_size``/``batch_window`` from the
-            queue-depth gauge via
-            :class:`~repro.service.batching.AdaptiveBatchController`
-            instead of the fixed values (opt-in: the chaos-soak
-            contract counts batches against a fixed size).
-        batch_controller: bounds/hysteresis for the adaptive controller
-            (``None`` = defaults derived from ``batch_size`` and
-            ``batch_window``).
         account_payload_bytes: measure the serialized size of every
             dispatched batch task into ``service/task_bytes`` (costs an
             extra pickle per batch; the bench's bytes-per-request
@@ -130,8 +121,6 @@ class ServiceConfig:
     fault: WorkerFault | None = None
     use_shm: bool = True
     worker_cache_mb: float = 64.0
-    adaptive_batch: bool = False
-    batch_controller: "BatchControllerConfig | None" = None
     account_payload_bytes: bool = False
 
     def __post_init__(self) -> None:

@@ -72,10 +72,6 @@ from repro.runtime.shm import (
 )
 from repro.runtime.timings import SweepTimings
 from repro.service import worker
-from repro.service.batching import (
-    AdaptiveBatchController,
-    BatchControllerConfig,
-)
 from repro.service.config import (
     ServiceClosed,
     ServiceConfig,
@@ -141,16 +137,6 @@ class PoseService:
         #: plane; ``None`` until :meth:`start` (or when unavailable —
         #: the pickle path then carries scan batches transparently).
         self.arena: ShmArena | None = None
-        self._controller: AdaptiveBatchController | None = None
-        if self.config.adaptive_batch:
-            controller_config = self.config.batch_controller
-            if controller_config is None:
-                controller_config = BatchControllerConfig(
-                    min_batch=1,
-                    max_batch=max(16, self.config.batch_size * 4),
-                    base_window=max(self.config.batch_window, 0.0005))
-            self._controller = AdaptiveBatchController(
-                controller_config, initial=self.config.batch_size)
         self._collector: TraceCollector | None = None
         self._queue: deque[_Pending] = deque()
         self._batches: set[asyncio.Task] = set()
@@ -373,15 +359,6 @@ class PoseService:
     def _gauge_queue(self) -> None:
         self.registry.gauge("service/queue_depth").set(len(self._queue))
 
-    def _batch_limits(self) -> tuple[int, float]:
-        """Effective (batch_size, batch_window): the adaptive
-        controller's current rung when enabled, the fixed config
-        otherwise."""
-        if self._controller is not None:
-            return (self._controller.batch_size,
-                    self._controller.batch_window)
-        return self.config.batch_size, self.config.batch_window
-
     def _fair_share(self, batch_size: int) -> int:
         """The next batch's size: the queue spread over the idle
         workers, ``ceil(queued / idle)``, capped at ``batch_size``.
@@ -416,14 +393,12 @@ class PoseService:
         while True:
             await self._wake.wait()
             self._wake.clear()
-            if self._controller is not None:
-                self._controller.observe(len(self._queue))
-            batch_size, batch_window = self._batch_limits()
+            batch_size = self.config.batch_size
+            batch_window = self.config.batch_window
             if (self._queue and not self._closed
                     and len(self._queue) < batch_size
                     and batch_window > 0):
                 await asyncio.sleep(batch_window)
-                batch_size, _ = self._batch_limits()
             while self._queue:
                 await self._slots.acquire()
                 batch = self._next_batch(self._fair_share(batch_size))
@@ -642,10 +617,6 @@ class PoseService:
             await asyncio.sleep(self.config.heartbeat_interval)
             self.registry.counter("service/heartbeats").inc()
             self._gauge_queue()
-            if self._controller is not None:
-                # Idle periods step the controller back down even when
-                # no dispatch is happening to observe the queue.
-                self._controller.observe(len(self._queue))
             # Snapshot the generation *before* probing: a batch-failure
             # restart landing between the probe and the snapshot would
             # otherwise hand this path the fresh pool's generation, and

@@ -1,9 +1,9 @@
 """Sequential RANSAC loop, the twin of ``repro.geometry.ransac_rigid_2d``.
 
 One ``rng.choice`` call and one :func:`kabsch_2d` solve per trial, the
-pre-vectorization implementation.  The equivalence tests and the stage-1
-kernel benchmark hold the chunked kernel to it: identical result and
-identical generator position afterwards.
+pre-vectorization implementation.  The equivalence tests hold the
+chunked kernel to it: identical result and identical generator position
+afterwards.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ def reference_ransac_rigid_2d(src: np.ndarray, dst: np.ndarray,
                               min_inliers: int = 2,
                               rng: np.random.Generator | int | None = None
                               ) -> RansacResult:
-    """Pre-vectorization sequential loop (equivalence/benchmark twin)."""
+    """Pre-vectorization sequential loop (the equivalence twin)."""
     src, dst = _validate(src, dst, threshold, min_inliers)
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)

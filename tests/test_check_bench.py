@@ -174,7 +174,8 @@ class TestClassification:
         baselines = (_TOOL.parent.parent / "benchmarks" / "results"
                      / "baselines")
         code = check_bench.main(
-            [str(baselines / "BENCH_stage1.json"),
-             str(baselines / "BENCH_pipeline.json"),
+            [str(baselines / "BENCH_comms.json"),
+             str(baselines / "BENCH_multi.json"),
+             str(baselines / "BENCH_service.json"),
              "--baselines-dir", str(baselines)])
         assert code == 0, capsys.readouterr().out

@@ -33,7 +33,7 @@ from repro.obs import (
 from repro.runtime.engine import run_sweep_parallel, shutdown_pool
 from repro.runtime.faults import WorkerFault
 from repro.runtime.timings import SweepTimings, collect_timings, stage
-from repro.simulation.dataset import DatasetConfig
+from repro.simulation.dataset import DatasetConfig, V2VDatasetSim
 
 
 @pytest.fixture(autouse=True)
@@ -245,6 +245,11 @@ class TestSweepIntegration:
         return run_sweep_parallel(self.DATASET, num_pairs=self.NUM_PAIRS,
                                   include_vips=False, seed=7, **kwargs)
 
+    def _serial_sweep(self, **kwargs):
+        return run_pose_recovery_sweep(
+            V2VDatasetSim(self.DATASET), include_vips=False, seed=7,
+            workers=1, cache=False, **kwargs)
+
     def test_traced_sweep_byte_identical(self):
         """The observability acceptance contract: tracing must not
         perturb a single field of a seeded sweep's outcomes."""
@@ -277,6 +282,22 @@ class TestSweepIntegration:
         pair_ids = {p["span_id"] for p in pairs}
         assert stages and {s["parent_id"] for s in stages} <= pair_ids
 
+        # The serial path runs the same per-pair loop: pair spans nest
+        # under its sweep span, and data generation under its pair.
+        with collect_spans() as collector:
+            outcomes = self._serial_sweep()
+        assert len(outcomes) == self.NUM_PAIRS
+        events = collector.events
+        sweeps = [e for e in events if e["name"] == "engine/sweep"]
+        assert len(sweeps) == 1
+        pairs = [e for e in events if e["name"] == "engine/pair"]
+        assert [p["attrs"]["index"] for p in pairs] == \
+            list(range(self.NUM_PAIRS))
+        assert {p["parent_id"] for p in pairs} == {sweeps[0]["span_id"]}
+        stages = [e for e in events if e["name"] == "data_generation"]
+        assert sorted(s["parent_id"] for s in stages) == \
+            sorted(p["span_id"] for p in pairs)
+
     def test_parallel_sweep_counters_travel_home(self):
         timings = SweepTimings()
         self._sweep(timings=timings)
@@ -285,6 +306,13 @@ class TestSweepIntegration:
         assert counters["pipeline/recoveries"].value == self.NUM_PAIRS
         assert counters["stage1/matches"].value == self.NUM_PAIRS
         assert timings.stage_count("data_generation") == self.NUM_PAIRS
+
+        serial = SweepTimings()
+        self._serial_sweep(timings=serial)
+        for name in ("pipeline/recoveries", "stage1/matches"):
+            assert serial.registry.counters[name].value == \
+                counters[name].value
+        assert serial.stage_count("data_generation") == self.NUM_PAIRS
 
     def test_untraced_sweep_ships_no_span_events(self):
         timings = SweepTimings()

@@ -17,6 +17,7 @@ from repro.experiments.common import (
 )
 from repro.runtime.engine import run_sweep_parallel, shutdown_pool
 from repro.runtime.faults import InjectedFault, WorkerFault
+from repro.runtime.timings import SweepTimings
 from repro.simulation.dataset import DatasetConfig
 
 NUM_PAIRS = 6
@@ -31,11 +32,11 @@ def fresh_pool():
     shutdown_pool()
 
 
-def sweep(fault=None, chunk_timeout=None, workers=2):
+def sweep(fault=None, chunk_timeout=None, workers=2, timings=None):
     return run_sweep_parallel(
         DATASET, num_pairs=NUM_PAIRS, include_vips=False, seed=7,
         workers=workers, chunk_size=2, fault=fault,
-        chunk_timeout=chunk_timeout)
+        chunk_timeout=chunk_timeout, timings=timings)
 
 
 @pytest.fixture(scope="module")
@@ -68,8 +69,10 @@ class TestWorkerFaultValidation:
 class TestRaiseFault:
     def test_one_error_record_others_untouched(self, clean_outcomes):
         fault = WorkerFault("raise", (2,))
-        outcomes = sweep(fault=fault)
+        timings = SweepTimings()
+        outcomes = sweep(fault=fault, timings=timings)
         assert len(outcomes) == NUM_PAIRS
+        assert timings.registry.counter("engine/pair_errors").value == 1
         error = outcomes[2]
         assert isinstance(error, PairErrorOutcome)
         assert error.index == 2
@@ -112,10 +115,12 @@ class TestSerialErrorCapture:
             return real(record, *args, **kwargs)
 
         monkeypatch.setattr(common, "evaluate_pair", flaky)
+        timings = SweepTimings()
         outcomes = run_pose_recovery_sweep(default_dataset(3, seed=11),
                                            include_vips=False, workers=1,
-                                           cache=False)
+                                           cache=False, timings=timings)
         assert len(outcomes) == 3
+        assert timings.registry.counter("engine/pair_errors").value == 1
         assert isinstance(outcomes[0], PairOutcome)
         assert isinstance(outcomes[1], PairErrorOutcome)
         assert outcomes[1].error_type == "RuntimeError"

@@ -1,11 +1,9 @@
-"""Tests for the warm worker cache and the adaptive batch controller.
+"""Tests for the warm worker cache.
 
 The cache contract: byte-budget LRU bounds compose with the entry
 bound, counters are exact, and — the service-level guarantee — cache
 on/off is *response-byte-identical* (the cache only short-circuits a
-deterministic recomputation).  The controller contract: a fixed
-sequence of queue-depth observations under a fixed clock always walks
-the same bounded ladder, with hysteresis and cooldown.
+deterministic recomputation).
 """
 
 from __future__ import annotations
@@ -13,18 +11,11 @@ from __future__ import annotations
 import asyncio
 
 import numpy as np
-import pytest
 
 from repro.comms.envelope import ServiceRequest
 from repro.comms.tiers import Tier, build_message
-from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.runtime.cache import FeatureCache
-from repro.service import (
-    AdaptiveBatchController,
-    BatchControllerConfig,
-    PoseService,
-    ServiceConfig,
-)
+from repro.service import PoseService, ServiceConfig
 from repro.service.worker import _digest, _features_nbytes
 from repro.simulation.dataset import DatasetConfig, V2VDatasetSim
 
@@ -179,131 +170,3 @@ class TestWarmCacheService:
         cache.put("a", "A", nbytes=1)
         assert cache.get("a") is None
         assert cache.misses == 1
-
-
-def make_controller(**overrides):
-    config = dict(min_batch=1, max_batch=8, base_window=0.002,
-                  step_up_after=2, step_down_after=3, cooldown=0.05)
-    config.update(overrides)
-    clock = FakeClock()
-    return AdaptiveBatchController(BatchControllerConfig(**config),
-                                   clock=clock), clock
-
-
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def advance(self, dt: float) -> None:
-        self.now += dt
-
-    def __call__(self) -> float:
-        return self.now
-
-
-class TestAdaptiveBatchController:
-    def test_steps_up_after_consecutive_deep_samples(self):
-        controller, clock = make_controller()
-        assert controller.batch_size == 1
-        assert not controller.observe(5)  # first deep sample: no step
-        clock.advance(0.1)
-        assert controller.observe(5)  # second: step up
-        assert controller.batch_size == 2
-
-    def test_mid_band_resets_streaks(self):
-        controller, clock = make_controller()
-        controller.observe(5)
-        clock.advance(0.1)
-        controller.observe(1)  # mid band for size 1? depth 1 <= 0.5? no:
-        # low_factor*1 = 0.5, high_factor*1 = 2 → depth 1 is mid band.
-        clock.advance(0.1)
-        assert not controller.observe(5)  # streak restarted
-        assert controller.batch_size == 1
-
-    def test_cooldown_blocks_consecutive_steps(self):
-        controller, clock = make_controller(cooldown=1.0)
-        controller.observe(50)
-        clock.advance(2.0)
-        assert controller.observe(50)  # step 1 → size 2
-        assert not controller.observe(50)  # within cooldown
-        assert not controller.observe(50)
-        assert controller.batch_size == 2
-        clock.advance(2.0)
-        # The streak kept accumulating through the cooldown, so the
-        # first qualifying sample after expiry steps immediately.
-        assert controller.observe(50)
-        assert controller.batch_size == 4
-
-    def test_ladder_is_bounded(self):
-        controller, clock = make_controller(max_batch=4, cooldown=0.0)
-        for _ in range(20):
-            controller.observe(1000)
-            clock.advance(1.0)
-        assert controller.batch_size == 4
-        for _ in range(20):
-            controller.observe(0)
-            clock.advance(1.0)
-        assert controller.batch_size == 1
-
-    def test_step_down_is_slower(self):
-        controller, clock = make_controller(cooldown=0.0)
-        for _ in range(4):
-            controller.observe(100)
-            clock.advance(1.0)
-        assert controller.batch_size == 4
-        controller.observe(0)
-        controller.observe(0)
-        assert controller.batch_size == 4  # step_down_after=3 not met
-        controller.observe(0)
-        assert controller.batch_size == 2
-
-    def test_window_scales_with_rung(self):
-        controller, clock = make_controller(cooldown=0.0)
-        base = controller.batch_window
-        controller.observe(100)
-        clock.advance(1.0)
-        controller.observe(100)
-        assert controller.batch_window == pytest.approx(2 * base)
-
-    def test_deterministic_replay(self):
-        samples = [9, 9, 0, 7, 7, 0, 0, 0, 1, 4, 4, 0, 0, 0, 12, 12]
-        walks = []
-        for _ in range(2):
-            controller, clock = make_controller(cooldown=0.0)
-            walk = []
-            for depth in samples:
-                controller.observe(depth)
-                clock.advance(0.01)
-                walk.append(controller.batch_size)
-            walks.append(walk)
-        assert walks[0] == walks[1]
-
-    def test_counters_record_into_ambient_registry(self):
-        registry = MetricsRegistry()
-        controller, clock = make_controller(cooldown=0.0)
-        with use_registry(registry):
-            for _ in range(2):
-                controller.observe(100)
-                clock.advance(1.0)
-        assert registry.counter(
-            "service/batch_controller/step_up").value == 1
-
-    def test_initial_snaps_to_ladder_rung(self):
-        controller = AdaptiveBatchController(
-            BatchControllerConfig(min_batch=1, max_batch=16), initial=6)
-        assert controller.batch_size == 4  # closest rung <= 6
-
-    def test_service_uses_controller_limits(self):
-        service = PoseService(ServiceConfig(
-            dataset_config=DATASET, adaptive_batch=True, batch_size=4))
-        size, window = service._batch_limits()
-        assert size == 4
-        assert window == service._controller.batch_window
-
-    def test_invalid_config_rejected(self):
-        with pytest.raises(ValueError):
-            BatchControllerConfig(min_batch=0)
-        with pytest.raises(ValueError):
-            BatchControllerConfig(max_batch=1, min_batch=2)
-        with pytest.raises(ValueError):
-            BatchControllerConfig(high_factor=0.5, low_factor=0.5)

@@ -1,10 +1,11 @@
 """Equivalence tests for the vectorized simulation hot path.
 
 Every rework in the simulation pipeline kept its pre-rework
-implementation as a ``_reference_*`` twin (see CONTRIBUTING.md); these
-tests pin the contract: the vectorized paths produce **byte-identical**
-outputs — same RNG draws, same floats, same bits — so every experiment,
-figure and cached artifact is unchanged by the speedups.
+implementation as a twin under ``tests/_reference/`` (see
+CONTRIBUTING.md); these tests pin the contract: the vectorized paths
+produce **byte-identical** outputs — same RNG draws, same floats, same
+bits — so every experiment, figure and cached artifact is unchanged by
+the speedups.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.boxes.box import Box2D
-from repro.boxes.iou import _reference_iou_matrix, iou_matrix
+from repro.boxes.iou import iou_matrix
 from repro.geometry.polygon import (
     convex_polygon_clip,
     convex_polygon_clip_batch,
@@ -21,14 +22,9 @@ from repro.geometry.polygon import (
 from repro.geometry.se2 import SE2
 from repro.pointcloud.distortion import MotionState
 from repro.simulation.dataset import DatasetConfig, V2VDatasetSim
-from repro.simulation.lidar import (
-    LidarConfig,
-    _reference_simulate_scan,
-    simulate_scan,
-)
+from repro.simulation.lidar import LidarConfig, simulate_scan
 from repro.simulation.scenario import (
     _compensate_on_grid,
-    _reference_visible_objects,
     _visible_objects,
     compensate_self_motion_distortion,
     replace_world_vehicles,
@@ -37,10 +33,14 @@ from repro.simulation.world import (
     ScenarioKind,
     WorldConfig,
     WorldModel,
-    _reference_generate_world,
     generate_world,
     share_static_geometry,
 )
+
+from tests._reference.iou import reference_iou_matrix
+from tests._reference.lidar import reference_simulate_scan
+from tests._reference.scenario import reference_visible_objects
+from tests._reference.world import reference_generate_world
 
 MOTION = MotionState(velocity_x=9.0, velocity_y=0.4, yaw_rate=0.06)
 POSE = SE2(0.35, 4.0, -1.5)
@@ -55,15 +55,15 @@ def _cloud_bytes(cloud) -> tuple:
 def _assert_scans_identical(world, pose, config, motion, seed=5):
     new = simulate_scan(world, pose, config,
                         rng=np.random.default_rng(seed), motion=motion)
-    ref = _reference_simulate_scan(world, pose, config,
-                                   rng=np.random.default_rng(seed),
-                                   motion=motion)
+    ref = reference_simulate_scan(world, pose, config,
+                                  rng=np.random.default_rng(seed),
+                                  motion=motion)
     assert _cloud_bytes(new) == _cloud_bytes(ref)
     return new
 
 
 # ----------------------------------------------------------------------
-# simulate_scan vs _reference_simulate_scan
+# simulate_scan vs reference_simulate_scan
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("kind", list(ScenarioKind))
 def test_simulate_scan_identical_across_kinds(kind):
@@ -118,13 +118,13 @@ def test_simulate_scan_identical_with_warm_cache():
 
 
 # ----------------------------------------------------------------------
-# generate_world vs _reference_generate_world
+# generate_world vs reference_generate_world
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("kind", list(ScenarioKind))
 def test_generate_world_identical(kind):
     config = WorldConfig(kind=kind)
     new = generate_world(config, np.random.default_rng(21))
-    ref = _reference_generate_world(config, np.random.default_rng(21))
+    ref = reference_generate_world(config, np.random.default_rng(21))
     assert new.buildings == ref.buildings
     assert new.trees == ref.trees
     assert new.poles == ref.poles
@@ -133,7 +133,7 @@ def test_generate_world_identical(kind):
 
 
 # ----------------------------------------------------------------------
-# _visible_objects vs _reference_visible_objects
+# _visible_objects vs reference_visible_objects
 # ----------------------------------------------------------------------
 def test_visible_objects_identical():
     world = generate_world(WorldConfig(kind=ScenarioKind.URBAN),
@@ -147,8 +147,8 @@ def test_visible_objects_identical():
                           if world.vehicles else -1)]:
         new = _visible_objects(cloud, world.vehicles, POSE, 8, exclude,
                                res, 0.1)
-        ref = _reference_visible_objects(cloud, world.vehicles, POSE, 8,
-                                         exclude, res, 0.1)
+        ref = reference_visible_objects(cloud, world.vehicles, POSE, 8,
+                                        exclude, res, 0.1)
         assert new == ref
     assert any(len(_visible_objects(cloud, world.vehicles, POSE, m, -1))
                > 0 for m in (1, 8))
@@ -165,8 +165,8 @@ def test_visible_objects_empty_inputs():
         POSE, LidarConfig(include_ground=False),
         rng=np.random.default_rng(5))
     assert (_visible_objects(empty_cloud, world.vehicles, POSE, 8, -1)
-            == _reference_visible_objects(empty_cloud, world.vehicles,
-                                          POSE, 8, -1))
+            == reference_visible_objects(empty_cloud, world.vehicles,
+                                         POSE, 8, -1))
 
 
 # ----------------------------------------------------------------------
@@ -236,10 +236,10 @@ def test_iou_matrix_identical():
                      float(rng.uniform(-20, 20)), 4.2, 1.8,
                      float(rng.uniform(-np.pi, np.pi))) for _ in range(12)]
     assert np.array_equal(iou_matrix(boxes_a, boxes_b),
-                          _reference_iou_matrix(boxes_a, boxes_b))
+                          reference_iou_matrix(boxes_a, boxes_b))
     # Self-comparison exercises exact-overlap (IoU 1.0) entries.
     assert np.array_equal(iou_matrix(boxes_a, boxes_a),
-                          _reference_iou_matrix(boxes_a, boxes_a))
+                          reference_iou_matrix(boxes_a, boxes_a))
     assert iou_matrix([], boxes_b).shape == (0, 12)
     assert iou_matrix(boxes_a, []).shape == (15, 0)
 

@@ -1,8 +1,8 @@
 """Equivalence properties of the vectorized stage-1 kernels.
 
 Every stage-1 hot path keeps its pre-vectorization implementation as a
-reference twin, in its module or under ``tests/_reference/`` (see
-CONTRIBUTING.md).  These tests pin the equivalence contracts down:
+reference twin under ``tests/_reference/`` (see CONTRIBUTING.md).  These
+tests pin the equivalence contracts down:
 
 - BV projection: the fused binning (BLAS finite screen, in-place range
   mask) is bit-identical to the reference height map, including the
@@ -27,20 +27,22 @@ import pytest
 
 from repro.bev.log_gabor import LogGaborBank, LogGaborConfig
 from repro.bev.mim import compute_mim
-from repro.bev.projection import _reference_height_map, height_map
+from repro.bev.projection import height_map
 from repro.features import matching as matching_module
 from repro.features.descriptors import BvftConfig, BvftDescriptorExtractor
-from repro.features.fast import (
-    FastConfig,
-    Keypoints,
-    _reference_detect_fast,
-    detect_fast,
-)
+from repro.features.fast import FastConfig, Keypoints, detect_fast
 from repro.features.matching import match_descriptors
 from repro.geometry.ransac import ransac_rigid_2d
 from repro.geometry.se2 import SE2
 from repro.pointcloud.cloud import PointCloud
 
+from tests._reference.descriptors import reference_compute
+from tests._reference.fast import reference_detect_fast
+from tests._reference.log_gabor import (
+    reference_amplitudes_by_orientation,
+    reference_orientation_amplitude_sum,
+)
+from tests._reference.projection import reference_height_map
 from tests._reference.ransac import reference_ransac_rigid_2d
 
 
@@ -81,7 +83,7 @@ def keypoints(bv_image):
 class TestProjectionEquivalence:
     def assert_identical(self, cloud, **kwargs):
         new = height_map(cloud, **kwargs)
-        ref = _reference_height_map(cloud, **kwargs)
+        ref = reference_height_map(cloud, **kwargs)
         assert np.array_equal(new.image, ref.image)
         assert new.num_nonfinite == ref.num_nonfinite
         assert new.cell_size == ref.cell_size
@@ -124,7 +126,7 @@ class TestProjectionEquivalence:
 class TestLogGaborBankEquivalence:
     def assert_bank_equivalent(self, bank, image):
         new = bank.orientation_amplitude_sum(image)
-        ref = bank._reference_orientation_amplitude_sum(image)
+        ref = reference_orientation_amplitude_sum(bank, image)
         assert new.dtype == np.float32
         # Amplitudes agree to single-precision rounding...
         np.testing.assert_allclose(new, ref, atol=1e-4 * float(ref.max()))
@@ -152,7 +154,7 @@ class TestLogGaborBankEquivalence:
     def test_per_filter_responses_match_reference(self, bv_image):
         bank = LogGaborBank(bv_image.size, LogGaborConfig())
         new = bank.amplitudes_by_orientation(bv_image.image)
-        ref = bank._reference_amplitudes_by_orientation(bv_image.image)
+        ref = reference_amplitudes_by_orientation(bank, bv_image.image)
         peak = max(float(r.max()) for row in ref for r in row)
         for o in range(bank.config.num_orientations):
             for s in range(bank.config.num_scales):
@@ -175,7 +177,7 @@ class TestLogGaborBankEquivalence:
 class TestFastEquivalence:
     def assert_identical(self, image, config):
         new = detect_fast(image, config)
-        ref = _reference_detect_fast(image, config)
+        ref = reference_detect_fast(image, config)
         assert np.array_equal(new.xy, ref.xy)
         assert np.array_equal(new.scores, ref.scores)
 
@@ -198,7 +200,7 @@ class TestFastEquivalence:
 class TestDescriptorEquivalence:
     def assert_equivalent(self, extractor, mim_result, keypoints):
         new = extractor.compute(mim_result, keypoints)
-        ref = extractor._reference_compute(mim_result, keypoints)
+        ref = reference_compute(extractor, mim_result, keypoints)
         assert np.array_equal(new.keypoint_indices, ref.keypoint_indices)
         assert np.array_equal(new.dominant_bins, ref.dominant_bins)
         assert np.array_equal(new.keypoint_xy, ref.keypoint_xy)
@@ -222,7 +224,7 @@ class TestDescriptorEquivalence:
     def test_zero_keypoints(self, mim_result):
         extractor = BvftDescriptorExtractor()
         out = extractor.compute(mim_result, Keypoints.empty())
-        ref = extractor._reference_compute(mim_result, Keypoints.empty())
+        ref = reference_compute(extractor, mim_result, Keypoints.empty())
         assert len(out) == len(ref) == 0
         assert out.descriptors.shape == ref.descriptors.shape
 

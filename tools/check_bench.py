@@ -3,8 +3,8 @@
 
 Usage::
 
-    python tools/check_bench.py benchmarks/results/BENCH_stage1.json \
-        benchmarks/results/BENCH_pipeline.json
+    python tools/check_bench.py benchmarks/results/BENCH_comms.json \
+        benchmarks/results/BENCH_service.json
     python tools/check_bench.py --strict --max-slowdown 1.3 BENCH.json
 
 Each bench file is compared against the committed baseline of the same
@@ -49,11 +49,6 @@ DEFAULT_MAX_SLOWDOWN = 1.5
 #: Keys whose values never gate: schema bookkeeping and the strictness
 #: flag the bench suites echo from their own environment.
 IGNORED_KEYS = {"schema_version", "strict"}
-
-#: Dicts whose children are all per-stage timings (speedup leaves under
-#: ``stage_speedups`` are timing ratios, not deterministic metrics).
-TIMING_SUBTREES = {"stages_before_s", "stages_after_s", "stage_speedups"}
-
 
 #: Timing-key suffixes where *larger* is better (ratio inverted).
 #: ``speedup`` also matches compound names (``rps_speedup``,
@@ -128,9 +123,7 @@ class Comparison:
             label = ".".join(path)
             cur, base = current_leaves[path], baseline_leaves[path]
             self.checked += 1
-            timing = (_is_timing_key(path[-1])
-                      or any(part in TIMING_SUBTREES for part in path[:-1]))
-            if timing:
+            if _is_timing_key(path[-1]):
                 if isinstance(cur, (int, float)) \
                         and isinstance(base, (int, float)):
                     self._compare_timing(label, float(cur), float(base))
