@@ -7,8 +7,12 @@ runs that sweep once and hands the figure modules plain records.
 
 The per-pair unit is :func:`evaluate_pair` — a pure function of
 (record, configuration, seed) shared verbatim by the in-process serial
-path and the :mod:`repro.runtime.engine` process pool, which is why a
-``workers=4`` sweep returns outcomes identical to ``workers=1``.  All
+path and the pooled sweep, which is why a ``workers=4`` sweep returns
+outcomes identical to ``workers=1``.  The pooled sweep
+(:func:`run_sweep_parallel`) is one :func:`repro.runtime.engine.\
+run_tasks_parallel` map of :func:`sweep_pair` over ``(SweepSpec,
+index)`` items; the per-process dataset/aligner/detector state its
+workers reuse lives here too, so the engine knows nothing of pairs.  All
 randomness derives from SeedSequence-style spawn keys
 ``[seed, index, stream]``; base seeds never combine arithmetically with
 indices, so adjacent seeds cannot alias onto each other's streams.
@@ -19,7 +23,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import time
-import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -45,12 +48,15 @@ from repro.runtime.cache import (
     feature_key,
     get_default_cache,
 )
+from repro.runtime.engine import resolve_workers, run_tasks_parallel
 from repro.runtime.faults import WorkerFault
+from repro.runtime.retry import RetryPolicy
 from repro.runtime.timings import SweepTimings, active_timings, stage
 from repro.simulation.dataset import DatasetConfig, FrameRecord, V2VDatasetSim
 from repro.simulation.scenario import FramePair
 
-__all__ = ["PairOutcome", "PairErrorOutcome", "run_pose_recovery_sweep",
+__all__ = ["PairOutcome", "PairErrorOutcome", "SweepSpec",
+           "run_pose_recovery_sweep", "run_sweep_parallel", "sweep_pair",
            "default_dataset", "detect_for_pair", "evaluate_pair"]
 
 
@@ -326,8 +332,9 @@ def run_pose_recovery_sweep(
         seed: base randomness for detector draws and RANSAC.
         workers: processes to shard the sweep over; ``1`` (default) runs
             in-process, ``0``/``None`` selects the host CPU count.
-            Results are identical for every worker count; the pool path
-            falls back to serial execution when unavailable.
+            Results are identical for every worker count; a pool that
+            cannot start degrades to in-process chunks with a
+            ``RuntimeWarning``.
         cache: stage-1 feature cache — ``None`` for the process default,
             ``False`` to disable, or an explicit
             :class:`~repro.runtime.cache.FeatureCache`.  Parallel
@@ -342,27 +349,16 @@ def run_pose_recovery_sweep(
         :class:`PairErrorOutcome` instead — a sweep never aborts on a
         single pathological pair.
     """
-    from repro.runtime.engine import (  # local: runtime imports us back
-        PoolUnavailableError,
-        resolve_workers,
-        run_sweep_parallel,
-    )
     if timings is None:
         timings = active_timings()
     n_workers = resolve_workers(workers)
     if n_workers > 1 and isinstance(dataset, V2VDatasetSim) \
             and len(dataset) > 1:
-        try:
-            return run_sweep_parallel(
-                dataset.config, num_pairs=len(dataset), config=config,
-                detector_profile=detector_profile,
-                include_vips=include_vips, vips_config=vips_config,
-                seed=seed, workers=n_workers, timings=timings)
-        except PoolUnavailableError as error:
-            warnings.warn(
-                f"parallel sweep unavailable ({error}); "
-                "falling back to in-process serial execution",
-                RuntimeWarning, stacklevel=2)
+        return run_sweep_parallel(
+            dataset.config, num_pairs=len(dataset), config=config,
+            detector_profile=detector_profile,
+            include_vips=include_vips, vips_config=vips_config,
+            seed=seed, workers=n_workers, timings=timings)
     return _run_sweep_serial(dataset, config, detector_profile,
                              include_vips, vips_config, seed,
                              _resolve_cache(cache), timings)
@@ -433,3 +429,113 @@ def _run_sweep_serial(dataset, config, detector_profile, include_vips,
         timings.pairs += len(outcomes)
         timings.wall_seconds += time.perf_counter() - start
     return outcomes
+
+
+# ----------------------------------------------------------------------
+# The pooled sweep: one engine map of `sweep_pair` over (spec, index).
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class SweepSpec:
+    """Everything a pool worker needs to evaluate any pair of a sweep.
+
+    Only configuration travels to the worker — frame pairs regenerate
+    there from ``(dataset_config, index)``, so no point clouds cross the
+    process boundary.
+    """
+
+    dataset_config: DatasetConfig
+    config: BBAlignConfig | None
+    detector_profile: DetectorProfile
+    include_vips: bool
+    vips_config: VipsConfig | None
+    seed: int
+    fault: WorkerFault | None
+
+    def state_key(self) -> tuple:
+        return (dataset_fingerprint(self.dataset_config),
+                repr(self.config), repr(self.detector_profile))
+
+
+# Per-process sweep state: each pool worker (and the parent, for
+# in-process chunks) keeps its dataset, aligner and detector across the
+# chunks and sweeps it is handed, rebuilding only when the spec's
+# configuration changes.
+_SWEEP_STATE_KEY: tuple | None = None
+_SWEEP_STATE: tuple | None = None
+
+
+def _sweep_state(spec: SweepSpec) -> tuple:
+    global _SWEEP_STATE_KEY, _SWEEP_STATE
+    key = spec.state_key()
+    if _SWEEP_STATE is None or key != _SWEEP_STATE_KEY:
+        dataset = V2VDatasetSim(spec.dataset_config)
+        aligner = BBAlign(spec.config)
+        _SWEEP_STATE = (dataset, aligner,
+                        SimulatedDetector(spec.detector_profile),
+                        dataset_fingerprint(spec.dataset_config),
+                        extraction_fingerprint(aligner.config))
+        _SWEEP_STATE_KEY = key
+    return _SWEEP_STATE
+
+
+def sweep_pair(item: tuple[SweepSpec, int],
+               ) -> PairOutcome | PairErrorOutcome:
+    """Evaluate pair ``index`` of the sweep ``spec``; never raises.
+
+    The engine's chunk runner calls this with ``item = (spec, index)``
+    and a chunk-local accumulator installed as the ambient timings, so
+    stage seconds and the pair count travel home with the chunk.  A
+    failure to build the per-process state is captured like any other
+    pair error, so every slot of a sweep is a :class:`PairOutcome` or a
+    :class:`PairErrorOutcome`.
+    """
+    spec, index = item
+    timings = active_timings()
+    if timings is not None:
+        timings.pairs += 1
+    try:
+        dataset, aligner, detector, ds_fp, ext_fp = _sweep_state(spec)
+    except Exception as error:
+        counter("engine/pair_errors").inc()
+        return PairErrorOutcome.from_exception(index, error)
+    return run_sweep_pair(
+        index, dataset.__getitem__, aligner, detector, seed=spec.seed,
+        include_vips=spec.include_vips, vips_config=spec.vips_config,
+        cache=get_default_cache(), dataset_fp=ds_fp, extraction_fp=ext_fp,
+        timings=timings, fault=spec.fault)
+
+
+def run_sweep_parallel(
+        dataset_config: DatasetConfig,
+        *,
+        num_pairs: int,
+        config: BBAlignConfig | None = None,
+        detector_profile: DetectorProfile = COBEVT_PROFILE,
+        include_vips: bool = True,
+        vips_config: VipsConfig | None = None,
+        seed: int = 7,
+        workers: int | None = None,
+        chunk_size: int | None = None,
+        timings: SweepTimings | None = None,
+        chunk_timeout: float | None = None,
+        fault: WorkerFault | None = None,
+        retry: RetryPolicy | None = None,
+        ) -> list[PairOutcome | PairErrorOutcome]:
+    """Run the pose-recovery sweep on a process pool.
+
+    Returns the same outcome list (same ordering, same values) the
+    serial sweep produces: one ``PairOutcome`` per pair, or a
+    ``PairErrorOutcome`` for a pair whose evaluation failed.  This is
+    one :func:`~repro.runtime.engine.run_tasks_parallel` map of
+    :func:`sweep_pair`, so chunking, the retry ladder (``retry``,
+    ``chunk_timeout``), the in-process fallback, telemetry merging into
+    ``timings`` (or the ambient accumulator) and span re-emission are
+    the engine's.  ``fault`` injects a
+    :class:`~repro.runtime.faults.WorkerFault` for robustness testing.
+    """
+    spec = SweepSpec(dataset_config, config, detector_profile,
+                     include_vips, vips_config, seed, fault)
+    return run_tasks_parallel(
+        sweep_pair, [(spec, index) for index in range(num_pairs)],
+        workers=workers, chunk_size=chunk_size, chunk_timeout=chunk_timeout,
+        retry=retry, seed=seed, timings=timings)

@@ -80,8 +80,8 @@ class SceneOutcome:
 
 
 # Worker-side collaborators, built once per process and reused across
-# every scene the engine hands it (same idiom as the sweep engine's
-# worker state).
+# every scene the engine hands it (same idiom as the sweep's per-process
+# state in repro.experiments.common).
 _SCENE_STATE: tuple[MultiVehicleAligner, SimulatedDetector] | None = None
 
 

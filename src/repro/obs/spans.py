@@ -4,8 +4,8 @@ A span times one named region of the pipeline (``stage1.mim``, one
 engine chunk, one pair evaluation).  Spans nest: the collector keeps a
 context-local stack, so a span opened inside another records the outer
 span's id as its parent, and a chunk shipped to a pool worker carries
-the parent span id across the process boundary (the worker's root spans
-link to the parent-side ``engine/chunk`` span).
+the parent span id across the process boundary (the worker's root
+``engine/chunk`` span links to the parent-side ``engine/sweep`` span).
 
 Tracing is opt-in and read-only: spans consume *no* randomness and
 mutate nothing the pipeline computes with, so a traced sweep is
@@ -27,8 +27,6 @@ import contextvars
 import os
 import time
 from typing import Any, Iterator
-
-from repro.obs.metrics import active_registry
 
 __all__ = ["SpanHandle", "TraceCollector", "active_collector",
            "collect_spans", "current_span_id", "span"]
@@ -148,7 +146,7 @@ def collect_spans(root_parent: str | None = None, *,
 
     ``root_parent`` seeds the parent linkage: spans opened at the top
     level of the block report it as their parent.  The engine passes the
-    parent-side chunk span id here so worker-side spans nest under it.
+    parent-side sweep span id here so worker-side spans nest under it.
     ``id_prefix`` is passed on to :class:`TraceCollector`.
     """
     collector = TraceCollector(root_parent, id_prefix)
@@ -167,9 +165,7 @@ def span(name: str, **attrs: Any) -> Iterator[SpanHandle | None]:
 
     Yields the open :class:`SpanHandle` (``None`` when tracing is off)
     so callers can read ``span_id`` for cross-process parent linkage or
-    add attributes before the block closes.  The span's wall/CPU
-    duration is also observed into the active metrics registry under
-    ``span/<name>/seconds``.
+    add attributes before the block closes.
     """
     collector = _COLLECTOR.get()
     if collector is None:
@@ -182,9 +178,4 @@ def span(name: str, **attrs: Any) -> Iterator[SpanHandle | None]:
         yield handle
     finally:
         _PARENT.reset(parent_token)
-        event = handle.close_event()
-        collector.events.append(event)
-        registry = active_registry()
-        if registry is not None:
-            registry.histogram(f"span/{name}/seconds").observe(
-                event["wall_s"])
+        collector.events.append(handle.close_event())

@@ -3,10 +3,12 @@
 The experiment layer's per-pair sweep is the hot loop of the whole
 reproduction; this package makes it a schedulable, measurable unit:
 
-* :mod:`repro.runtime.engine` — shards a sweep over a process pool with
-  chunked scheduling and deterministic result ordering; failed chunks
-  are retried on a fresh pool, then run serially, and a pool that never
-  starts falls back to in-process execution;
+* :mod:`repro.runtime.engine` — :func:`run_tasks_parallel`, the one
+  driver that shards a task map (the sweep's pairs, the multi study's
+  scenes) over a process pool with chunked scheduling and deterministic
+  result ordering; failed chunks are retried on a fresh pool, then run
+  serially, and a pool that never starts falls back to in-process
+  execution;
 * :mod:`repro.runtime.pool` — :class:`WorkerPool`, the supervisable
   process pool underneath both the engine and the always-on service:
   lazy start, liveness probes, generation-guarded restart, worker-side
@@ -41,7 +43,7 @@ from repro.runtime.engine import (
     PoolUnavailableError,
     chunk_indices,
     resolve_workers,
-    run_sweep_parallel,
+    run_tasks_parallel,
     shutdown_pool,
 )
 from repro.runtime.fanout import fan_out
@@ -76,7 +78,7 @@ __all__ = [
     "feature_key",
     "get_default_cache",
     "resolve_workers",
-    "run_sweep_parallel",
+    "run_tasks_parallel",
     "set_default_cache",
     "shutdown_pool",
     "stage",

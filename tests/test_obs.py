@@ -15,6 +15,7 @@ from repro.experiments.common import (
     PairOutcome,
     default_dataset,
     run_pose_recovery_sweep,
+    run_sweep_parallel,
 )
 from repro.obs import (
     Counter,
@@ -30,7 +31,7 @@ from repro.obs import (
     trace_session,
     use_registry,
 )
-from repro.runtime.engine import run_sweep_parallel, shutdown_pool
+from repro.runtime.engine import run_tasks_parallel, shutdown_pool
 from repro.runtime.faults import WorkerFault
 from repro.runtime.timings import SweepTimings, collect_timings, stage
 from repro.simulation.dataset import DatasetConfig, V2VDatasetSim
@@ -41,6 +42,10 @@ def fresh_pool():
     shutdown_pool()
     yield
     shutdown_pool()
+
+
+def _square(x):
+    return x * x
 
 
 @dataclasses.dataclass(frozen=True)
@@ -196,13 +201,6 @@ class TestSpans:
                 pass
         assert collector.events[0]["parent_id"] == "123:9"
 
-    def test_span_observes_registry_histogram(self):
-        registry = MetricsRegistry()
-        with use_registry(registry), collect_spans():
-            with span("timed"):
-                pass
-        assert registry.histogram("span/timed/seconds").count == 1
-
     def test_stage_records_span_and_timings(self):
         timings = SweepTimings()
         with collect_spans() as collector:
@@ -297,6 +295,21 @@ class TestSweepIntegration:
         stages = [e for e in events if e["name"] == "data_generation"]
         assert sorted(s["parent_id"] for s in stages) == \
             sorted(p["span_id"] for p in pairs)
+
+    def test_task_map_worker_chunks_nest_under_one_sweep_span(self):
+        """The generic map ships worker spans too: each pool chunk's
+        ``engine/chunk`` span parents on the one ``engine/sweep`` span."""
+        with collect_spans() as collector:
+            results = run_tasks_parallel(_square, list(range(6)),
+                                         workers=2, chunk_size=2)
+        assert results == [x * x for x in range(6)]
+        events = collector.events
+        sweeps = [e for e in events if e["name"] == "engine/sweep"]
+        assert len(sweeps) == 1
+        chunks = [e for e in events if e["name"] == "engine/chunk"]
+        assert len(chunks) == 3
+        assert {c["parent_id"] for c in chunks} == {sweeps[0]["span_id"]}
+        assert all(c["pid"] != sweeps[0]["pid"] for c in chunks)
 
     def test_parallel_sweep_counters_travel_home(self):
         timings = SweepTimings()

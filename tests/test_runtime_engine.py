@@ -4,14 +4,20 @@ import warnings
 
 import pytest
 
+from repro.experiments import common
 from repro.experiments.common import default_dataset, run_pose_recovery_sweep
+from repro.experiments.multi_study import run_multi_study
 from repro.runtime import engine
 from repro.runtime.engine import (
     PoolUnavailableError,
     chunk_indices,
     resolve_workers,
 )
-from repro.runtime.timings import SweepTimings
+from repro.runtime.timings import SweepTimings, collect_timings
+
+
+def _refuse_pool(workers):
+    raise PoolUnavailableError("pool refused (test)")
 
 
 class TestChunking:
@@ -62,10 +68,7 @@ class TestParallelDeterminism:
 
 class TestFallback:
     def test_falls_back_to_serial_when_pool_unavailable(self, monkeypatch):
-        def broken(*args, **kwargs):
-            raise PoolUnavailableError("pool refused (test)")
-
-        monkeypatch.setattr(engine, "run_sweep_parallel", broken)
+        monkeypatch.setattr(engine, "_get_pool", _refuse_pool)
         dataset = default_dataset(3, seed=13)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -81,11 +84,24 @@ class TestFallback:
         def must_not_run(*args, **kwargs):  # pragma: no cover - guard
             raise AssertionError("pool path taken for 1-pair dataset")
 
-        monkeypatch.setattr(engine, "run_sweep_parallel", must_not_run)
+        monkeypatch.setattr(common, "run_tasks_parallel", must_not_run)
         dataset = default_dataset(1, seed=14)
         outcomes = run_pose_recovery_sweep(dataset, include_vips=False,
                                            workers=4, cache=False)
         assert len(outcomes) == 1
+
+    def test_task_map_falls_back_when_pool_unavailable(self, monkeypatch):
+        monkeypatch.setattr(engine, "_get_pool", _refuse_pool)
+        items = list(range(5))
+        timings = SweepTimings()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = engine.run_tasks_parallel(_square, items, workers=2,
+                                            timings=timings)
+        assert out == engine.run_tasks_parallel(_square, items, workers=1)
+        assert any("falling back" in str(w.message) for w in caught)
+        assert timings.registry.counter("engine/serial_fallbacks").value \
+            == len(chunk_indices(len(items), 2))
 
 
 def _square(x):
@@ -136,3 +152,24 @@ class TestTasksParallel:
                                   workers=2, timings=timings)
         engine.shutdown_pool()
         assert timings.registry.counter("engine/task_errors").value == 2
+
+    def test_in_process_timings_count_task_errors(self):
+        timings = SweepTimings()
+        engine.run_tasks_parallel(_increment_positive, [1, -2, -3],
+                                  workers=1, timings=timings)
+        assert timings.registry.counter("engine/task_errors").value == 2
+
+    def test_ambient_timings_equal_across_worker_counts(self):
+        """A generic map's worker telemetry reaches the ambient
+        accumulator, and the same telemetry at every worker count."""
+        counts = []
+        for workers in (1, 2):
+            with collect_timings() as timings:
+                run_multi_study(2, workers=workers)
+            engine.shutdown_pool()
+            counters = timings.registry.counters
+            counts.append({name: counters[name].value
+                           for name in ("pipeline/recoveries",
+                                        "stage1/matches")})
+        assert counts[0] == counts[1]
+        assert all(value > 0 for value in counts[0].values())

@@ -14,8 +14,9 @@ from repro.experiments.common import (
     PairOutcome,
     default_dataset,
     run_pose_recovery_sweep,
+    run_sweep_parallel,
 )
-from repro.runtime.engine import run_sweep_parallel, shutdown_pool
+from repro.runtime.engine import shutdown_pool
 from repro.runtime.faults import InjectedFault, WorkerFault
 from repro.runtime.timings import SweepTimings
 from repro.simulation.dataset import DatasetConfig
