@@ -9,9 +9,7 @@ criterion.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
-from typing import Callable, ContextManager
 
 import numpy as np
 
@@ -28,19 +26,9 @@ from repro.geometry.ransac import RansacResult, ransac_rigid_2d
 from repro.geometry.se2 import SE2
 from repro.obs.metrics import counter, histogram
 from repro.pointcloud.cloud import PointCloud
+from repro.runtime.timings import StageTimer, ambient_stage
 
 __all__ = ["BVFeatures", "BVMatch", "BVMatcher"]
-
-# A stage timer is a factory of context managers keyed by stage name (see
-# repro.runtime.timings.stage); None disables instrumentation.  Stage-1
-# records per-kernel detail stages ("bv_extract/mim", "stage1_match/nn",
-# ...) that the timings report nests under their top-level stage.
-StageTimer = Callable[[str], ContextManager]
-
-
-def _no_timing(_stage: str) -> ContextManager:
-    return contextlib.nullcontext()
-
 
 @dataclass(frozen=True)
 class BVFeatures:
@@ -194,7 +182,7 @@ class BVMatcher:
         it crops extraction to the predicted overlap window (see
         :mod:`repro.bev.roi`).
         """
-        timer = timer or _no_timing
+        timer = timer or ambient_stage
         window = self._roi_window(bv_image, prior)
         image = self._roi_crop(bv_image, window)
         with timer("bv_extract/mim"):
@@ -238,15 +226,16 @@ class BVMatcher:
             other: features from the received BV image (source).
             ego: features from the ego car's BV image (destination).
             rng: RANSAC randomness; defaults to the config seed.
-            timer: optional stage-timer factory recording the
-                ``stage1_match/*`` detail stages.
+            timer: stage-timer factory recording the
+                ``stage1_match/*`` detail stages (default
+                :func:`~repro.runtime.timings.ambient_stage`).
 
         Returns:
             A :class:`BVMatch` whose ``transform`` maps other-frame world
             coordinates into the ego frame.
         """
         cfg = self.config.bv_ransac
-        timer = timer or _no_timing
+        timer = timer or ambient_stage
         if not isinstance(rng, np.random.Generator):
             rng = np.random.default_rng(
                 self.config.random_seed if rng is None else rng)
@@ -318,7 +307,7 @@ class BVMatcher:
                    timer: StageTimer | None = None) -> BVMatch:
         """Single-hypothesis matching (no pi disambiguation)."""
         cfg = self.config.bv_ransac
-        timer = timer or _no_timing
+        timer = timer or ambient_stage
         with timer("stage1_match/nn"):
             matches = match_descriptors(other.descriptors, ego.descriptors,
                                         ratio=cfg.ratio_test,

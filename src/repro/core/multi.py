@@ -56,6 +56,7 @@ from repro.core.result import PoseRecoveryResult
 from repro.geometry.se2 import SE2
 from repro.runtime.cache import FeatureCache, extraction_fingerprint
 from repro.runtime.fanout import fan_out
+from repro.runtime.timings import stage
 
 __all__ = ["PairwiseEdge", "MultiAlignment", "MultiVehicleAligner"]
 
@@ -135,8 +136,12 @@ class MultiVehicleAligner:
         incident edges of a vehicle share one extraction, and repeated
         scenes (worker processes revisiting a frame, incremental
         re-alignment of an unchanged fleet) skip extraction entirely.
+        Each extraction is one ``bv_extract`` stage.
         """
-        extract = self.aligner.extract_features
+        def extract(cloud) -> BVFeatures:
+            with stage(None, "bv_extract"):
+                return self.aligner.extract_features(cloud)
+
         if cache is None or scene_key is None:
             return list(fan_out(extract, clouds))
         extraction_fp = extraction_fingerprint(self.aligner.config)

@@ -34,9 +34,8 @@ odometry-aware filter for streamed deployments.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import replace
-from typing import Callable, ContextManager, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,21 +58,13 @@ from repro.geometry.se3 import SE3
 from repro.obs.metrics import histogram
 from repro.pointcloud.cloud import PointCloud
 from repro.runtime.fanout import fan_out
+from repro.runtime.timings import StageTimer, ambient_stage
 
 __all__ = ["BBAlign"]
 
 # Transmitting one BEV box costs five float32 values (x, y, length,
 # width, yaw); a 3-D box adds z and height.
 _BYTES_PER_BOX = 5 * 4
-
-# A stage timer is a factory of context managers keyed by stage name
-# (see repro.runtime.timings.stage); None disables instrumentation.
-StageTimer = Callable[[str], ContextManager]
-
-
-def _no_timing(_stage: str) -> ContextManager:
-    return contextlib.nullcontext()
-
 
 class _Degraded(NamedTuple):
     """A recovery that fell to the ladder's bottom rungs, not yet
@@ -178,10 +169,11 @@ class BBAlign:
         This is the memoization boundary the runtime layer caches:
         extraction is a pure function of (cloud, configuration, prior),
         consumes no randomness, and dominates per-pair cost.  Pass the
-        result to :meth:`recover` to reuse features across sweeps.  The
-        optional ``timer`` records the per-kernel ``bv_extract/*``
-        detail stages; the optional ``prior`` (coarse (x, y) translation
-        of the partner sensor, meters) enables overlap-ROI culling when
+        result to :meth:`recover` to reuse features across sweeps.
+        ``timer`` records the per-kernel ``bv_extract/*`` detail stages
+        (default :func:`~repro.runtime.timings.ambient_stage`); the
+        optional ``prior`` (coarse (x, y) translation of the partner
+        sensor, meters) enables overlap-ROI culling when
         ``config.roi.enabled``.
         """
         return self.bv_matcher.extract_from_cloud(cloud, timer=timer,
@@ -222,9 +214,10 @@ class BBAlign:
                 (cloud/feature inputs only).
             rng: randomness for both RANSAC stages (defaults to the
                 config seed, making runs reproducible).
-            timer: optional stage-timer factory (see
-                :func:`repro.runtime.timings.stage`) recording
-                ``bv_extract`` / ``stage1_match`` / ``stage2_align``.
+            timer: stage-timer factory recording ``bv_extract`` /
+                ``stage1_match`` / ``stage2_align``; ``None`` selects
+                :func:`repro.runtime.timings.ambient_stage`, which
+                records into the ambient metrics registry.
             stale: the input arrived too late to trust for this frame
                 (ORed with :attr:`repro.comms.Delivery.delay_frames`).
 
@@ -272,7 +265,7 @@ class BBAlign:
         on two cores a pair's two scans overlap — and the first failing
         job raises, as in a loop.
         """
-        timer = timer or _no_timing
+        timer = timer or ambient_stage
 
         def run(job) -> BVFeatures:
             extract, source = job
@@ -321,7 +314,7 @@ class BBAlign:
         calls on different feature pairs may run concurrently.
         """
         matcher = matcher or self.bv_matcher
-        timer = timer or _no_timing
+        timer = timer or ambient_stage
         rng = self._rng(rng)
         ego_bev = self._to_bev_boxes(ego_boxes)
         other_bev = self._to_bev_boxes(other_boxes)
@@ -467,7 +460,7 @@ class BBAlign:
             return self._degraded_result(FailureReason.MESSAGE_DROPPED,
                                          StageDiagnostics())
 
-        timer = timer or _no_timing
+        timer = timer or ambient_stage
         if isinstance(payload, (bytes, bytearray, memoryview)):
             payload = bytes(payload)
             num_bytes = len(payload)

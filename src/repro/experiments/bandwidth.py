@@ -23,7 +23,6 @@ byte-identical to a clean direct run (the ``control_identical`` check).
 
 from __future__ import annotations
 
-import contextlib
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -46,8 +45,6 @@ from repro.core.pipeline import BBAlign
 from repro.detection.simulated import SimulatedDetector
 from repro.experiments.common import default_dataset, detect_for_pair
 from repro.experiments.registry import ExperimentSpec, register
-from repro.obs.metrics import use_registry
-from repro.runtime.timings import active_timings
 
 __all__ = ["BandwidthResult", "run_bandwidth", "format_bandwidth",
            "compute_bandwidth", "CommsCell", "CommsGridResult",
@@ -264,19 +261,6 @@ def run_comms_grid(num_pairs: int = 10, seed: int = 2024, *,
     unknown = set(policies) - set(POLICIES)
     if unknown:
         raise ValueError(f"unknown policies: {sorted(unknown)}")
-
-    # Same ambient-registry treatment as the serial sweep: with
-    # --timings/--trace active, the receive-side byte accounting the
-    # pipeline records lands in the CLI's report.
-    timings = active_timings()
-    registry_cm = (use_registry(timings.registry)
-                   if timings is not None else contextlib.nullcontext())
-    with registry_cm:
-        return _run_comms_grid(num_pairs, seed, policies)
-
-
-def _run_comms_grid(num_pairs: int, seed: int,
-                    policies: tuple[str, ...]) -> CommsGridResult:
     prepared = _prepare_pairs(num_pairs, seed)
 
     # Control: a clean feature-to-feature run with the same recovery

@@ -21,7 +21,6 @@ indices, so adjacent seeds cannot alias onto each other's streams.
 from __future__ import annotations
 
 import contextlib
-import functools
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -39,7 +38,7 @@ from repro.detection.simulated import (
     SimulatedDetector,
 )
 from repro.metrics.pose_error import PoseErrors, pose_errors
-from repro.obs.metrics import counter, use_registry
+from repro.obs.metrics import counter, histogram, use_registry
 from repro.obs.spans import span
 from repro.runtime.cache import (
     FeatureCache,
@@ -51,7 +50,14 @@ from repro.runtime.cache import (
 from repro.runtime.engine import resolve_workers, run_tasks_parallel
 from repro.runtime.faults import WorkerFault
 from repro.runtime.retry import RetryPolicy
-from repro.runtime.timings import SweepTimings, active_timings, stage
+from repro.runtime.timings import (
+    CACHE_HITS_KEY,
+    CACHE_MISSES_KEY,
+    PAIRS_KEY,
+    WALL_KEY,
+    SweepTimings,
+    stage,
+)
 from repro.simulation.dataset import DatasetConfig, FrameRecord, V2VDatasetSim
 from repro.simulation.scenario import FramePair
 
@@ -184,8 +190,7 @@ def _pair_priors(aligner: BBAlign, pair: FramePair):
 
 def _features_for(aligner: BBAlign, cloud, role: str, index: int,
                   cache: FeatureCache | None, dataset_fp: tuple | None,
-                  extraction_fp: tuple | None,
-                  timings: SweepTimings | None, prior=None):
+                  extraction_fp: tuple | None, prior=None):
     """Stage-1 features for one scan, via the cache when identifiable."""
     key = None
     if (cache is not None and dataset_fp is not None
@@ -193,14 +198,11 @@ def _features_for(aligner: BBAlign, cloud, role: str, index: int,
         key = feature_key(dataset_fp, index, role, extraction_fp)
         features = cache.get(key)
         if features is not None:
-            if timings is not None:
-                timings.cache_hits += 1
+            counter(CACHE_HITS_KEY).inc()
             return features
-        if timings is not None:
-            timings.cache_misses += 1
-    timer = None if timings is None else functools.partial(stage, timings)
-    with stage(timings, "bv_extract"):
-        features = aligner.extract_features(cloud, timer=timer, prior=prior)
+        counter(CACHE_MISSES_KEY).inc()
+    with stage(None, "bv_extract"):
+        features = aligner.extract_features(cloud, prior=prior)
     if key is not None:
         cache.put(key, features)
     return features
@@ -213,14 +215,14 @@ def evaluate_pair(record, aligner: BBAlign, detector: SimulatedDetector,
                   vips_config: VipsConfig | None = None,
                   cache: FeatureCache | None = None,
                   dataset_fp: tuple | None = None,
-                  extraction_fp: tuple | None = None,
-                  timings: SweepTimings | None = None) -> PairOutcome:
+                  extraction_fp: tuple | None = None) -> PairOutcome:
     """Evaluate one dataset record into a :class:`PairOutcome`.
 
     Pure up to the supplied collaborators: given the same record,
     configuration and seed, the outcome is identical no matter which
     process (or worker) runs it.  This is the unit the parallel engine
-    ships to pool workers and the serial sweep runs in-process.
+    ships to pool workers and the serial sweep runs in-process.  Stage
+    seconds and cache counts go to the ambient metrics registry.
 
     Args:
         record: a :class:`~repro.simulation.dataset.FrameRecord`.
@@ -232,24 +234,22 @@ def evaluate_pair(record, aligner: BBAlign, detector: SimulatedDetector,
         cache: stage-1 feature cache; pass ``dataset_fp`` and
             ``extraction_fp`` (from :mod:`repro.runtime.cache`) to make
             features identifiable — without them extraction runs cold.
-        timings: optional per-stage accumulator.
     """
     pair = record.pair
-    with stage(timings, "detection"):
+    with stage(None, "detection"):
         ego_dets, other_dets = detect_for_pair(pair, detector, seed,
                                                record.index)
     ego_prior, other_prior = _pair_priors(aligner, pair)
     ego_features = _features_for(aligner, pair.ego_cloud, "ego",
                                  record.index, cache, dataset_fp,
-                                 extraction_fp, timings, prior=ego_prior)
+                                 extraction_fp, prior=ego_prior)
     other_features = _features_for(aligner, pair.other_cloud, "other",
                                    record.index, cache, dataset_fp,
-                                   extraction_fp, timings, prior=other_prior)
-    timer = None if timings is None else functools.partial(stage, timings)
+                                   extraction_fp, prior=other_prior)
     result = aligner.recover(
         ego_features, other_features,
         [d.box for d in ego_dets], [d.box for d in other_dets],
-        rng=np.random.default_rng([seed, record.index, 2]), timer=timer)
+        rng=np.random.default_rng([seed, record.index, 2]))
 
     gt = pair.gt_relative
     full_errors = pose_errors(result.transform, gt)
@@ -258,7 +258,7 @@ def evaluate_pair(record, aligner: BBAlign, detector: SimulatedDetector,
     vips_success = False
     vips_err: PoseErrors | None = None
     if include_vips:
-        with stage(timings, "baseline"):
+        with stage(None, "baseline"):
             other_centers = np.array([[d.box.center_x, d.box.center_y]
                                       for d in other_dets]).reshape(-1, 2)
             ego_centers = np.array([[d.box.center_x, d.box.center_y]
@@ -339,9 +339,9 @@ def run_pose_recovery_sweep(
             ``False`` to disable, or an explicit
             :class:`~repro.runtime.cache.FeatureCache`.  Parallel
             workers always use their own per-process default caches.
-        timings: per-stage accumulator; defaults to the ambient
-            collector installed by
-            :func:`repro.runtime.timings.collect_timings` (if any).
+        timings: report to record into; ``None`` (default) records into
+            the ambient registry, such as the one
+            :func:`repro.runtime.timings.collect_timings` installs.
 
     Returns:
         One :class:`PairOutcome` per dataset pair, in index order.  A
@@ -349,8 +349,6 @@ def run_pose_recovery_sweep(
         :class:`PairErrorOutcome` instead — a sweep never aborts on a
         single pathological pair.
     """
-    if timings is None:
-        timings = active_timings()
     n_workers = resolve_workers(workers)
     if n_workers > 1 and isinstance(dataset, V2VDatasetSim) \
             and len(dataset) > 1:
@@ -359,9 +357,11 @@ def run_pose_recovery_sweep(
             detector_profile=detector_profile,
             include_vips=include_vips, vips_config=vips_config,
             seed=seed, workers=n_workers, timings=timings)
-    return _run_sweep_serial(dataset, config, detector_profile,
-                             include_vips, vips_config, seed,
-                             _resolve_cache(cache), timings)
+    with (use_registry(timings.registry) if timings is not None
+          else contextlib.nullcontext()):
+        return _run_sweep_serial(dataset, config, detector_profile,
+                                 include_vips, vips_config, seed,
+                                 _resolve_cache(cache))
 
 
 def run_sweep_pair(index: int, load_record: Callable[[int], FrameRecord],
@@ -370,7 +370,6 @@ def run_sweep_pair(index: int, load_record: Callable[[int], FrameRecord],
                    vips_config: VipsConfig | None,
                    cache: FeatureCache | None, dataset_fp: tuple | None,
                    extraction_fp: tuple | None,
-                   timings: SweepTimings | None,
                    fault: WorkerFault | None = None,
                    ) -> PairOutcome | PairErrorOutcome:
     """One pair of a sweep, the loop body of the serial path and of the
@@ -387,22 +386,23 @@ def run_sweep_pair(index: int, load_record: Callable[[int], FrameRecord],
         if fault is not None:
             fault.maybe_fire(index)
         with span("engine/pair", index=index):
-            with stage(timings, "data_generation"):
+            with stage(None, "data_generation"):
                 record = load_record(index)
             return evaluate_pair(
                 record, aligner, detector, seed=seed,
                 include_vips=include_vips, vips_config=vips_config,
                 cache=cache, dataset_fp=dataset_fp,
-                extraction_fp=extraction_fp, timings=timings)
+                extraction_fp=extraction_fp)
     except Exception as error:
         counter("engine/pair_errors").inc()
         return PairErrorOutcome.from_exception(index, error)
 
 
 def _run_sweep_serial(dataset, config, detector_profile, include_vips,
-                      vips_config, seed, cache, timings,
+                      vips_config, seed, cache,
                       ) -> list[PairOutcome | PairErrorOutcome]:
-    """The in-process path: the pool workers' per-pair loop, no pool."""
+    """The in-process path: the pool workers' per-pair loop, no pool.
+    Telemetry goes to the ambient registry."""
     start = time.perf_counter()
     aligner = BBAlign(config)
     detector = SimulatedDetector(detector_profile)
@@ -410,24 +410,14 @@ def _run_sweep_serial(dataset, config, detector_profile, include_vips,
     if cache is not None and isinstance(dataset, V2VDatasetSim):
         ds_fp = dataset_fingerprint(dataset.config)
         ext_fp = extraction_fingerprint(aligner.config)
-
-    # The sweep's registry becomes the ambient instrument store for the
-    # duration, so pipeline/degradation counters recorded deep inside
-    # recover() land next to the stage timings they explain
-    # (pool workers get the same treatment from the engine's chunk-local
-    # registry).
-    registry_cm = (use_registry(timings.registry)
-                   if timings is not None else contextlib.nullcontext())
-    with registry_cm, span("engine/sweep", mode="serial",
-                           pairs=len(dataset)):
+    with span("engine/sweep", mode="serial", pairs=len(dataset)):
         outcomes = [run_sweep_pair(
             index, dataset.__getitem__, aligner, detector, seed=seed,
             include_vips=include_vips, vips_config=vips_config,
-            cache=cache, dataset_fp=ds_fp, extraction_fp=ext_fp,
-            timings=timings) for index in range(len(dataset))]
-    if timings is not None:
-        timings.pairs += len(outcomes)
-        timings.wall_seconds += time.perf_counter() - start
+            cache=cache, dataset_fp=ds_fp, extraction_fp=ext_fp)
+            for index in range(len(dataset))]
+    counter(PAIRS_KEY).inc(len(outcomes))
+    histogram(WALL_KEY).observe(time.perf_counter() - start)
     return outcomes
 
 
@@ -483,16 +473,14 @@ def sweep_pair(item: tuple[SweepSpec, int],
     """Evaluate pair ``index`` of the sweep ``spec``; never raises.
 
     The engine's chunk runner calls this with ``item = (spec, index)``
-    and a chunk-local accumulator installed as the ambient timings, so
-    stage seconds and the pair count travel home with the chunk.  A
+    and a chunk-local registry installed as the ambient one, so stage
+    seconds and the pair count travel home with the chunk.  A
     failure to build the per-process state is captured like any other
     pair error, so every slot of a sweep is a :class:`PairOutcome` or a
     :class:`PairErrorOutcome`.
     """
     spec, index = item
-    timings = active_timings()
-    if timings is not None:
-        timings.pairs += 1
+    counter(PAIRS_KEY).inc()
     try:
         dataset, aligner, detector, ds_fp, ext_fp = _sweep_state(spec)
     except Exception as error:
@@ -502,7 +490,7 @@ def sweep_pair(item: tuple[SweepSpec, int],
         index, dataset.__getitem__, aligner, detector, seed=spec.seed,
         include_vips=spec.include_vips, vips_config=spec.vips_config,
         cache=get_default_cache(), dataset_fp=ds_fp, extraction_fp=ext_fp,
-        timings=timings, fault=spec.fault)
+        fault=spec.fault)
 
 
 def run_sweep_parallel(
@@ -529,7 +517,7 @@ def run_sweep_parallel(
     one :func:`~repro.runtime.engine.run_tasks_parallel` map of
     :func:`sweep_pair`, so chunking, the retry ladder (``retry``,
     ``chunk_timeout``), the in-process fallback, telemetry merging into
-    ``timings`` (or the ambient accumulator) and span re-emission are
+    ``timings`` (or the ambient registry) and span re-emission are
     the engine's.  ``fault`` injects a
     :class:`~repro.runtime.faults.WorkerFault` for robustness testing.
     """

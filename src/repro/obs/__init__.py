@@ -18,10 +18,10 @@ context-var read and allocates nothing, the sweep's RNG streams are
 untouched either way, and a traced sweep returns byte-identical
 outcomes to an untraced one.
 
-:class:`repro.runtime.timings.SweepTimings` — the CLI's ``--timings``
-report — is a thin view over a :class:`MetricsRegistry` rather than a
-parallel bookkeeping system: ``stage()`` blocks observe histograms, the
-report formats them.
+Stage timing is one path through both: :func:`repro.runtime.timings.\
+stage` opens a :func:`span` and observes the ambient registry's
+``stage/<name>`` histogram, and :class:`repro.runtime.timings.\
+SweepTimings` — the CLI's ``--timings`` report — reads that registry.
 """
 
 from repro.obs.export import EVENT_SCHEMA_VERSION, JsonlExporter, trace_session

@@ -15,9 +15,12 @@ chunk-result protocol; the parent folds snapshots together with
 JSON-lines exporter writes (see :mod:`repro.obs.export`).
 
 Instrument names use ``/`` as the hierarchy separator
-(``engine/chunk_retries``, ``stage/bv_extract/mim``) — the same
-convention :class:`~repro.runtime.timings.SweepTimings` uses for its
-detail stages.
+(``engine/chunk_retries``, ``stage/bv_extract/mim``).  Stage timing
+records here too: :func:`repro.runtime.timings.stage` observes the
+active registry's ``stage/<name>`` histogram, and
+:class:`~repro.runtime.timings.SweepTimings` reports a registry's
+``stage/*`` histograms, nesting ``<stage>/<part>`` detail stages under
+their stage.
 """
 
 from __future__ import annotations

@@ -27,8 +27,9 @@ reproduction; this package makes it a schedulable, measurable unit:
 * :mod:`repro.runtime.cache` — keyed LRU cache for stage-1
   :class:`~repro.core.bv_matching.BVFeatures`, so sweeps revisiting the
   same frame pairs skip re-extraction;
-* :mod:`repro.runtime.timings` — per-stage wall-time accounting
-  (:class:`SweepTimings`) surfaced by the CLI's ``--timings`` flag.
+* :mod:`repro.runtime.timings` — per-stage time accounting:
+  :func:`stage` records into the ambient metrics registry, and
+  :class:`SweepTimings` reports it under the CLI's ``--timings`` flag.
 """
 
 from repro.runtime.cache import (
@@ -53,7 +54,6 @@ from repro.runtime.retry import ENGINE_DEFAULT, SERVICE_DEFAULT, RetryPolicy
 from repro.runtime.timings import (
     STAGES,
     SweepTimings,
-    active_timings,
     collect_timings,
     stage,
 )
@@ -69,7 +69,6 @@ __all__ = [
     "SweepTimings",
     "WorkerFault",
     "WorkerPool",
-    "active_timings",
     "chunk_indices",
     "collect_timings",
     "dataset_fingerprint",

@@ -38,24 +38,24 @@ Design notes:
   without waiting first — and, if it fails again, runs serially
   in-process; a chunk that even the serial path cannot finish yields
   one error record per item.  A pool that cannot start at all
-  (:class:`PoolUnavailableError`) sends every chunk down the same
-  ladder to the in-process rung, with a ``RuntimeWarning``.  No single
-  pathological item, worker or chunk can take down a map.
+  (:class:`PoolUnavailableError`) sends every chunk straight to the
+  in-process rung, with a ``RuntimeWarning``; a retry rung whose pool
+  cannot start ends the climb there.  No single pathological item,
+  worker or chunk can take down a map.
 * **Telemetry** rides the chunk protocol.  Each chunk records into a
-  chunk-local :class:`~repro.runtime.timings.SweepTimings` (installed
-  as the ambient accumulator and metrics registry, so stage seconds and
-  pipeline counters recorded deep inside the function land there) and,
-  when the parent traced the map, a chunk-local span collector; the
-  chunk returns a picklable snapshot with its results.  The parent
-  folds snapshots in *keyed by chunk*
+  chunk-local metrics registry, installed as the ambient one, so stage
+  seconds (:func:`~repro.runtime.timings.stage`) and pipeline counters
+  recorded deep inside the function land there, and, when the parent
+  traced the map, into a chunk-local span collector; the chunk returns
+  a picklable snapshot with its results.  The parent folds snapshots in
+  *keyed by chunk*
   (:meth:`~repro.runtime.timings.SweepTimings.merge_chunk`), so the
   retry ladder can deliver a chunk's telemetry more than once without
-  anything being double-counted, then into ``timings`` or the ambient
-  :func:`~repro.runtime.timings.collect_timings` accumulator.  Worker
-  span events are re-emitted, in chunk order, under the parent's
-  ``engine/sweep`` span; in-process chunks record straight into the
-  parent's collector.  Retries, timeouts and serial fallbacks are
-  themselves counted (``engine/*`` counters).
+  anything being double-counted, then into ``timings.registry`` or the
+  ambient registry.  Worker span events are re-emitted, in chunk
+  order, under the parent's ``engine/sweep`` span; in-process chunks
+  record straight into the parent's collector.  Retries, timeouts and
+  serial fallbacks are themselves counted (``engine/*`` counters).
 * **Shared mechanics**: pool lifecycle (lazy start, restart, idempotent
   shutdown) lives in :class:`repro.runtime.pool.WorkerPool` and retry
   *scheduling* in :class:`repro.runtime.retry.RetryPolicy` — both
@@ -77,7 +77,12 @@ from typing import Callable
 
 import numpy as np
 
-from repro.obs.metrics import counter, use_registry
+from repro.obs.metrics import (
+    MetricsRegistry,
+    active_registry,
+    counter,
+    use_registry,
+)
 from repro.obs.spans import active_collector, collect_spans, span
 from repro.runtime.pool import (
     PoolUnavailableError,
@@ -85,7 +90,7 @@ from repro.runtime.pool import (
     resolve_workers,
 )
 from repro.runtime.retry import ENGINE_DEFAULT, RetryPolicy
-from repro.runtime.timings import SweepTimings, active_timings, collect_timings
+from repro.runtime.timings import WALL_KEY, WORKERS_KEY, SweepTimings
 
 __all__ = ["PoolUnavailableError", "resolve_workers", "chunk_indices",
            "run_tasks_parallel", "TaskError", "shutdown_pool"]
@@ -162,22 +167,21 @@ def _run_chunk(task: _ChunkTask) -> tuple[int, list, dict]:
     process-level failures (worker death, hang) escape to the parent's
     retry ladder.  ``telemetry`` is picklable: the chunk-local registry
     snapshot plus the chunk's span events when ``trace_parent`` is set.
-    Everything the chunk records goes through the chunk-local
-    accumulator installed here, so a chunk is an atomic, dedupable
-    telemetry unit.
+    Everything the chunk records goes through the chunk-local registry
+    installed here, so a chunk is an atomic, dedupable telemetry unit.
     """
     # Span collection is paid only when the parent traced the map.
     spans_cm: contextlib.AbstractContextManager
     spans_cm = (collect_spans(task.trace_parent)
                 if task.trace_parent is not None
                 else contextlib.nullcontext(None))
-    with collect_timings() as timings, use_registry(timings.registry), \
+    with use_registry(MetricsRegistry()) as registry, \
             spans_cm as collector:
         with span("engine/chunk", first_index=task.indices[0],
                   items=len(task.indices), attempt=task.attempt):
             results = [_apply(task.fn, index, item)
                        for index, item in zip(task.indices, task.items)]
-    telemetry = {"snapshot": timings.to_snapshot(),
+    telemetry = {"snapshot": registry.snapshot(),
                  "spans": collector.events if collector is not None else []}
     return task.indices[0], results, telemetry
 
@@ -293,14 +297,14 @@ def _retry_failed_chunks(failed: list[tuple], *, workers: int,
 
     Each rung of ``retry`` (default :data:`ENGINE_DEFAULT`) resubmits
     the still-failed chunks to a fresh pool; jitter draws from
-    ``retry_rng``.  Chunks that fail every rung run in-process through
-    :func:`_run_chunk_serially`, which never raises.
+    ``retry_rng``.  A rung whose pool cannot start ends the climb.
+    Chunks still failed then run in-process (:func:`_run_in_process`).
     """
     policy = retry if retry is not None else ENGINE_DEFAULT
     attempt = 0
     for delay in policy.delays(retry_rng):
         if not failed:
-            break
+            return
         # Retry the failures on a fresh pool.  Cancel anything still
         # queued and tear the old pool down without waiting, so the
         # retry (and a possible serial fallback) never races chunks
@@ -310,21 +314,28 @@ def _retry_failed_chunks(failed: list[tuple], *, workers: int,
         merged.registry.counter("engine/chunk_retries").inc(len(failed))
         if delay > 0:
             time.sleep(delay)
-        retry_tasks = [replace(task, attempt=attempt)
-                       for task, _ in failed]
         try:
             pool = _get_pool(workers)
-            failed = _collect_chunks(pool, retry_tasks, per_chunk,
-                                     merged, chunk_timeout)
         except PoolUnavailableError:
-            failed = [(replace(task, attempt=attempt), error)
-                      for task, error in failed]
-    if failed:
+            break
+        failed = _collect_chunks(
+            pool, [replace(task, attempt=attempt) for task, _ in failed],
+            per_chunk, merged, chunk_timeout)
+    _run_in_process([task for task, _ in failed], attempt + 1,
+                    per_chunk, merged)
+
+
+def _run_in_process(tasks: list[_ChunkTask], attempt: int,
+                    per_chunk: dict[int, tuple],
+                    merged: SweepTimings) -> None:
+    """The ladder's last rung: run ``tasks`` through
+    :func:`_run_chunk_serially`, which never raises."""
+    if tasks:
         shutdown_pool(wait=False, cancel_futures=True)
-    for task, _error in failed:
+    for task in tasks:
         merged.registry.counter("engine/serial_fallbacks").inc()
         _deliver(per_chunk, merged,
-                 _run_chunk_serially(replace(task, attempt=attempt + 1)))
+                 _run_chunk_serially(replace(task, attempt=attempt)))
 
 
 def run_tasks_parallel(fn, items, *, workers: int | None = None,
@@ -347,15 +358,18 @@ def run_tasks_parallel(fn, items, *, workers: int | None = None,
     from a generator seeded by ``[seed, 0x52]``, so backoff schedules
     are reproducible.  ``chunk_timeout`` bounds each chunk's wall time
     on the pool.  A pool that cannot start at all warns
-    (``RuntimeWarning``) and degrades to in-process execution; this
-    never raises :class:`PoolUnavailableError`.
+    (``RuntimeWarning``) and runs every chunk in-process at once, with
+    no retry and no backoff; this never raises
+    :class:`PoolUnavailableError`.
 
-    Telemetry merges into ``timings``, or the ambient
-    :func:`~repro.runtime.timings.collect_timings` accumulator when
-    ``timings`` is ``None`` — keyed by chunk, so a chunk that visits
-    several rungs of the retry ladder contributes exactly once; merged
-    stage seconds are CPU-seconds summed across workers, while
-    ``wall_seconds`` is the map's elapsed time as seen from the parent.
+    Telemetry merges into ``timings.registry``, or the ambient registry
+    (:func:`~repro.runtime.timings.collect_timings`,
+    :func:`~repro.obs.use_registry`) when ``timings`` is ``None`` —
+    keyed by chunk, so a chunk that visits several rungs of the retry
+    ladder contributes exactly once; merged stage seconds are
+    CPU-seconds summed across workers, while the map's elapsed time and
+    worker count, as seen from the parent, go to the ``sweep/*``
+    histograms (``SweepTimings.wall_seconds`` and ``.workers``).
     When a trace collector is active, worker span events are re-emitted
     into it (chunk-deduplicated, in chunk order) under a parent-side
     ``engine/sweep`` span.
@@ -366,8 +380,7 @@ def run_tasks_parallel(fn, items, *, workers: int | None = None,
     if not items:
         return []
     workers = resolve_workers(workers)
-    if timings is None:
-        timings = active_timings()
+    sink = timings.registry if timings is not None else active_registry()
     chunks = chunk_indices(len(items), workers, chunk_size)
     collector = active_collector()
     start = time.perf_counter()
@@ -385,18 +398,20 @@ def run_tasks_parallel(fn, items, *, workers: int | None = None,
                 _deliver(per_chunk, merged, _run_chunk_serially(task))
         else:
             try:
-                failed = _collect_chunks(_get_pool(workers), tasks,
-                                         per_chunk, merged, chunk_timeout)
+                pool = _get_pool(workers)
             except PoolUnavailableError as error:
                 warnings.warn(
                     f"process pool unavailable ({error}); falling back "
                     "to in-process serial execution",
                     RuntimeWarning, stacklevel=2)
-                failed = [(task, error) for task in tasks]
-            _retry_failed_chunks(
-                failed, workers=workers, per_chunk=per_chunk,
-                merged=merged, chunk_timeout=chunk_timeout, retry=retry,
-                retry_rng=np.random.default_rng([seed, 0x52]))
+                _run_in_process(tasks, 1, per_chunk, merged)
+            else:
+                _retry_failed_chunks(
+                    _collect_chunks(pool, tasks, per_chunk, merged,
+                                    chunk_timeout),
+                    workers=workers, per_chunk=per_chunk, merged=merged,
+                    chunk_timeout=chunk_timeout, retry=retry,
+                    retry_rng=np.random.default_rng([seed, 0x52]))
         ordered: list = []
         for first_index in sorted(per_chunk):
             results, telemetry = per_chunk[first_index]
@@ -404,8 +419,9 @@ def run_tasks_parallel(fn, items, *, workers: int | None = None,
             if collector is not None:
                 for event in telemetry["spans"]:
                     collector.emit(event)
-    if timings is not None:
-        merged.workers = workers
-        merged.wall_seconds = time.perf_counter() - start
-        timings.merge(merged)
+    if sink is not None:
+        merged.registry.histogram(WORKERS_KEY).observe(workers)
+        merged.registry.histogram(WALL_KEY).observe(
+            time.perf_counter() - start)
+        sink.merge(merged.registry)
     return ordered

@@ -1,45 +1,49 @@
-"""Per-stage time accounting for experiment sweeps.
+"""Per-stage time accounting: one clock, one sink.
 
 The pose-recovery sweep decomposes into six stages (data generation,
-detection, BV extraction, stage-1 match, stage-2 align, baseline);
-:class:`SweepTimings` accumulates seconds per stage so a run can report
-where the time went.  Accumulators merge, which is how the parallel
-engine folds per-worker measurements into one report — merged stage
-seconds are therefore CPU-seconds, not wall-clock, whenever more than
-one worker contributed (``wall_seconds`` keeps the elapsed view).
+detection, BV extraction, stage-1 match, stage-2 align, baseline).
+:func:`stage` times a block: it opens an :func:`repro.obs.span` named
+after the stage (recorded when a trace collector is installed) and
+observes the block's seconds into the ``stage/<name>`` histogram of the
+*ambient* metrics registry — the one :func:`repro.obs.use_registry`
+installs, nothing when none is.  Pool chunks, fanned-out threads and
+service workers each record into their own ambient registry and ship
+it home as a snapshot, so no call threads a timing object by hand.
 
-Since the observability layer landed, ``SweepTimings`` is a thin view
-over a :class:`repro.obs.MetricsRegistry` rather than a parallel
-bookkeeping system: every ``stage()`` block observes the registry
-histogram ``stage/<name>`` (count + total seconds), the counters the
-pipeline and engine record during the sweep travel in the same
-registry, and the report formats the histogram totals.  The engine's
-chunk protocol ships one registry snapshot per chunk; the parent folds
-them in with :meth:`SweepTimings.merge_chunk`, which is *keyed by
-chunk* — re-delivering a chunk's telemetry (a retried chunk, a serial
-fallback after a pool failure) replaces the previous contribution
-instead of adding to it, so no stage's seconds can be double-counted.
+:class:`SweepTimings` — the CLI's ``--timings`` report — is a read-only
+view over a registry: stage seconds from the ``stage/*`` histograms,
+pair and cache counts from counters, the widest worker count and the
+sweeps' elapsed time from the ``sweep/workers`` and
+``sweep/wall_seconds`` histograms.  Merged stage seconds are therefore
+CPU-seconds, not wall-clock, whenever more than one worker contributed.
+The engine folds chunk snapshots in with :meth:`SweepTimings.\
+merge_chunk`, which is *keyed by chunk*: re-delivering a chunk's
+telemetry (a retried chunk, a serial fallback after a pool failure)
+replaces the previous contribution instead of adding to it, so no
+stage's seconds can be double-counted.
 
-A sweep picks up the ambient accumulator installed by
-:func:`collect_timings`, so callers several layers above the sweep (the
-CLI's ``--timings`` flag) can collect without threading an object
-through every ``run_*`` signature.
+:func:`collect_timings` installs a fresh report's registry as the
+ambient one, so callers several layers above a sweep (the CLI's
+``--timings`` flag) collect without threading an object through every
+``run_*`` signature.
 """
 
 from __future__ import annotations
 
 import contextlib
-import contextvars
-import os
-import threading
 import time
-from typing import Iterator, Mapping
+from typing import Callable, ContextManager, Iterator, Mapping
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import (
+    MetricsRegistry,
+    active_registry,
+    histogram,
+    use_registry,
+)
 from repro.obs.spans import active_collector, span as obs_span
 
-__all__ = ["STAGES", "SweepTimings", "stage", "collect_timings",
-           "active_timings"]
+__all__ = ["STAGES", "StageTimer", "SweepTimings", "ambient_stage",
+           "collect_timings", "stage"]
 
 # Canonical stage order, matching the sweep's per-pair flow.
 STAGES: tuple[str, ...] = (
@@ -53,52 +57,21 @@ STAGES: tuple[str, ...] = (
 
 # Registry key prefix for stage-seconds histograms.
 _STAGE_PREFIX = "stage/"
-# Serializes SweepTimings.add: a stage timer handed to fanned-out work
-# (repro.runtime.fanout) records from several threads into one registry.
-_ADD_LOCK = threading.Lock()
+# Counters the sweep records where pairs run and cache lookups happen.
+PAIRS_KEY = "sweep/pairs"
+CACHE_HITS_KEY = "cache/hits"
+CACHE_MISSES_KEY = "cache/misses"
+# One observation per sweep or parallel map: the max is the widest
+# worker count, the total the summed elapsed time.
+WORKERS_KEY = "sweep/workers"
+WALL_KEY = "sweep/wall_seconds"
 
-# A fork waits for the lock, so no child inherits it held.
-os.register_at_fork(before=_ADD_LOCK.acquire,
-                    after_in_parent=_ADD_LOCK.release,
-                    after_in_child=_ADD_LOCK.release)
-
-_PAIRS_KEY = "sweep/pairs"
-_CACHE_HITS_KEY = "cache/hits"
-_CACHE_MISSES_KEY = "cache/misses"
-
-
-class _StageSecondsView(Mapping):
-    """Live read-only mapping of stage name -> accumulated seconds.
-
-    Backed by the registry's ``stage/*`` histograms; materialize with
-    ``dict(timings.seconds)`` for a stable copy.
-    """
-
-    __slots__ = ("_registry",)
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self._registry = registry
-
-    def _names(self) -> list[str]:
-        prefix_len = len(_STAGE_PREFIX)
-        return [name[prefix_len:] for name in self._registry.histograms
-                if name.startswith(_STAGE_PREFIX)]
-
-    def __getitem__(self, name: str) -> float:
-        histograms = self._registry.histograms
-        key = _STAGE_PREFIX + name
-        if key not in histograms:
-            raise KeyError(name)
-        return histograms[key].total
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._names())
-
-    def __len__(self) -> int:
-        return len(self._names())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return repr(dict(self))
+#: A stage timer: a factory of context managers keyed by stage name.
+#: The pipeline's ``timer=`` arguments take one; ``None`` there means
+#: :func:`ambient_stage`.  Stage 1 records per-kernel detail stages
+#: (``bv_extract/mim``, ``stage1_match/nn``, ...) that the report nests
+#: under their top-level stage.
+StageTimer = Callable[[str], ContextManager[None]]
 
 
 class SweepTimings:
@@ -109,9 +82,9 @@ class SweepTimings:
             seconds live in its ``stage/<name>`` histograms, pair and
             cache counts in its counters.  Engine/pipeline telemetry
             recorded during the sweep rides along in the same registry.
-        seconds: live mapping of accumulated seconds per stage name
-            (unknown stage names are accepted, so ad-hoc
-            instrumentation merges cleanly).
+        seconds: accumulated seconds per stage name (unknown stage
+            names are accepted, so ad-hoc instrumentation merges
+            cleanly).
         pairs: evaluated pair count.
         workers: largest worker count that contributed.
         wall_seconds: elapsed time of the sweep call(s).
@@ -123,74 +96,47 @@ class SweepTimings:
             else MetricsRegistry()
         for name in STAGES:
             self.registry.histogram(_STAGE_PREFIX + name)
-        self.workers = 1
-        self.wall_seconds = 0.0
         # Chunk-keyed contributions already folded in; the dedupe ledger
         # behind merge_chunk.
         self._chunks: dict[object, dict] = {}
 
     # ------------------------------------------------------------------
-    # Counter-backed attributes (kept as properties so existing call
-    # sites — `timings.pairs += n`, `timings.cache_hits += 1` — read
-    # and write the registry without knowing it exists).
-    # ------------------------------------------------------------------
+    def _count(self, name: str) -> int:
+        counter = self.registry.counters.get(name)
+        return counter.value if counter is not None else 0
+
     @property
     def pairs(self) -> int:
-        return self.registry.counter(_PAIRS_KEY).value
-
-    @pairs.setter
-    def pairs(self, value: int) -> None:
-        self.registry.counter(_PAIRS_KEY).value = int(value)
+        return self._count(PAIRS_KEY)
 
     @property
     def cache_hits(self) -> int:
-        return self.registry.counter(_CACHE_HITS_KEY).value
-
-    @cache_hits.setter
-    def cache_hits(self, value: int) -> None:
-        self.registry.counter(_CACHE_HITS_KEY).value = int(value)
+        return self._count(CACHE_HITS_KEY)
 
     @property
     def cache_misses(self) -> int:
-        return self.registry.counter(_CACHE_MISSES_KEY).value
-
-    @cache_misses.setter
-    def cache_misses(self, value: int) -> None:
-        self.registry.counter(_CACHE_MISSES_KEY).value = int(value)
+        return self._count(CACHE_MISSES_KEY)
 
     @property
-    def seconds(self) -> _StageSecondsView:
-        return _StageSecondsView(self.registry)
+    def workers(self) -> int:
+        observed = self.registry.histograms.get(WORKERS_KEY)
+        return int(observed.max) if observed is not None \
+            and observed.count else 1
 
-    # ------------------------------------------------------------------
-    def add(self, stage_name: str, seconds: float,
-            count: int = 1) -> None:
-        """Accumulate ``seconds`` into one stage bucket (thread-safe)."""
-        with _ADD_LOCK:
-            histogram = self.registry.histogram(_STAGE_PREFIX + stage_name)
-            histogram.count += count
-            histogram.total += seconds
-            if seconds < histogram.min:
-                histogram.min = seconds
-            if seconds > histogram.max:
-                histogram.max = seconds
+    @property
+    def wall_seconds(self) -> float:
+        observed = self.registry.histograms.get(WALL_KEY)
+        return observed.total if observed is not None else 0.0
+
+    @property
+    def seconds(self) -> dict[str, float]:
+        return {name[len(_STAGE_PREFIX):]: observed.total
+                for name, observed in self.registry.histograms.items()
+                if name.startswith(_STAGE_PREFIX)}
 
     def stage_count(self, stage_name: str) -> int:
         """How many timed entries a stage accumulated (dedupe-exact)."""
         return self.registry.histogram(_STAGE_PREFIX + stage_name).count
-
-    def merge(self, other: "SweepTimings") -> None:
-        """Fold another accumulator (e.g. one worker's) into this one.
-
-        Stage seconds, pair counts and cache counters add; ``workers``
-        takes the max; ``wall_seconds`` adds only when the other
-        accumulator measured its own wall (serial sub-sweeps) — the
-        parallel engine leaves worker ``wall_seconds`` at zero and times
-        the pool from the parent instead.
-        """
-        self.registry.merge(other.registry)
-        self.workers = max(self.workers, other.workers)
-        self.wall_seconds += other.wall_seconds
 
     def merge_chunk(self, chunk_key: object, snapshot: Mapping) -> int:
         """Fold one chunk's registry snapshot in, exactly once per chunk.
@@ -223,16 +169,6 @@ class SweepTimings:
         self.registry.merge_snapshot(stored)
         return int(stored["deliveries"])
 
-    def to_snapshot(self) -> dict:
-        """Picklable form for the engine's chunk protocol."""
-        return self.registry.snapshot()
-
-    @classmethod
-    def from_snapshot(cls, snapshot: Mapping) -> "SweepTimings":
-        timings = cls()
-        timings.registry.merge_snapshot(snapshot)
-        return timings
-
     @property
     def stage_seconds_total(self) -> float:
         """Sum over all top-level stages (CPU-seconds under parallel
@@ -246,7 +182,7 @@ class SweepTimings:
     # ------------------------------------------------------------------
     def format(self) -> str:
         """Render the report the CLI prints under ``--timings``."""
-        seconds_by_stage = dict(self.seconds)
+        seconds_by_stage = self.seconds
         total = self.stage_seconds_total
         lines = [
             f"Sweep timings — {self.pairs} pairs, "
@@ -327,49 +263,41 @@ class SweepTimings:
 
 @contextlib.contextmanager
 def stage(timings: SweepTimings | None, stage_name: str) -> Iterator[None]:
-    """Time a block into ``timings`` (no-op when ``timings`` is None).
+    """Time a block as stage ``stage_name``.
 
-    When a trace collector is active (``--trace``), the block is also
-    recorded as a span named after the stage — same clocks, one extra
-    event; when neither a collector nor ``timings`` is present the body
-    runs untimed, which is the overhead-neutral disabled mode.
+    The block runs inside an :func:`repro.obs.span` of the same name,
+    and its seconds go to the ``stage/<stage_name>`` histogram of the
+    ambient registry.  With neither a collector nor a registry installed
+    the body runs untimed, as cheap as a bare ``yield``: this is the
+    untraced hot path.  ``timings`` selects nothing: a report sees the
+    block when its registry is the ambient one (:func:`collect_timings`,
+    or ``use_registry(timings.registry)``).  The argument stays for
+    callers that bind ``stage`` to the report whose registry they
+    installed and pass it on as a ``timer=``.
     """
-    if active_collector() is not None:
-        with obs_span(stage_name):
-            start = time.perf_counter()
-            try:
-                yield
-            finally:
-                if timings is not None:
-                    timings.add(stage_name, time.perf_counter() - start)
-        return
-    if timings is None:
+    if active_collector() is None and active_registry() is None:
         yield
         return
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        timings.add(stage_name, time.perf_counter() - start)
+    with obs_span(stage_name):
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            histogram(_STAGE_PREFIX + stage_name).observe(
+                time.perf_counter() - start)
 
 
-# ----------------------------------------------------------------------
-# Ambient collector: lets the CLI (or any caller) harvest timings from
-# sweeps running arbitrarily deep in an experiment without every run_*
-# function having to forward an accumulator.
-# ----------------------------------------------------------------------
-_ACTIVE: contextvars.ContextVar[SweepTimings | None] = contextvars.ContextVar(
-    "repro_runtime_active_timings", default=None)
-
-
-def active_timings() -> SweepTimings | None:
-    """The ambient accumulator installed by :func:`collect_timings`."""
-    return _ACTIVE.get()
+def ambient_stage(stage_name: str) -> ContextManager[None]:
+    """The pipeline's default timer: :func:`stage` with no report."""
+    return stage(None, stage_name)
 
 
 @contextlib.contextmanager
 def collect_timings() -> Iterator[SweepTimings]:
-    """Install a fresh ambient accumulator for the enclosed block.
+    """Collect the enclosed block's telemetry into a fresh report.
+
+    The report's registry becomes the ambient one for the block, so
+    every :func:`stage` and counter recorded inside lands in it.
 
     Example:
         >>> from repro.runtime import collect_timings
@@ -379,14 +307,13 @@ def collect_timings() -> Iterator[SweepTimings]:
         0
     """
     timings = SweepTimings()
-    token = _ACTIVE.set(timings)
     start = time.perf_counter()
     try:
-        yield timings
+        with use_registry(timings.registry):
+            yield timings
     finally:
-        _ACTIVE.reset(token)
         # Only adopt the elapsed view if no sweep recorded its own wall
-        # (sweeps accumulate wall_seconds themselves; the context is a
-        # superset and would double-count).
+        # (the context is a superset and would double-count).
         if timings.wall_seconds == 0.0:
-            timings.wall_seconds = time.perf_counter() - start
+            timings.registry.histogram(WALL_KEY).observe(
+                time.perf_counter() - start)

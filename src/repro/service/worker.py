@@ -39,7 +39,6 @@ travel as per-batch deltas for the same reason.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -47,11 +46,11 @@ import numpy as np
 
 from repro.comms.envelope import ServiceRequest, ServiceResponse
 from repro.core.config import BBAlignConfig
-from repro.obs.metrics import use_registry
+from repro.obs.metrics import MetricsRegistry, counter, use_registry
 from repro.obs.spans import collect_spans
 from repro.runtime.cache import FeatureCache, extraction_fingerprint
 from repro.runtime.shm import SharedMessages, load_messages
-from repro.runtime.timings import SweepTimings, stage
+from repro.runtime.timings import PAIRS_KEY, stage
 from repro.service.config import ServiceConfig
 
 __all__ = ["ScanPairTask", "build_chunk_task", "configure_worker",
@@ -191,12 +190,13 @@ def _features_nbytes(features, _depth: int = 0) -> int:
 def _cached_features(cache: FeatureCache, key: tuple, extract):
     features = cache.get(key)
     if features is None:
-        features = extract()
+        with stage(None, "bv_extract"):
+            features = extract()
         cache.put(key, features, nbytes=_features_nbytes(features))
     return features
 
 
-def _recover_scan(aligner, ego, other, rng, timer, use_cache: bool):
+def _recover_scan(aligner, ego, other, rng, use_cache: bool):
     """One request through the pipeline, cache-accelerated when safe.
 
     The cached path replaces only deterministic extraction work — the
@@ -216,7 +216,7 @@ def _recover_scan(aligner, ego, other, rng, timer, use_cache: bool):
         # BOXES_ONLY never touches ego features; warming the cache for
         # it would be pure overhead.
         return aligner.recover(ego.cloud, other, ego_boxes=ego.boxes,
-                               rng=rng, timer=timer)
+                               rng=rng)
     cache = scan_cache()
     fp = extraction_fingerprint(aligner.config)
     try:
@@ -227,7 +227,7 @@ def _recover_scan(aligner, ego, other, rng, timer, use_cache: bool):
             lambda: aligner.extract_features(ego.cloud))
     except Exception:
         return aligner.recover(ego.cloud, other, ego_boxes=ego.boxes,
-                               rng=rng, timer=timer)
+                               rng=rng)
     other_features = None
     try:
         if other.tier is Tier.FULL_SCAN and other.cloud is not None:
@@ -248,9 +248,9 @@ def _recover_scan(aligner, ego, other, rng, timer, use_cache: bool):
         return aligner.recover(ego_features, other_features,
                                ego_boxes=ego.boxes,
                                other_boxes=list(other.boxes),
-                               rng=rng, timer=timer)
+                               rng=rng)
     return aligner.recover(ego_features, other, ego_boxes=ego.boxes,
-                           rng=rng, timer=timer)
+                           rng=rng)
 
 
 def run_scan_pairs(task: ScanPairTask) -> tuple[int, list, dict]:
@@ -265,7 +265,7 @@ def run_scan_pairs(task: ScanPairTask) -> tuple[int, list, dict]:
     import contextlib
 
     aligner = _aligner(task.config)
-    timings = SweepTimings()
+    registry = MetricsRegistry()
     cache = scan_cache()
     cache_before = (cache.hits, cache.misses, cache.evictions)
     close = None
@@ -280,14 +280,14 @@ def run_scan_pairs(task: ScanPairTask) -> tuple[int, list, dict]:
     trace_cm = (collect_spans(task.trace_parent)
                 if task.trace_parent is not None
                 else contextlib.nullcontext())
-    with use_registry(timings.registry), trace_cm as collector:
-        timer = functools.partial(stage, timings)
+    with use_registry(registry), trace_cm as collector:
         for request_id, ego, other in pairs:
-            with stage(timings, "scan_pair"):
+            with stage(None, "scan_pair"):
                 result = _recover_scan(
                     aligner, ego, other,
                     np.random.default_rng([task.seed, request_id, 2]),
-                    timer, task.use_cache)
+                    task.use_cache)
+            counter(PAIRS_KEY).inc()
             responses.append(ServiceResponse(
                 request_id=request_id, status="ok",
                 success=result.success,
@@ -301,21 +301,19 @@ def run_scan_pairs(task: ScanPairTask) -> tuple[int, list, dict]:
                 theta=result.transform.theta))
         if collector is not None:
             spans = collector.events
-    registry = timings.registry
     registry.counter("service/worker_cache/hits").inc(
         cache.hits - cache_before[0])
     registry.counter("service/worker_cache/misses").inc(
         cache.misses - cache_before[1])
     registry.counter("service/worker_cache/evictions").inc(
         cache.evictions - cache_before[2])
-    timings.pairs = len(responses)
     first = pairs[0][0] if pairs else 0
     if close is not None:
         # Views over the mapped segment die with the batch; the cache
         # never retains one (BV/keypoint arrays are copied on load).
         messages = pairs = ego = other = None  # noqa: F841
         close()
-    return first, responses, {"snapshot": timings.to_snapshot(),
+    return first, responses, {"snapshot": registry.snapshot(),
                               "spans": spans}
 
 

@@ -203,7 +203,7 @@ class TestSpans:
 
     def test_stage_records_span_and_timings(self):
         timings = SweepTimings()
-        with collect_spans() as collector:
+        with use_registry(timings.registry), collect_spans() as collector:
             with stage(timings, "bv_extract"):
                 pass
         assert [e["name"] for e in collector.events] == ["bv_extract"]
@@ -341,20 +341,20 @@ class TestSweepIntegration:
 
 class TestChunkDedupe:
     def test_merge_chunk_replaces_previous_delivery(self):
-        worker = SweepTimings()
-        worker.add("data_generation", 1.0)
-        worker.pairs = 2
+        worker = MetricsRegistry()
+        worker.histogram("stage/data_generation").observe(1.0)
+        worker.counter("sweep/pairs").inc(2)
         merged = SweepTimings()
-        assert merged.merge_chunk(0, worker.to_snapshot()) == 1
+        assert merged.merge_chunk(0, worker.snapshot()) == 1
         # The retry ladder re-delivers the same chunk (serial fallback
         # after a pool retry): the second delivery must replace, not add.
-        assert merged.merge_chunk(0, worker.to_snapshot()) == 2
+        assert merged.merge_chunk(0, worker.snapshot()) == 2
         assert merged.pairs == 2
         assert merged.stage_count("data_generation") == 1
         assert merged.seconds["data_generation"] == pytest.approx(1.0)
         assert merged.registry.counter("timings/chunk_remerges").value == 1
         # A different chunk still adds.
-        merged.merge_chunk(2, worker.to_snapshot())
+        merged.merge_chunk(2, worker.snapshot())
         assert merged.pairs == 4
 
     def test_retried_chunk_counts_each_pair_once(self, tmp_path):

@@ -1,5 +1,6 @@
 """Tests for the stage-1 feature cache (repro.runtime.cache)."""
 
+import contextlib
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ from repro.bev.roi import RoiCullConfig
 from repro.core.config import BBAlignConfig
 from repro.core.pipeline import BBAlign
 from repro.detection.simulated import SimulatedDetector
+from repro.obs import use_registry
 from repro.experiments.common import (
     _features_for,
     default_dataset,
@@ -143,10 +145,12 @@ class TestPairBatchedCache:
         return feature_key(self.ds_fp, self.record.index, role, self.ext_fp)
 
     def _evaluate(self, cache, timings=None):
-        return evaluate_pair(self.record, self.aligner, self.detector,
-                             include_vips=False, cache=cache,
-                             dataset_fp=self.ds_fp, extraction_fp=self.ext_fp,
-                             timings=timings)
+        with (use_registry(timings.registry) if timings is not None
+              else contextlib.nullcontext()):
+            return evaluate_pair(self.record, self.aligner, self.detector,
+                                 include_vips=False, cache=cache,
+                                 dataset_fp=self.ds_fp,
+                                 extraction_fp=self.ext_fp)
 
     def _single(self, role):
         return self.aligner.extract_features(
@@ -187,10 +191,10 @@ class TestPairBatchedCache:
         single_cache = FeatureCache(max_entries=8)
         ego_single = _features_for(
             self.aligner, self.record.pair.ego_cloud, "ego",
-            self.record.index, single_cache, self.ds_fp, self.ext_fp, None)
+            self.record.index, single_cache, self.ds_fp, self.ext_fp)
         other_single = _features_for(
             self.aligner, self.record.pair.other_cloud, "other",
-            self.record.index, single_cache, self.ds_fp, self.ext_fp, None)
+            self.record.index, single_cache, self.ds_fp, self.ext_fp)
         timings = SweepTimings()
         from_single = self._evaluate(single_cache, timings)
         assert timings.cache_hits == 2

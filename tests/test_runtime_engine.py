@@ -13,6 +13,8 @@ from repro.runtime.engine import (
     chunk_indices,
     resolve_workers,
 )
+from repro.runtime.faults import WorkerFault
+from repro.runtime.retry import RetryPolicy
 from repro.runtime.timings import SweepTimings, collect_timings
 
 
@@ -92,19 +94,58 @@ class TestFallback:
 
     def test_task_map_falls_back_when_pool_unavailable(self, monkeypatch):
         monkeypatch.setattr(engine, "_get_pool", _refuse_pool)
+        sleeps = []
+        monkeypatch.setattr(engine.time, "sleep", sleeps.append)
         items = list(range(5))
         timings = SweepTimings()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            out = engine.run_tasks_parallel(_square, items, workers=2,
-                                            timings=timings)
+            out = engine.run_tasks_parallel(
+                _square, items, workers=2, timings=timings,
+                retry=RetryPolicy(attempts=3, base_delay=0.5))
         assert out == engine.run_tasks_parallel(_square, items, workers=1)
         assert any("falling back" in str(w.message) for w in caught)
         assert timings.registry.counter("engine/serial_fallbacks").value \
             == len(chunk_indices(len(items), 2))
+        # Straight to the in-process rung: no retry rung, no backoff.
+        assert timings.registry.counter("engine/chunk_retries").value == 0
+        assert sleeps == []
+
+    def test_retry_rung_without_pool_ends_the_climb(self, monkeypatch,
+                                                    tmp_path):
+        """A chunk kills its worker; the first retry rung's pool cannot
+        start, so the chunks go in-process without a second rung."""
+        real_get_pool = engine._get_pool
+        requests = []
+
+        def first_pool_only(workers):
+            requests.append(workers)
+            if len(requests) > 1:
+                raise PoolUnavailableError("pool refused (test)")
+            return real_get_pool(workers)
+
+        monkeypatch.setattr(engine, "_get_pool", first_pool_only)
+        fault = WorkerFault("kill", (1,), once_dir=str(tmp_path))
+        items = [(fault, x) for x in range(4)]
+        timings = SweepTimings()
+        out = engine.run_tasks_parallel(
+            _square_after_fault, items, workers=2, chunk_size=2,
+            timings=timings, retry=RetryPolicy(attempts=3))
+        engine.shutdown_pool()
+        assert out == [x * x for x in range(4)]
+        assert len(requests) == 2  # the first pool, then one retry rung
+        counters = timings.registry.counters
+        assert counters["engine/serial_fallbacks"].value \
+            == counters["engine/chunk_retries"].value >= 1
 
 
 def _square(x):
+    return x * x
+
+
+def _square_after_fault(item):
+    fault, x = item
+    fault.maybe_fire(x)
     return x * x
 
 

@@ -197,13 +197,22 @@ class TestDispatch:
             async with PoseService(service_config(workers=workers)) as svc:
                 responses = await asyncio.gather(*[
                     svc.submit_nowait(request) for request in requests])
-                return [r.encode() for r in responses], counters(svc)
+                stages = {name: svc.registry.histogram(f"stage/{name}").count
+                          for name in ("scan_pair", "bv_extract",
+                                       "stage1_match", "stage2_align")}
+                return [r.encode() for r in responses], counters(svc), \
+                    stages
 
-        spread, spread_stats = run(leg(2))
-        serial, serial_stats = run(leg(1))
+        spread, spread_stats, spread_stages = run(leg(2))
+        serial, serial_stats, serial_stages = run(leg(1))
         assert spread_stats["batches"] == 2
         assert serial_stats["batches"] == 1
         assert spread == serial
+        # The workers' stage timings reach the service registry.
+        assert spread_stages["scan_pair"] == len(requests)
+        assert spread_stages["bv_extract"] == 2 * len(requests)
+        assert spread_stages["stage1_match"] == len(requests)
+        assert spread_stages == serial_stages
 
     def test_burst_still_fills_batches(self):
         """More queued than the idle workers can take: every batch fills
