@@ -33,7 +33,7 @@ request gets its real response before the pool closes).  ``--chaos
 KIND:IDX[,IDX...]`` injects a fire-once worker fault — the lever the CI
 smoke uses to prove a killed worker is restarted mid-serve.  The data
 plane is tunable: ``--shm/--no-shm`` toggles the shared-memory scan
-transport, ``--cache-mb`` sizes the per-worker feature cache, and
+transport, ``--cache-mb`` sizes the service's feature cache, and
 ``--trace PATH`` exports per-request span trees.
 ``service-load`` is the closed-loop load client; ``--standalone`` runs
 service and load in one process (no TCP), ``--warmup`` absorbs cold
@@ -129,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="carry scan-pair batches through shared "
                             "memory (default on; --no-shm pickles them)")
     serve.add_argument("--cache-mb", type=float, default=64.0,
-                       help="per-worker feature cache budget in MiB "
+                       help="service feature cache budget in MiB "
                             "(default 64; 0 disables)")
     serve.add_argument("--trace", type=pathlib.Path, default=None,
                        metavar="PATH",

@@ -31,8 +31,10 @@ import numpy as np
 from repro.core.multi import MultiVehicleAligner
 from repro.detection.simulated import SimulatedDetector
 from repro.experiments.registry import ExperimentSpec, register
+from repro.obs.metrics import counter
 from repro.runtime.cache import get_default_cache
 from repro.runtime.engine import TaskError, run_tasks_parallel
+from repro.runtime.timings import PAIRS_KEY
 from repro.simulation.multi import MultiScenarioConfig, make_multi_frame
 from repro.simulation.scenario import ScenarioConfig
 
@@ -117,6 +119,8 @@ def _evaluate_scene(payload: _ScenePayload) -> SceneOutcome:
         list(frame.clouds), boxes,
         rng=np.random.default_rng([payload.seed, payload.scene, 99]),
         pairs=pairs, cache=get_default_cache(), scene_key=scene_key)
+    # The study's unit of work is one candidate-pair recovery.
+    counter(PAIRS_KEY).inc(len(result.recoveries))
 
     targets = direct_hits = graph_hits = 0
     errors: list[float] = []

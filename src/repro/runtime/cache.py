@@ -22,7 +22,7 @@ so the cache is bounded LRU; the default of 64 entries covers a
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Hashable
+from typing import Any, Callable, Hashable
 
 from repro.core.config import BBAlignConfig
 from repro.simulation.dataset import DatasetConfig
@@ -42,16 +42,23 @@ class FeatureCache:
     Sizes are caller-reported via ``put(..., nbytes=...)`` (the cache
     cannot deep-size arbitrary feature objects); callers that never pass
     sizes get the historical entry-count-only behavior.
+
+    ``on_evict(key, value)``, when given, hears of every value that
+    leaves the cache — trimmed by a bound, replaced by a different
+    value, discarded or cleared — so an owner can free what the value
+    holds.
     """
 
-    def __init__(self, max_entries: int = 64, *,
-                 max_bytes: int = 0) -> None:
+    def __init__(self, max_entries: int = 64, *, max_bytes: int = 0,
+                 on_evict: Callable[[Hashable, Any], None] | None = None,
+                 ) -> None:
         if max_entries < 0:
             raise ValueError("max_entries must be >= 0")
         if max_bytes < 0:
             raise ValueError("max_bytes must be >= 0")
         self.max_entries = max_entries
         self.max_bytes = max_bytes
+        self._on_evict = on_evict
         self._entries: OrderedDict[Hashable, Any] = OrderedDict()
         self._sizes: dict[Hashable, int] = {}
         self.total_bytes = 0
@@ -86,27 +93,45 @@ class FeatureCache:
         """
         if self.max_entries == 0:
             return
+        replaced = self._entries.get(key, value)
         if key in self._entries:
             self.total_bytes -= self._sizes.get(key, 0)
         self._entries[key] = value
         self._entries.move_to_end(key)
         self._sizes[key] = nbytes
         self.total_bytes += nbytes
+        if replaced is not value:
+            self._left(key, replaced)
         while (len(self._entries) > self.max_entries
                or (self.max_bytes and self.total_bytes > self.max_bytes
                    and len(self._entries) > 1)):
-            evicted, _ = self._entries.popitem(last=False)
+            evicted, old = self._entries.popitem(last=False)
             self.total_bytes -= self._sizes.pop(evicted, 0)
             self.evictions += 1
+            self._left(evicted, old)
+
+    def discard(self, key: Hashable) -> None:
+        """Drop ``key`` if present; not counted as an eviction."""
+        if key in self._entries:
+            value = self._entries.pop(key)
+            self.total_bytes -= self._sizes.pop(key, 0)
+            self._left(key, value)
+
+    def _left(self, key: Hashable, value: Any) -> None:
+        if self._on_evict is not None:
+            self._on_evict(key, value)
 
     def clear(self) -> None:
         """Drop all entries and reset the hit/miss/eviction counters."""
+        entries = list(self._entries.items())
         self._entries.clear()
         self._sizes.clear()
         self.total_bytes = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        for key, value in entries:
+            self._left(key, value)
 
 
 # ----------------------------------------------------------------------

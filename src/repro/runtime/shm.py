@@ -39,18 +39,27 @@ would later unlink (and warn about) a segment it does not own.  The
 parent's create-side registration is kept — it is the last-resort
 cleanup if the parent dies without running finalizers.
 
+Results can travel the other way too: the parent reserves an empty
+segment (:meth:`ShmArena.reserve`), the worker writes its result into
+it (:func:`pack_objects`) and returns only the descriptor, and the
+parent, which still owns the segment, decides when to unlink it.
+
 Everything here is transport-agnostic: :func:`share_messages` /
-:func:`load_messages` know the tier message shapes, the rest is plain
-"pack these arrays / map them back".  When shared memory is unavailable
-(no ``/dev/shm``, sealed sandbox), :func:`shm_available` reports it and
-callers fall back to the pickle path transparently.
+:func:`load_messages` know the tier message shapes,
+:func:`share_objects` / :func:`pack_objects` / :func:`load_objects`
+carry any picklable object (extracted features) with its array buffers
+out of band, and the rest is plain "pack these arrays / map them
+back".  When shared memory is unavailable (no ``/dev/shm``, sealed
+sandbox), :func:`shm_available` reports it and callers fall back to
+the pickle path transparently.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from multiprocessing import shared_memory
 from typing import Callable, Sequence
 
@@ -62,10 +71,14 @@ __all__ = [
     "ShmSlice",
     "ShmUnavailableError",
     "SharedMessages",
+    "SharedObjects",
     "attach_block",
     "load_messages",
+    "load_objects",
+    "pack_objects",
     "read_segment",
     "share_messages",
+    "share_objects",
     "shm_available",
     "write_segment",
 ]
@@ -111,6 +124,29 @@ class ShmBlockRef:
 
 def _aligned(offset: int) -> int:
     return (offset + _ALIGN - 1) & ~(_ALIGN - 1)
+
+
+def _layout(arrays: Sequence[np.ndarray],
+            ) -> tuple[tuple[ShmSlice, ...], int]:
+    """Aligned slices packing ``arrays`` back to back, and the segment
+    size they need (at least 1 byte)."""
+    slices: list[ShmSlice] = []
+    offset = 0
+    for array in arrays:
+        offset = _aligned(offset)
+        slices.append(ShmSlice(offset, array.shape, array.dtype.str))
+        offset += array.nbytes
+    return tuple(slices), max(offset, 1)
+
+
+def _write(segment: shared_memory.SharedMemory,
+           arrays: Sequence[np.ndarray],
+           slices: Sequence[ShmSlice]) -> None:
+    for array, shm_slice in zip(arrays, slices):
+        if array.nbytes:
+            view = np.ndarray(array.shape, dtype=array.dtype,
+                              buffer=segment.buf, offset=shm_slice.offset)
+            view[...] = array
 
 
 def _attach(name: str) -> shared_memory.SharedMemory:
@@ -201,33 +237,37 @@ class ShmArena:
         (e.g. ``/dev/shm`` filled up mid-run) — callers fall back to
         pickling that batch.
         """
-        slices: list[ShmSlice] = []
-        offset = 0
         contiguous = [np.ascontiguousarray(a) for a in arrays]
-        for array in contiguous:
-            offset = _aligned(offset)
-            slices.append(ShmSlice(offset, array.shape, array.dtype.str))
-            offset += array.nbytes
+        slices, size = _layout(contiguous)
+        segment = self._create(size)
+        _write(segment, contiguous, slices)
+        self.bytes_placed += size
+        return ShmBlockRef(name=segment.name, size=size,
+                           generation=self.generation, slices=slices)
+
+    def reserve(self, size: int) -> ShmBlockRef:
+        """A fresh, empty segment of ``size`` bytes for a worker to fill
+        (:func:`pack_objects`).
+
+        The segment is sparse: it takes ``/dev/shm`` space only for the
+        bytes the worker writes, so ``size`` can be a generous bound.
+        """
+        segment = self._create(size)
+        return ShmBlockRef(name=segment.name, size=size,
+                           generation=self.generation, slices=())
+
+    def _create(self, size: int) -> shared_memory.SharedMemory:
         self._sequence += 1
         name = f"{self.prefix}-{os.getpid()}-{self._sequence}"
         try:
-            segment = shared_memory.SharedMemory(
-                name=name, create=True, size=max(offset, 1))
+            segment = shared_memory.SharedMemory(name=name, create=True,
+                                                 size=size)
         except Exception as error:
             raise ShmUnavailableError(
                 f"cannot create shared segment: {error}") from error
-        for array, shm_slice in zip(contiguous, slices):
-            if array.nbytes:
-                view = np.ndarray(array.shape, dtype=array.dtype,
-                                  buffer=segment.buf,
-                                  offset=shm_slice.offset)
-                view[...] = array
         self._segments[name] = segment
         self.created += 1
-        self.bytes_placed += offset
-        return ShmBlockRef(name=name, size=max(offset, 1),
-                           generation=self.generation,
-                           slices=tuple(slices))
+        return segment
 
     def release(self, ref: ShmBlockRef) -> None:
         """Unlink one segment.  Idempotent: releasing twice (or after
@@ -472,3 +512,81 @@ def load_messages(shared: SharedMessages,
                                       cloud=cloud, bv_image=bv,
                                       keypoints=kp))
     return messages, close
+
+
+# ----------------------------------------------------------------------
+# Generic object packing.  Pickle protocol 5 hands every contiguous
+# array buffer to a callback instead of copying it into the stream; the
+# buffers go into one arena block and the stream (a few hundred bytes
+# per object) crosses the pipe.
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class SharedObjects:
+    """Picklable objects whose array buffers live in one shared segment.
+
+    ``skeleton`` is the protocol-5 pickle of the objects with every
+    out-of-band buffer left out; ``block`` holds those buffers in order.
+    """
+
+    block: ShmBlockRef
+    skeleton: bytes
+
+
+def _out_of_band(objects: object) -> tuple[bytes, list[np.ndarray]]:
+    """Pickle ``objects`` with their array buffers out of band: the
+    stream, and each buffer as a flat byte array."""
+    buffers: list[pickle.PickleBuffer] = []
+    skeleton = pickle.dumps(objects, protocol=5,
+                            buffer_callback=buffers.append)
+    return skeleton, [np.frombuffer(buffer.raw(), dtype=np.uint8)
+                      for buffer in buffers]
+
+
+def share_objects(arena: ShmArena, objects: object) -> SharedObjects:
+    """Place ``objects``' array buffers into one arena segment.
+
+    Raises :class:`ShmUnavailableError` when the segment cannot be
+    created; the caller falls back to pickling ``objects``.
+    """
+    skeleton, buffers = _out_of_band(objects)
+    return SharedObjects(block=arena.place(buffers), skeleton=skeleton)
+
+
+def pack_objects(ref: ShmBlockRef, objects: object) -> SharedObjects | None:
+    """Write ``objects``' array buffers into the reserved segment
+    ``ref`` (:meth:`ShmArena.reserve`); ``None`` when they do not fit
+    (in ``ref`` or in ``/dev/shm``).
+
+    The worker's side of returning a result through shared memory: it
+    attaches, writes and detaches, and the parent that reserved the
+    segment still owns it.
+    """
+    skeleton, buffers = _out_of_band(objects)
+    slices, size = _layout(buffers)
+    if size > ref.size:
+        return None
+    segment = _attach(ref.name)
+    try:
+        # Allocate the pages first: on a full /dev/shm this fails with
+        # ENOSPC here, where writing into the sparse segment would kill
+        # the worker with a bus error.
+        fd = segment._fd  # type: ignore[attr-defined]
+        os.posix_fallocate(fd, 0, size)
+        _write(segment, buffers, slices)
+    except OSError:
+        return None
+    finally:
+        segment.close()
+    return SharedObjects(block=replace(ref, slices=slices),
+                         skeleton=skeleton)
+
+
+def load_objects(shared: SharedObjects) -> tuple[object, Callable[[], None]]:
+    """Rebuild the objects with their arrays as views over the mapped
+    block.
+
+    Returns ``(objects, close)``; call ``close`` after dropping every
+    reference into the objects (see :func:`attach_block`).
+    """
+    arrays, close = attach_block(shared.block)
+    return pickle.loads(shared.skeleton, buffers=arrays), close

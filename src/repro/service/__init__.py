@@ -12,10 +12,14 @@ while workers crash and hang.  This package is that service:
   admitted request *always* gets a response.
 * :mod:`repro.service.config` — :class:`ServiceConfig` and the typed
   error surface.
-* :mod:`repro.service.worker` — worker-side batch units; indexed
+* :mod:`repro.service.worker` — worker-side task units; indexed
   requests run the sweep engine's own chunk runner, so service answers
-  are byte-identical to sweep outcomes.  Scan-pair workers keep a warm
-  per-process feature cache (:func:`configure_worker`).
+  are byte-identical to sweep outcomes; scan-pair requests run as
+  extraction tasks and a match task.  :func:`configure_worker` warms
+  each worker's pipeline.
+* :mod:`repro.service.scans` — the service's one stage-1 feature
+  cache, keyed by scan content, so a scan several requests share is
+  extracted once.
 * :mod:`repro.service.server` — the length-prefixed TCP transport
   (:class:`ServiceServer` / :class:`ServiceClient`) speaking
   :mod:`repro.comms.envelope` frames, including the shared-memory

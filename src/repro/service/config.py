@@ -76,7 +76,8 @@ class ServiceConfig:
             over them in smaller batches instead.
         batch_window: seconds the dispatcher lingers for a batch to
             fill once work is queued; 0 dispatches immediately.
-        batch_timeout: per-attempt wall bound on one batch; exceeding
+        batch_timeout: per-attempt wall bound on one pool task (an
+            indexed batch's chunk, an extraction or a match); exceeding
             it is treated as a hung worker (restart + retry).
         default_deadline: seconds granted to requests that declare no
             deadline of their own; ``None`` = no implicit deadline.
@@ -93,13 +94,15 @@ class ServiceConfig:
             (:mod:`repro.runtime.shm`).  Falls back to the pickle path
             transparently when shared memory is unavailable; responses
             are byte-identical either way.
-        worker_cache_mb: byte budget (MiB) of each worker's persistent
+        worker_cache_mb: byte budget (MiB) of the service's one
             content-keyed :class:`~repro.runtime.cache.FeatureCache`
-            for scan-pair stage-1 features; ``0`` disables caching.
-            Cache on/off is also response-byte-identical.
+            for scan-pair stage-1 features, kept in the parent (the
+            name predates the move from per-worker caches); ``0``
+            disables caching, and with it the sharing of running
+            extractions.  Cache on/off is also response-byte-identical.
         account_payload_bytes: measure the serialized size of every
-            dispatched batch task into ``service/task_bytes`` (costs an
-            extra pickle per batch; the bench's bytes-per-request
+            dispatched pool task into ``service/task_bytes`` (costs an
+            extra pickle per task; the bench's bytes-per-request
             evidence, off in production).
     """
 

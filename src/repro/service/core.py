@@ -1,8 +1,8 @@
 """The always-on pose service: admission, batching, supervision.
 
 :class:`PoseService` is an asyncio front-end over the shared
-:class:`~repro.runtime.pool.WorkerPool`.  Scan-pair requests flow
-through four stages, each with an explicit failure story:
+:class:`~repro.runtime.pool.WorkerPool`.  Requests flow through four
+stages, each with an explicit failure story:
 
 1. **Admission** (:meth:`PoseService.submit_nowait`) is synchronous and
    bounded: a full queue refuses with
@@ -17,20 +17,33 @@ through four stages, each with an explicit failure story:
    two requests reaching an idle two-worker pool run side by side
    instead of back to back on one worker.  Under load — more queued
    than the idle workers can take — batches still fill to
-   ``batch_size`` and one pool round-trip amortizes over several
-   requests.
-3. **Execution with retry**: a batch that crashes its worker or hangs
-   past ``batch_timeout`` triggers a generation-guarded pool restart
-   (hung workers are SIGKILLed) and a jittered-backoff retry per the
-   service's :class:`~repro.runtime.retry.RetryPolicy`.  A batch that
-   outlives its retry budget resolves every request with a flagged
-   ``"exhausted"`` response — the service-level rung of the paper's
-   degradation ladder: *a pose answer you cannot trust, flagged as
-   such, instead of an exception*.
+   ``batch_size``.
+3. **Execution** runs pool tasks, each on one idle worker.  An indexed
+   batch is one engine chunk task.  A scan-pair request is scan-keyed:
+   one extraction task per distinct scan it carries (the ego cloud, and
+   the partner's cloud or BV image), then one match task running
+   ``BBAlign.recover`` on the features.  Extractions resolve through
+   the service's one feature cache (:class:`~repro.service.scans.\
+ScanTable`), so a scan several requests share — every partner of a V2V
+   frame is matched against the same ego scan — is extracted once, and
+   a request's two extractions run side by side on two workers.
+   Features travel in parent-owned shared-memory segments: a worker
+   writes them into one the parent reserved, and the match maps it (the
+   pickle path carries them when shm is off).  Whenever a
+   worker frees, it goes to the ready task whose request was admitted
+   first.  A task that crashes its worker or hangs past
+   ``batch_timeout`` triggers a generation-guarded pool restart (hung
+   workers are SIGKILLed) and a jittered-backoff retry per the
+   service's :class:`~repro.runtime.retry.RetryPolicy`.  A task that
+   outlives its retry budget resolves every request it serves with a
+   flagged ``"exhausted"`` response — the service-level rung of the
+   paper's degradation ladder: *a pose answer you cannot trust, flagged
+   as such, instead of an exception*.
 4. **Deadlines** are per-request timers, not batch properties: when a
    request's deadline passes — queued or in flight — it resolves
-   immediately with a ``"deadline"`` response and its slot in any
-   running batch is simply discarded on completion.
+   immediately with a ``"deadline"`` response; extractions it started
+   still finish (other requests may share them) and its match is
+   skipped.
 
 A supervisor task heartbeats the pool (dead-worker probe + gauge
 refresh) so workers that die *between* batches are also restarted.
@@ -43,31 +56,41 @@ Everything observable records into the service's own
 :class:`~repro.runtime.timings.SweepTimings` registry — gauges
 (``service/queue_depth``, ``service/in_flight``), counters
 (``service/admitted``, ``service/shed``, ``service/worker_restarts``,
-...), latency histograms — and worker telemetry folds in batch-keyed,
-so a retried batch never double-counts.
+...), latency histograms — and worker telemetry folds in task-keyed,
+so a retried task never double-counts.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import dataclasses
 import functools
+import heapq
+import itertools
 import os
 import pickle
 import time
 from collections import deque
 from dataclasses import dataclass
+from typing import AsyncIterator, Callable, Iterator
 
 import numpy as np
 
 from repro.comms.envelope import ServiceRequest, ServiceResponse
 from repro.comms.tiers import Tier
+from repro.core.degradation import record_transition
+from repro.core.result import DegradationLevel, FailureReason
+from repro.obs.metrics import use_registry
 from repro.obs.spans import SpanHandle, TraceCollector, active_collector
 from repro.runtime.pool import PoolUnavailableError, WorkerPool
 from repro.runtime.shm import (
-    SharedMessages,
+    SharedObjects,
     ShmArena,
+    ShmBlockRef,
     ShmUnavailableError,
     share_messages,
+    share_objects,
     shm_available,
 )
 from repro.runtime.timings import SweepTimings
@@ -78,6 +101,7 @@ from repro.service.config import (
     ServiceOverloaded,
     ServiceUnsupported,
 )
+from repro.service.scans import Scan, ScanTable, carries_scan
 
 __all__ = ["PoseService"]
 
@@ -89,6 +113,9 @@ class _Pending:
     request: ServiceRequest
     future: asyncio.Future
     enqueued: float
+    #: Admission sequence number: idle workers go to the ready task
+    #: whose request was admitted first.
+    order: int = 0
     deadline: float | None = None
     timer: asyncio.TimerHandle | None = None
     #: Trace identity (allocated at admission when tracing is on) and
@@ -107,6 +134,65 @@ def _identity_response(request_id: int, status: str,
         inliers_box=0, tx=0.0, ty=0.0, theta=0.0)
 
 
+#: Failure templates a task resolves every request it serves with (the
+#: request id is filled in per request).
+_EXHAUSTED = _identity_response(0, "exhausted", "retry-budget-exhausted")
+#: What ``BBAlign.recover`` answers when stage-1 extraction raises and
+#: the aligner holds no last-good pose.
+_EXTRACTION_ERROR = dataclasses.replace(
+    _identity_response(0, "ok", FailureReason.EXTRACTION_ERROR.value),
+    degradation=DegradationLevel.IDENTITY.value)
+
+
+#: Initial size of a reserved feature segment (sparse: it costs only
+#: the bytes a worker writes).  A default-configuration BV feature set
+#: is about 2.6 MB.
+_FEATURE_SEGMENT_BYTES = 16 * 1024 * 1024
+
+
+class _Workers:
+    """The pool's workers as a resource of the event loop.
+
+    A task holds a worker from submission to result.  When one frees,
+    it goes to the waiting task with the lowest ``order`` — the
+    admission sequence of the request the task serves — so a request
+    admitted earlier finishes first, whatever kind of task it still
+    needs.
+    """
+
+    def __init__(self, count: int) -> None:
+        self._idle = count
+        self._waiting: list[tuple[int, int, asyncio.Future]] = []
+        self._arrivals = itertools.count()
+
+    @contextlib.asynccontextmanager
+    async def hold(self, order: int) -> AsyncIterator[None]:
+        if self._idle and not self._waiting:
+            self._idle -= 1
+        else:
+            grant = asyncio.get_running_loop().create_future()
+            heapq.heappush(self._waiting,
+                           (order, next(self._arrivals), grant))
+            try:
+                await grant
+            except asyncio.CancelledError:
+                if grant.done() and not grant.cancelled():
+                    self._release()  # granted, then cancelled: pass on
+                raise
+        try:
+            yield
+        finally:
+            self._release()
+
+    def _release(self) -> None:
+        while self._waiting:
+            _order, _arrival, grant = heapq.heappop(self._waiting)
+            if not grant.done():
+                grant.set_result(None)
+                return
+        self._idle += 1
+
+
 class PoseService:
     """Admission-controlled, supervised pose recovery over a warm pool.
 
@@ -123,16 +209,23 @@ class PoseService:
 
     def __init__(self, config: ServiceConfig | None = None) -> None:
         self.config = config or ServiceConfig()
-        # The initializer re-applies worker-side configuration (cache
-        # byte budget) to every worker the pool ever starts — including
-        # post-crash replacements, which would otherwise come up with
-        # defaults.
+        # The initializer builds the service's pipeline in every worker
+        # the pool ever starts — including post-crash replacements —
+        # before that worker's first task.
         self.pool = WorkerPool(self.config.workers,
                                initializer=worker.configure_worker,
-                               initargs=(self.config.worker_cache_mb,))
-        #: Service telemetry; worker snapshots fold in batch-keyed.
+                               initargs=(self.config.config,))
+        #: Service telemetry; worker snapshots fold in task-keyed.
         self.timings = SweepTimings()
         self.registry = self.timings.registry
+        self._workers = _Workers(self.pool.workers)
+        #: The service's one stage-1 feature cache.
+        self._scans = ScanTable(self.config.config,
+                                self.config.worker_cache_mb, self.registry,
+                                free=self._release_block)
+        #: Size of the segments reserved for features: a generous bound
+        #: that grows to twice the largest features seen.
+        self._feature_bytes = _FEATURE_SEGMENT_BYTES
         #: Parent-owned shared-memory arena for the zero-copy scan data
         #: plane; ``None`` until :meth:`start` (or when unavailable —
         #: the pickle path then carries scan batches transparently).
@@ -149,6 +242,8 @@ class PoseService:
         self._closed = False
         self._stopping = False
         self._batch_seq = 0
+        self._task_seq = 0
+        self._admitted = 0
         # Seeded like the engine's retry stream (different tag), so
         # backoff schedules are reproducible run to run.
         self._retry_rng = np.random.default_rng([self.config.seed, 0x5E])
@@ -223,8 +318,10 @@ class PoseService:
         await loop.run_in_executor(None, functools.partial(
             self.pool.shutdown, wait=True, cancel_futures=True,
             kill_workers=True))
+        # The cache's feature segments go with it.
+        self._scans.clear()
         if self.arena is not None:
-            # Every batch released its segment in _execute's finally;
+            # Every task released its segment when its ladder ended;
             # anything still live here is a leak — surface it (the
             # chaos soak asserts this gauge is zero), then unlink it.
             self.registry.gauge("service/shm/segments_leaked").set(
@@ -273,7 +370,9 @@ class PoseService:
         elif self.config.default_deadline is not None:
             deadline = now + self.config.default_deadline
         pending = _Pending(request=request, future=loop.create_future(),
-                           enqueued=now, deadline=deadline)
+                           enqueued=now, order=self._admitted,
+                           deadline=deadline)
+        self._admitted += 1
         if self._collector is not None:
             pending.span_id = self._collector.next_span_id()
             pending.start_unix = time.time()
@@ -307,12 +406,14 @@ class PoseService:
                     f"pair index {request.index} beyond the configured "
                     f"dataset ({self.config.dataset_config.num_pairs})")
             return
-        if request.ego.tier is not Tier.FULL_SCAN:
+        if request.ego.tier is not Tier.FULL_SCAN \
+                or request.ego.cloud is None:
             self.registry.counter("service/rejected_unsupported").inc()
             raise ServiceUnsupported(
                 "scan-pair requests need the ego message at the "
-                f"full-scan tier, got {request.ego.tier.value!r} "
-                "(the other side may use any tier)")
+                f"full-scan tier with its scan, got "
+                f"{request.ego.tier.value!r} (the other side may use any "
+                "tier)")
 
     # ------------------------------------------------------------------
     # Resolution
@@ -442,24 +543,17 @@ class PoseService:
                     alive[0].span_id,
                     {"seq": seq, "requests": len(alive),
                      "kind": alive[0].request.kind})
-            result = await self._execute(
-                seq, alive,
-                trace_parent=bspan.span_id if bspan is not None else None)
-            if result is None:
-                for pending in alive:
-                    self.registry.counter("service/exhausted").inc()
-                    self._resolve(pending, _identity_response(
-                        pending.request.request_id, "exhausted",
-                        "retry-budget-exhausted"))
-                return
-            responses, telemetry = result
-            self.timings.merge_chunk(("service-batch", seq),
-                                     telemetry.get("snapshot", {}))
-            if self._collector is not None:
-                for event in telemetry.get("spans", []):
-                    self._collector.emit(event)
-            for pending, response in zip(alive, responses):
-                self._resolve(pending, response)
+            trace_parent = bspan.span_id if bspan is not None else None
+            if alive[0].request.index is not None:
+                await self._run_indexed(alive, trace_parent)
+            else:
+                outcomes = await asyncio.gather(
+                    *[self._run_scan_pair(pending, trace_parent)
+                      for pending in alive], return_exceptions=True)
+                for outcome in outcomes:
+                    if isinstance(outcome, BaseException):
+                        self.registry.counter(
+                            "service/internal_errors").inc()
         finally:
             if bspan is not None and self._collector is not None:
                 self._collector.emit(bspan.close_event())
@@ -470,110 +564,225 @@ class PoseService:
                         pending.request.request_id, "exhausted",
                         "internal-error"))
 
-    def _share_batch(self, alive: list[_Pending]) -> SharedMessages | None:
-        """Place a scan batch's messages into one arena segment.
+    def _fail(self, pending: _Pending, template: ServiceResponse) -> None:
+        """Resolve ``pending`` with a failure ``template`` (an exhausted
+        retry budget or an extraction error) under its own id."""
+        if template.status == "exhausted":
+            self.registry.counter("service/exhausted").inc()
+        else:
+            # What BBAlign.recover records for an extraction error.
+            with use_registry(self.registry):
+                record_transition(DegradationLevel.IDENTITY,
+                                  FailureReason.EXTRACTION_ERROR)
+        self._resolve(pending, dataclasses.replace(
+            template, request_id=pending.request.request_id))
 
-        ``None`` means the pickle path carries this batch: indexed
-        batches (nothing heavy to share), no arena, or a placement
-        failure (``/dev/shm`` exhausted mid-run) — the fallback is
-        per-batch and transparent.
+    async def _run_indexed(self, alive: list[_Pending],
+                           trace_parent: str | None) -> None:
+        """An indexed batch: one engine chunk task on one worker."""
+        indices = tuple(p.request.index for p in alive)
+        self._count_payload_requests(len(alive))
+        outcomes = await self._call(
+            alive[0].order, worker.run_chunk,
+            lambda attempt: worker.build_chunk_task(
+                indices, self.config, attempt=attempt,
+                trace_parent=trace_parent))
+        if outcomes is None:
+            for pending in alive:
+                self._fail(pending, _EXHAUSTED)
+            return
+        for pending, outcome in zip(alive, outcomes):
+            self._resolve(pending, worker.response_for(
+                outcome, pending.request.request_id))
+
+    async def _run_scan_pair(self, pending: _Pending,
+                             trace_parent: str | None) -> None:
+        """One scan-pair request: its extractions, then its match.
+
+        Both scans are looked up (and, on a miss, their extractions
+        started) before either is awaited, so two extractions run side
+        by side on two workers.  A boxes-only partner needs no ego
+        features: the match gets the ego cloud, which that tier never
+        reads.
         """
-        if self.arena is None or alive[0].request.index is not None:
+        request = pending.request
+        ego, other = request.ego, request.other
+        self._count_payload_requests(1)
+        scans: list[Scan] = []
+        try:
+            sides: list = [ego.cloud, other]
+            if other.tier is not Tier.BOXES_ONLY:
+                sides[0] = self._scan(ego, pending, trace_parent)
+                scans.append(sides[0])
+            if carries_scan(other):
+                sides[1] = self._scan(other, pending, trace_parent)
+                scans.append(sides[1])
+            for side, value in enumerate(sides):
+                if isinstance(value, Scan):
+                    sides[side] = await asyncio.shield(value.task)
+            failed = [v for v in sides if isinstance(v, ServiceResponse)]
+            if failed:
+                self._fail(pending, failed[0])
+                return
+            if pending.future.done():  # deadline fired while extracting
+                return
+            args = (*sides, ego.boxes,
+                    list(other.boxes) if carries_scan(other) else None)
+            # Features a worker wrote into a segment travel as their
+            # descriptors; anything else heavy gets a segment here.
+            placed = (contextlib.nullcontext() if all(
+                isinstance(v, SharedObjects) for v in sides)
+                else self._placed(share_objects, args))
+            with placed as shared:
+                response = await self._call(
+                    pending.order, worker.run_match,
+                    lambda attempt: worker.MatchTask(
+                        config=self.config.config, seed=self.config.seed,
+                        request_id=request.request_id,
+                        args=args if shared is None else shared,
+                        trace_parent=trace_parent))
+        finally:
+            for scan in scans:
+                self._scans.release(scan)
+        if response is None:
+            self._fail(pending, _EXHAUSTED)
+        else:
+            self._resolve(pending, response)
+
+    def _scan(self, message, pending: _Pending,
+              trace_parent: str | None) -> Scan:
+        """Hold the scan ``message`` carries, starting its extraction
+        (on behalf of ``pending``) unless another request already did
+        or the cache holds its features."""
+        scan, new = self._scans.acquire(message)
+        if new:
+            scan.task = asyncio.create_task(self._extract(
+                scan, message, pending.order, trace_parent))
+        return scan
+
+    async def _extract(self, scan: Scan, message, order: int,
+                       trace_parent: str | None):
+        """Run one extraction task; returns the features, or the failure
+        response every request waiting on it answers with."""
+        out = self._reserve()
+        payload = None
+        try:
+            with self._placed(share_messages, [message]) as shared:
+                payload = await self._call(
+                    order, worker.run_extract,
+                    lambda attempt: worker.ExtractTask(
+                        config=self.config.config,
+                        scan=message if shared is None else shared,
+                        out=out, trace_parent=trace_parent))
+        finally:
+            if out is not None and not isinstance(payload, SharedObjects):
+                self.arena.release(out)
+        if payload is None or isinstance(payload, worker.ExtractionFailed):
+            self._scans.fail(scan)
+            return _EXHAUSTED if payload is None else _EXTRACTION_ERROR
+        if isinstance(payload, SharedObjects):
+            self.registry.counter("service/shm/bytes_shared").inc(
+                payload.block.payload_bytes)
+        nbytes = self._scans.finish(scan, payload)
+        # Reserved segments are sparse, so headroom costs nothing.
+        self._feature_bytes = max(self._feature_bytes, 2 * nbytes)
+        return payload
+
+    def _reserve(self) -> ShmBlockRef | None:
+        """A segment for a worker to write an extraction's features
+        into, or ``None``: the features then come back through the
+        pipe."""
+        if self.arena is None:
             return None
         try:
-            shared = share_messages(
-                self.arena, [message for p in alive
-                             for message in (p.request.ego,
-                                             p.request.other)])
+            out = self.arena.reserve(self._feature_bytes)
         except ShmUnavailableError:
             self.registry.counter("service/shm/fallbacks").inc()
             return None
         self.registry.counter("service/shm/segments").inc()
-        self.registry.counter("service/shm/bytes_shared").inc(
-            shared.block.size)
-        return shared
+        return out
 
-    def _submit_batch(self, alive: list[_Pending], attempt: int,
-                      shared: SharedMessages | None,
-                      trace_parent: str | None):
-        """Ship one attempt of a batch to the pool (kind-dispatched)."""
-        if alive[0].request.index is not None:
-            task = worker.build_chunk_task(
-                tuple(p.request.index for p in alive), self.config,
-                attempt=attempt, trace_parent=trace_parent)
-            submit = functools.partial(self.pool.submit,
-                                       worker.run_chunk, task)
-        else:
-            if shared is not None:
-                task = worker.ScanPairTask(
-                    requests=(), config=self.config.config,
-                    seed=self.config.seed, attempt=attempt,
-                    shared=shared,
-                    request_ids=tuple(p.request.request_id
-                                      for p in alive),
-                    use_cache=self.config.worker_cache_mb > 0,
-                    trace_parent=trace_parent)
+    def _release_block(self, block: ShmBlockRef) -> None:
+        if self.arena is not None:
+            self.arena.release(block)
+
+    def _count_payload_requests(self, count: int) -> None:
+        if self.config.account_payload_bytes:
+            self.registry.counter("service/payload_requests").inc(count)
+
+    @contextlib.contextmanager
+    def _placed(self, share, payload) -> Iterator[object | None]:
+        """Place one task's arrays into an arena segment for the task's
+        whole retry ladder.
+
+        Yields the descriptor, or ``None`` when the pickle path carries
+        the task: no arena, or a placement failure (``/dev/shm``
+        exhausted mid-run) — the fallback is per task and transparent.
+        Placement happens once, outside the ladder: the payload does not
+        change across attempts, so a retry after a worker crash
+        resubmits the *same* descriptor (the parent never unlinked it),
+        and the segment is released exactly once whatever the outcome —
+        which is why a SIGKILLed worker cannot orphan a segment.
+        """
+        shared = None
+        if self.arena is not None:
+            try:
+                shared = share(self.arena, payload)
+            except ShmUnavailableError:
+                self.registry.counter("service/shm/fallbacks").inc()
             else:
-                task = worker.ScanPairTask(
-                    requests=tuple(p.request for p in alive),
-                    config=self.config.config, seed=self.config.seed,
-                    attempt=attempt,
-                    use_cache=self.config.worker_cache_mb > 0,
-                    trace_parent=trace_parent)
-            submit = functools.partial(self.pool.submit,
-                                       worker.run_scan_pairs, task)
-        if self.config.account_payload_bytes and attempt == 0:
-            # What actually crosses the pool's call pipe for this
-            # batch: a few hundred descriptor bytes on the shm path, the
-            # full pickled payloads otherwise.  First attempt only —
-            # retries resubmit the same task and would skew the
-            # per-request quotient the bench gates on.
-            nbytes = len(pickle.dumps(task))
-            self.registry.histogram("service/task_bytes").observe(
-                float(nbytes))
-            self.registry.counter("service/payload_requests").inc(
-                len(alive))
-        return submit()
+                self.registry.counter("service/shm/segments").inc()
+                self.registry.counter("service/shm/bytes_shared").inc(
+                    shared.block.size)
+        try:
+            yield shared
+        finally:
+            if shared is not None:
+                self.arena.release(shared.block)
 
-    def _to_responses(self, alive: list[_Pending],
-                      payload: list) -> list[ServiceResponse]:
-        if alive[0].request.index is not None:
-            return [worker.response_for(outcome, p.request.request_id)
-                    for p, outcome in zip(alive, payload)]
-        return list(payload)  # scan-pair workers build responses
+    async def _call(self, order: int, fn: Callable, make_task: Callable):
+        """Run one pool task through the retry ladder on an idle worker.
 
-    async def _execute(self, seq: int, alive: list[_Pending],
-                       trace_parent: str | None = None):
-        """Run one batch through the retry ladder.
-
-        Returns ``(responses, telemetry)`` on success, ``None`` when
-        the retry budget is spent — the caller flags every request.
-
-        Shared-memory placement happens once, outside the ladder: the
-        payload does not change across attempts, so a retry after a
-        worker crash resubmits the *same* descriptor (the parent never
-        unlinked it), and the ``finally`` releases the segment exactly
-        once whatever the outcome — which is why a SIGKILLed worker
-        cannot orphan a segment.
+        ``make_task(attempt)`` builds the task ``fn`` runs.  Returns the
+        task's payload, with its telemetry folded in task-keyed (a
+        retried task never double-counts), or ``None`` when the retry
+        budget is spent — the caller flags every request it serves.
+        The worker is held from submission through any restart the
+        attempt triggers; backoff sleeps hold none.
         """
         loop = asyncio.get_running_loop()
         delays = self.config.retry.delays(self._retry_rng)
+        key = ("service-task", self._task_seq)
+        self._task_seq += 1
         attempt = 0
-        shared = self._share_batch(alive)
-        try:
-            while True:
+        while True:
+            async with self._workers.hold(order):
                 generation = self.pool.generation
                 restart = False  # whether this attempt broke the pool
                 pool_future = None
                 try:
-                    pool_future = self._submit_batch(alive, attempt,
-                                                     shared, trace_parent)
-                    _first, payload, telemetry = await asyncio.wait_for(
+                    task = make_task(attempt)
+                    if self.config.account_payload_bytes and attempt == 0:
+                        # What actually crosses the pool's call pipe: a
+                        # few hundred descriptor bytes on the shm path,
+                        # the full pickled payloads otherwise.  First
+                        # attempt only — retries resubmit the same task
+                        # and would skew the per-request quotient.
+                        self.registry.histogram(
+                            "service/task_bytes").observe(
+                                float(len(pickle.dumps(task))))
+                    pool_future = self.pool.submit(fn, task)
+                    _key, payload, telemetry = await asyncio.wait_for(
                         asyncio.wrap_future(pool_future),
                         timeout=self.config.batch_timeout)
-                    return self._to_responses(alive, payload), telemetry
+                    self.timings.merge_chunk(
+                        key, telemetry.get("snapshot", {}))
+                    if self._collector is not None:
+                        for event in telemetry.get("spans", []):
+                            self._collector.emit(event)
+                    return payload
                 except (asyncio.TimeoutError, TimeoutError):
-                    # A hang: the worker holding the batch gets
+                    # A hang: the worker holding the task gets
                     # SIGKILLed with the pool it wedged.
                     self.registry.counter("service/hangs").inc()
                     restart = True
@@ -597,16 +806,13 @@ class PoseService:
                                                 generation,
                                                 kill_workers=True)):
                     self.registry.counter("service/worker_restarts").inc()
-                delay = next(delays, None)
-                if delay is None:
-                    return None
-                self.registry.counter("service/batch_retries").inc()
-                if delay > 0:
-                    await asyncio.sleep(delay)
-                attempt += 1
-        finally:
-            if shared is not None:
-                self.arena.release(shared.block)
+            delay = next(delays, None)
+            if delay is None:
+                return None
+            self.registry.counter("service/batch_retries").inc()
+            if delay > 0:
+                await asyncio.sleep(delay)
+            attempt += 1
 
     # ------------------------------------------------------------------
     # Supervision

@@ -1,6 +1,6 @@
 """Worker-side execution units and the outcome→response mapping.
 
-Two batch shapes run on the service's pool:
+Three task shapes run on the service's pool:
 
 * **indexed** batches are the engine's one chunk task over the sweep's
   own items: the service builds a :class:`repro.runtime.engine.\
@@ -12,49 +12,54 @@ Two batch shapes run on the service's pool:
   to the sweep's outcome for pair ``i`` (the clean-path parity
   guarantee) and lets :class:`~repro.runtime.faults.WorkerFault`
   injection work unchanged.
-* **scan-pair** batches carry the sensing itself (decoded
-  :class:`~repro.comms.tiers.TieredMessage` pairs); the worker keeps a
-  warm :class:`~repro.core.pipeline.BBAlign` per process and runs the
-  pipeline's message path, so any tier the pipeline accepts works over
-  the service too.  Two data planes feed this shape: the pickle path
-  (messages ride inside the task) and the zero-copy path (the task
-  carries a :class:`~repro.runtime.shm.SharedMessages` descriptor and
-  the arrays are mapped out of a parent-owned shared segment).
+* **extraction** tasks (:class:`ExtractTask`) run stage 1 on one scan —
+  a full-scan cloud or a received BV image — and return its
+  :class:`~repro.core.bv_matching.BVFeatures` to the parent, which
+  keeps the service's one feature cache.  A scan shared by several
+  requests is extracted once.
+* **match** tasks (:class:`MatchTask`) run ``BBAlign.recover`` for one
+  scan-pair request on the extracted features (or, for tiers that carry
+  no scan to extract, on the message itself) with the request's
+  ``[seed, request_id, 2]`` stream, and return its response.
 
-Scan-pair workers also keep a **persistent content-keyed feature
-cache** across requests: stage-1 extraction is a pure function of
-(scan bytes, extraction configuration), so a BLAKE2 digest of the
-payload plus :func:`~repro.runtime.cache.extraction_fingerprint`
-identifies the features exactly — two requests carrying the same scan
-skip extraction entirely, whatever transport delivered them.  Cache
-on/off is response-byte-identical by construction: the cache only
-short-circuits a deterministic recomputation, and any failure on the
-cached path falls back to the uncached call.
+Scan payloads reach the worker through one of two data planes: the
+pickle path (the message or features ride inside the task) or the
+zero-copy path (the task carries a shared-memory descriptor and the
+arrays are mapped out of a parent-owned segment).
 
-Both batch shapes return the engine's chunk shape ``(key, payload,
+Every task returns the engine's chunk shape ``(key, payload,
 telemetry)`` — telemetry is a registry snapshot the parent folds in
-chunk-keyed, so a retried batch never double-counts; cache counters
-travel as per-batch deltas for the same reason.
+task-keyed, so a retried task never double-counts.
 """
 
 from __future__ import annotations
 
-import hashlib
+import contextlib
+import warnings
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from repro.comms.envelope import ServiceRequest, ServiceResponse
+from repro.comms.envelope import ServiceResponse
+from repro.comms.tiers import Tier, TieredMessage
 from repro.core.config import BBAlignConfig
 from repro.obs.metrics import MetricsRegistry, counter, use_registry
 from repro.obs.spans import collect_spans
-from repro.runtime.cache import FeatureCache, extraction_fingerprint
-from repro.runtime.shm import SharedMessages, load_messages
+from repro.runtime.shm import (
+    SharedMessages,
+    SharedObjects,
+    ShmBlockRef,
+    load_messages,
+    load_objects,
+    pack_objects,
+)
 from repro.runtime.timings import PAIRS_KEY, stage
 from repro.service.config import ServiceConfig
 
-__all__ = ["ScanPairTask", "build_chunk_task", "configure_worker",
-           "response_for", "run_chunk", "run_scan_pairs", "scan_cache"]
+__all__ = ["ExtractTask", "ExtractionFailed", "MatchTask",
+           "build_chunk_task", "configure_worker", "response_for",
+           "run_chunk", "run_extract", "run_match"]
 
 
 def build_chunk_task(indices: tuple[int, ...], config: ServiceConfig,
@@ -78,31 +83,6 @@ def run_chunk(task):
     return _run_chunk(task)
 
 
-@dataclass(frozen=True)
-class ScanPairTask:
-    """A batch of scan-pair requests plus the pipeline configuration.
-
-    Only configuration and either decoded messages (pickle path) or a
-    :class:`~repro.runtime.shm.SharedMessages` descriptor (zero-copy
-    path) cross the process boundary; the worker's :class:`BBAlign`
-    (Log-Gabor bank, geometry) and feature cache stay warm across
-    batches.
-
-    On the zero-copy path ``requests`` is empty and ``request_ids``
-    names the batch; message ``2i``/``2i + 1`` of ``shared`` is request
-    ``i``'s ego/other pair.
-    """
-
-    requests: tuple[ServiceRequest, ...]
-    config: BBAlignConfig | None
-    seed: int
-    attempt: int = 0
-    shared: SharedMessages | None = None
-    request_ids: tuple[int, ...] = ()
-    use_cache: bool = True
-    trace_parent: str | None = None
-
-
 # Per-process warm pipeline, rebuilt only when the config changes.
 _ALIGNER = None
 _ALIGNER_KEY: str | None = None
@@ -118,203 +98,167 @@ def _aligner(config: BBAlignConfig | None):
     return _ALIGNER
 
 
-# ----------------------------------------------------------------------
-# Persistent per-process feature cache for scan-pair requests.
-# ----------------------------------------------------------------------
-#: Entry bound far above what any byte budget admits; the byte budget
-#: is the real limiter (entries are megabytes each).
-_CACHE_MAX_ENTRIES = 1024
-_CACHE_MB = 64.0
-_SCAN_CACHE: FeatureCache | None = None
+def configure_worker(config: BBAlignConfig | None = None) -> None:
+    """Pool initializer: build this worker's warm pipeline.
 
-
-def configure_worker(cache_mb: float = 64.0) -> None:
-    """Pool initializer: size this worker's scan feature cache.
-
-    Runs in every worker the pool (re)starts — the service passes it as
-    the pool initializer so a post-crash replacement worker comes up
-    with the same budget, not a default.  ``cache_mb <= 0`` disables
-    storage.
+    Runs in every worker the pool (re)starts, so a fresh or post-crash
+    replacement worker builds its :class:`~repro.core.pipeline.BBAlign`
+    and Log-Gabor bank before its first task rather than inside it.
+    The warm-up extracts one blank BV image of the configured size.  A
+    raising initializer would break the whole pool, so a failed warm-up
+    only warns: a pipeline that cannot extract fails its own tasks, with
+    the typed response they carry.
     """
-    global _CACHE_MB, _SCAN_CACHE
-    _CACHE_MB = float(cache_mb)
-    if _CACHE_MB > 0:
-        _SCAN_CACHE = FeatureCache(
-            max_entries=_CACHE_MAX_ENTRIES,
-            max_bytes=int(_CACHE_MB * 1024 * 1024))
-    else:
-        _SCAN_CACHE = FeatureCache(max_entries=0)
+    from repro.pointcloud.cloud import PointCloud
 
-
-def scan_cache() -> FeatureCache:
-    """This process's scan feature cache (created on first use)."""
-    global _SCAN_CACHE
-    if _SCAN_CACHE is None:
-        configure_worker(_CACHE_MB)
-    return _SCAN_CACHE
-
-
-def _digest(*arrays: np.ndarray | None) -> str:
-    """BLAKE2 content digest over a sequence of (optional) arrays."""
-    h = hashlib.blake2b(digest_size=16)
-    for array in arrays:
-        if array is None:
-            h.update(b"\x00none")
-            continue
-        array = np.ascontiguousarray(array)
-        h.update(str((array.shape, array.dtype.str)).encode())
-        h.update(array.tobytes())
-    return h.hexdigest()
-
-
-def _features_nbytes(features, _depth: int = 0) -> int:
-    """Rough footprint of a feature object: the arrays it references.
-
-    Generic attribute walk (``__slots__`` / ``__dict__``) so feature
-    shapes can grow fields without this under-counting to zero; caps
-    recursion instead of chasing arbitrary object graphs.
-    """
-    if isinstance(features, np.ndarray):
-        return features.nbytes
-    if _depth >= 3 or features is None or isinstance(
-            features, (int, float, str, bytes, bool, tuple, list)):
-        return 0
-    names = getattr(features, "__slots__", None)
-    if names is None:
-        names = vars(features).keys() if hasattr(features, "__dict__") \
-            else ()
-    return sum(_features_nbytes(getattr(features, name, None), _depth + 1)
-               for name in names)
-
-
-def _cached_features(cache: FeatureCache, key: tuple, extract):
-    features = cache.get(key)
-    if features is None:
-        with stage(None, "bv_extract"):
-            features = extract()
-        cache.put(key, features, nbytes=_features_nbytes(features))
-    return features
-
-
-def _recover_scan(aligner, ego, other, rng, use_cache: bool):
-    """One request through the pipeline, cache-accelerated when safe.
-
-    The cached path replaces only deterministic extraction work — the
-    ego features always (admission guarantees a full-scan ego), the
-    other side for the full-scan and BV-image tiers — and funnels into
-    the same ``_recover_features`` tail the uncached payload path uses,
-    with the same rng, so responses are byte-identical either way.
-    Anything unexpected (a cloudless ego message, extraction raising)
-    falls through to the plain uncached call, which reproduces the
-    uncached behavior exactly because extraction consumes no
-    randomness.
-    """
-    from repro.comms.tiers import Tier, TieredMessage
-
-    if (not use_cache or not isinstance(other, TieredMessage)
-            or other.tier is Tier.BOXES_ONLY or ego.cloud is None):
-        # BOXES_ONLY never touches ego features; warming the cache for
-        # it would be pure overhead.
-        return aligner.recover(ego.cloud, other, ego_boxes=ego.boxes,
-                               rng=rng)
-    cache = scan_cache()
-    fp = extraction_fingerprint(aligner.config)
+    matcher = _aligner(config).bv_matcher
     try:
-        ego_features = _cached_features(
-            cache, ("cloud", _digest(ego.cloud.points,
-                                     ego.cloud.timestamps,
-                                     ego.cloud.labels), fp),
-            lambda: aligner.extract_features(ego.cloud))
-    except Exception:
-        return aligner.recover(ego.cloud, other, ego_boxes=ego.boxes,
-                               rng=rng)
-    other_features = None
-    try:
-        if other.tier is Tier.FULL_SCAN and other.cloud is not None:
-            other_features = _cached_features(
-                cache, ("cloud", _digest(other.cloud.points,
-                                         other.cloud.timestamps,
-                                         other.cloud.labels), fp),
-                lambda: aligner.extract_features(other.cloud))
-        elif other.tier is Tier.BV_IMAGE and other.bv_image is not None:
-            bv = other.bv_image
-            other_features = _cached_features(
-                cache, ("bv", _digest(bv.image), bv.cell_size,
-                        bv.lidar_range, fp),
-                lambda: aligner.bv_matcher.extract(bv))
-    except Exception:
-        other_features = None  # uncached path re-raises inside recover
-    if other_features is not None:
-        return aligner.recover(ego_features, other_features,
-                               ego_boxes=ego.boxes,
-                               other_boxes=list(other.boxes),
-                               rng=rng)
-    return aligner.recover(ego_features, other, ego_boxes=ego.boxes,
-                           rng=rng)
+        matcher.extract(matcher.make_bv_image(PointCloud(np.empty((0, 3)))))
+    except Exception as error:
+        warnings.warn(f"service worker warm-up failed: {error!r}",
+                      RuntimeWarning, stacklevel=1)
 
 
-def run_scan_pairs(task: ScanPairTask) -> tuple[int, list, dict]:
-    """Evaluate a scan-pair batch; engine-chunk-shaped result.
-
-    The pipeline's contract does the heavy lifting: degenerate *data*
-    yields a flagged degraded result, never an exception, so every
-    request in the batch maps to a response.  RANSAC randomness spawns
-    from ``[seed, request_id, 2]`` — per-request deterministic, so a
-    retried batch returns identical poses.
-    """
-    import contextlib
-
-    aligner = _aligner(task.config)
+@contextlib.contextmanager
+def _recorded(trace_parent: str | None) -> Iterator[dict]:
+    """Record a task body into a task-local registry (and span
+    collector when traced) as one ``scan_pair`` stage; the yielded dict
+    becomes the task's telemetry on exit."""
+    telemetry: dict = {}
     registry = MetricsRegistry()
-    cache = scan_cache()
-    cache_before = (cache.hits, cache.misses, cache.evictions)
-    close = None
-    if task.shared is not None:
-        messages, close = load_messages(task.shared)
-        pairs = [(request_id, messages[2 * i], messages[2 * i + 1])
-                 for i, request_id in enumerate(task.request_ids)]
-    else:
-        pairs = [(r.request_id, r.ego, r.other) for r in task.requests]
-    responses: list[ServiceResponse] = []
-    spans: list[dict] = []
-    trace_cm = (collect_spans(task.trace_parent)
-                if task.trace_parent is not None
+    trace_cm = (collect_spans(trace_parent) if trace_parent is not None
                 else contextlib.nullcontext())
     with use_registry(registry), trace_cm as collector:
-        for request_id, ego, other in pairs:
-            with stage(None, "scan_pair"):
-                result = _recover_scan(
-                    aligner, ego, other,
-                    np.random.default_rng([task.seed, request_id, 2]),
-                    task.use_cache)
+        with stage(None, "scan_pair"):
+            yield telemetry
+    telemetry["snapshot"] = registry.snapshot()
+    telemetry["spans"] = collector.events if collector is not None else []
+
+
+@dataclass(frozen=True)
+class ExtractionFailed:
+    """An extraction task's payload when stage 1 raised in the worker."""
+
+    error: str
+
+
+@dataclass(frozen=True)
+class ExtractTask:
+    """Stage-1 extraction of one scan.
+
+    ``scan`` is the message carrying the scan — the cloud of a
+    full-scan message or the image of a BV-image message — inline
+    (pickle path) or as the one message of a shared segment.  With
+    ``out``, a segment the parent reserved, the features go back
+    through it instead of the pipe.
+    """
+
+    config: BBAlignConfig | None
+    scan: TieredMessage | SharedMessages
+    out: ShmBlockRef | None = None
+    trace_parent: str | None = None
+
+
+def run_extract(task: ExtractTask) -> tuple[int, object, dict]:
+    """Extract one scan's features; engine-chunk-shaped result.
+
+    The payload is the :class:`BVFeatures` — as a
+    :class:`~repro.runtime.shm.SharedObjects` descriptor of ``out`` when
+    they fit there — or :class:`ExtractionFailed` when extraction
+    raised, the condition under which ``BBAlign.recover`` answers
+    ``extraction-error``.
+    """
+    aligner = _aligner(task.config)
+    close = None
+    message = task.scan
+    if isinstance(message, SharedMessages):
+        (message,), close = load_messages(message)
+    try:
+        with _recorded(task.trace_parent) as telemetry:
+            try:
+                with stage(None, "bv_extract"):
+                    if message.tier is Tier.FULL_SCAN:
+                        features = aligner.extract_features(message.cloud)
+                    else:
+                        features = aligner.bv_matcher.extract(
+                            message.bv_image)
+            except Exception as error:
+                return 0, ExtractionFailed(repr(error)), telemetry
+    finally:
+        if close is not None:
+            # Features never alias the segment: clouds are projected
+            # into fresh images and loaded BV images are copies.
+            message = None
+            close()
+    if task.out is not None:
+        features = pack_objects(task.out, features) or features
+    return 0, features, telemetry
+
+
+@dataclass(frozen=True)
+class MatchTask:
+    """Both stages of one scan-pair request.
+
+    ``args`` is ``(ego, other, ego_boxes, other_boxes)`` — the
+    arguments ``BBAlign.recover`` takes — inline, or as a shared
+    segment holding that tuple.  Extracted features inside it may
+    themselves be descriptors of the segments the extraction tasks
+    wrote them into.
+    """
+
+    config: BBAlignConfig | None
+    seed: int
+    request_id: int
+    args: tuple | SharedObjects
+    trace_parent: str | None = None
+
+
+def run_match(task: MatchTask) -> tuple[int, ServiceResponse, dict]:
+    """Recover one request's pose; engine-chunk-shaped result.
+
+    The pipeline's contract does the heavy lifting: degenerate *data*
+    yields a flagged degraded result, never an exception.  The
+    aligner's last-good memory is cleared first, so a response never
+    depends on which requests this worker answered before: it equals
+    ``BBAlign.recover`` on a fresh aligner.  RANSAC randomness spawns
+    from ``[seed, request_id, 2]``, so a retried task returns the same
+    pose.
+    """
+    aligner = _aligner(task.config)
+    closers = []
+
+    def mapped(value):
+        if isinstance(value, SharedObjects):
+            value, close = load_objects(value)
+            closers.append(close)
+        return value
+
+    try:
+        ego, other, ego_boxes, other_boxes = mapped(task.args)
+        ego, other = mapped(ego), mapped(other)
+        with _recorded(task.trace_parent) as telemetry:
+            aligner.reset_temporal()
+            result = aligner.recover(
+                ego, other, ego_boxes=ego_boxes, other_boxes=other_boxes,
+                rng=np.random.default_rng([task.seed, task.request_id, 2]))
             counter(PAIRS_KEY).inc()
-            responses.append(ServiceResponse(
-                request_id=request_id, status="ok",
-                success=result.success,
-                failure_reason=(result.failure_reason.value
-                                if result.failure_reason is not None
-                                else None),
-                degradation=result.degradation.value,
-                inliers_bv=result.inliers_bv,
-                inliers_box=result.inliers_box,
-                tx=result.transform.tx, ty=result.transform.ty,
-                theta=result.transform.theta))
-        if collector is not None:
-            spans = collector.events
-    registry.counter("service/worker_cache/hits").inc(
-        cache.hits - cache_before[0])
-    registry.counter("service/worker_cache/misses").inc(
-        cache.misses - cache_before[1])
-    registry.counter("service/worker_cache/evictions").inc(
-        cache.evictions - cache_before[2])
-    first = pairs[0][0] if pairs else 0
-    if close is not None:
-        # Views over the mapped segment die with the batch; the cache
-        # never retains one (BV/keypoint arrays are copied on load).
-        messages = pairs = ego = other = None  # noqa: F841
-        close()
-    return first, responses, {"snapshot": registry.snapshot(),
-                              "spans": spans}
+        response = ServiceResponse(
+            request_id=task.request_id, status="ok",
+            success=result.success,
+            failure_reason=(result.failure_reason.value
+                            if result.failure_reason is not None
+                            else None),
+            degradation=result.degradation.value,
+            inliers_bv=result.inliers_bv,
+            inliers_box=result.inliers_box,
+            tx=result.transform.tx, ty=result.transform.ty,
+            theta=result.transform.theta)
+    finally:
+        # Views over mapped segments die with the task.
+        ego = other = ego_boxes = other_boxes = result = None  # noqa: F841
+        for close in closers:
+            close()
+    return task.request_id, response, telemetry
 
 
 def response_for(outcome, request_id: int) -> ServiceResponse:

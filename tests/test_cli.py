@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import json
 import pathlib
 
 import pytest
@@ -63,6 +64,23 @@ class TestExecution:
         assert main(["dataset-stats", "--pairs", "2", "--timings"]) == 0
         out = capsys.readouterr().out
         assert "Sweep timings" in out
+
+    def test_multi_timings_count_every_recovery(self, tmp_path, capsys):
+        """The multi-vehicle study's unit is a candidate-pair recovery:
+        its timings report counts one per recovery the trace records."""
+        trace = tmp_path / "trace.jsonl"
+        assert main(["multi", "--vehicles", "4", "--pairs", "2",
+                     "--workers", "2", "--timings",
+                     "--trace", str(trace)]) == 0
+        out = capsys.readouterr().out
+        header = next(line for line in out.splitlines()
+                      if line.startswith("Sweep timings"))
+        pairs = int(header.split("—")[1].split()[0])
+        events = [json.loads(line) for line in trace.read_text().splitlines()]
+        metrics = next(event for event in events
+                       if event["type"] == "metrics")
+        assert pairs > 0
+        assert pairs == metrics["counters"]["pipeline/recoveries"]
 
     def test_profile_report_printed(self, capsys):
         assert main(["bandwidth", "--pairs", "2", "--profile", "5"]) == 0

@@ -39,8 +39,11 @@ from repro.runtime.shm import (
     ShmUnavailableError,
     attach_block,
     load_messages,
+    load_objects,
+    pack_objects,
     read_segment,
     share_messages,
+    share_objects,
     shm_available,
     write_segment,
 )
@@ -227,6 +230,48 @@ class TestMessagePacking:
         with pytest.raises(ShmUnavailableError):
             arena.place([np.arange(4.0)])
         arena.release(ref)
+
+
+class TestObjectPacking:
+    """Any picklable object, its array buffers out of band: placed by
+    the parent (``share_objects``) or written by a worker into a
+    segment the parent reserved (``pack_objects``)."""
+
+    def sample(self):
+        rng = np.random.default_rng(5)
+        return {"image": rng.uniform(size=(16, 16)),
+                "fortran": np.asfortranarray(rng.uniform(size=(3, 4))),
+                "strided": np.arange(10.0)[::3],
+                "empty": np.empty((0, 3)),
+                "boxes": sample_boxes(), "scale": 0.4}
+
+    def assert_same(self, got, want):
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            if isinstance(value, np.ndarray):
+                assert got[key].dtype == value.dtype
+                np.testing.assert_array_equal(got[key], value)
+            else:
+                assert got[key] == value
+
+    def test_share_and_pack_roundtrip(self):
+        arena = ShmArena(prefix="repro-test")
+        want = self.sample()
+        out = arena.reserve(1 << 20)
+        for shared in (share_objects(arena, want), pack_objects(out, want)):
+            got, close = load_objects(shared)
+            self.assert_same(got, want)
+            got = None  # noqa: F841  (views must die before close)
+            close()
+        arena.release_all()
+        assert arena.active == 0
+        assert not leaked_segments()
+
+    def test_pack_refuses_what_does_not_fit(self):
+        arena = ShmArena(prefix="repro-test")
+        assert pack_objects(arena.reserve(64), self.sample()) is None
+        arena.release_all()
+        assert not leaked_segments()
 
 
 class TestShmEnvelope:

@@ -208,8 +208,10 @@ class TestDispatch:
         assert spread_stats["batches"] == 2
         assert serial_stats["batches"] == 1
         assert spread == serial
-        # The workers' stage timings reach the service registry.
-        assert spread_stages["scan_pair"] == len(requests)
+        # The workers' stage timings reach the service registry: one
+        # scan_pair stage per pool task, two extractions and one match
+        # per request (the two pairs share no scan).
+        assert spread_stages["scan_pair"] == 3 * len(requests)
         assert spread_stages["bv_extract"] == 2 * len(requests)
         assert spread_stages["stage1_match"] == len(requests)
         assert spread_stages == serial_stages

@@ -13,10 +13,10 @@ import asyncio
 import numpy as np
 
 from repro.comms.envelope import ServiceRequest
-from repro.comms.tiers import Tier, build_message
+from repro.comms.tiers import Tier, TieredMessage, build_message
 from repro.runtime.cache import FeatureCache
 from repro.service import PoseService, ServiceConfig
-from repro.service.worker import _digest, _features_nbytes
+from repro.service.scans import _digest, _features_nbytes
 from repro.simulation.dataset import DatasetConfig, V2VDatasetSim
 
 DATASET = DatasetConfig(num_pairs=2, seed=2024)
@@ -70,6 +70,23 @@ class TestByteBudget:
         for key in "abc":
             cache.put(key, key, nbytes=1)
         assert len(cache) == 2 and "a" not in cache
+
+    def test_on_evict_hears_every_departure(self):
+        """Trimmed, replaced, discarded and cleared values all reach the
+        owner's callback; a refresh of the same value does not."""
+        gone = []
+        cache = FeatureCache(max_entries=2, max_bytes=100,
+                             on_evict=lambda key, value: gone.append(value))
+        cache.put("a", "A", nbytes=10)
+        cache.put("a", "A", nbytes=20)  # same value, new size
+        cache.put("b", "B", nbytes=10)
+        cache.put("c", "C", nbytes=10)  # entry bound trims "a"
+        cache.put("b", "B2", nbytes=10)  # replaced by a different value
+        cache.discard("c")
+        cache.discard("missing")
+        cache.clear()
+        assert gone == ["A", "B", "C", "B2"]
+        assert cache.evictions == 0  # clear() resets the counters
 
     def test_clear_resets_byte_accounting(self):
         cache = FeatureCache(max_entries=4, max_bytes=100)
@@ -170,3 +187,87 @@ class TestWarmCacheService:
         cache.put("a", "A", nbytes=1)
         assert cache.get("a") is None
         assert cache.misses == 1
+
+
+def shared_ego_requests():
+    """Two requests of one V2V frame: the same ego scan against a
+    full-scan partner and against a BV-image partner, then a boxes-only
+    partner that needs no extraction at all."""
+    from repro.core.pipeline import BBAlign
+
+    ego, other_full = scan_messages(0)
+    other_bv = TieredMessage(
+        Tier.BV_IMAGE, [], bv_image=BBAlign().bv_matcher.make_bv_image(
+            V2VDatasetSim(DATASET)[1].pair.other_cloud))
+    return [ServiceRequest(request_id=21, ego=ego, other=other_full),
+            ServiceRequest(request_id=22, ego=ego, other=other_bv),
+            ServiceRequest(request_id=23, ego=ego,
+                           other=build_message(Tier.BOXES_ONLY, []))]
+
+
+def in_process(request: ServiceRequest, seed: int):
+    """What ``BBAlign.recover`` answers for ``request`` on the same
+    messages and the same stream, as a service response."""
+    from repro.comms.envelope import ServiceResponse
+    from repro.core.pipeline import BBAlign
+
+    result = BBAlign().recover(
+        request.ego.cloud, request.other, request.ego.boxes,
+        rng=np.random.default_rng([seed, request.request_id, 2]))
+    return ServiceResponse(
+        request_id=request.request_id, status="ok",
+        success=result.success,
+        failure_reason=(result.failure_reason.value
+                        if result.failure_reason is not None else None),
+        degradation=result.degradation.value,
+        inliers_bv=result.inliers_bv, inliers_box=result.inliers_box,
+        tx=result.transform.tx, ty=result.transform.ty,
+        theta=result.transform.theta)
+
+
+def serve_together(requests):
+    """Submit ``requests`` in one event-loop tick to a 2-worker
+    service; their responses and the service's counters."""
+    async def scenario():
+        config = ServiceConfig(dataset_config=DATASET, workers=2,
+                               heartbeat_interval=0.05)
+        async with PoseService(config) as service:
+            responses = await asyncio.gather(*[
+                service.submit_nowait(request) for request in requests])
+            return responses, service.registry.counter_values()
+
+    return run(scenario())
+
+
+class TestScanKeyedExtraction:
+    def test_shared_ego_is_extracted_once(self):
+        """Two concurrent requests sharing an ego scan: three distinct
+        scans, so one hit and three misses, and each answer is
+        ``BBAlign.recover``'s on the same messages and stream."""
+        requests = shared_ego_requests()[:2]
+        responses, counters = serve_together(requests)
+        assert counters["service/worker_cache/hits"] == 1
+        assert counters["service/worker_cache/misses"] == 3
+        seed = ServiceConfig().seed
+        assert responses == [in_process(r, seed) for r in requests]
+
+    def test_extraction_error_reaches_every_dependent(self, monkeypatch):
+        """Stage 1 raising in the workers: every request waiting on the
+        failed extraction gets the extraction-error answer in-process
+        recovery gives; one that needs no extraction is unaffected."""
+        from repro.core.bv_matching import BVMatcher
+
+        def broken_extract(*args, **kwargs):
+            raise RuntimeError("extraction exploded (test)")
+
+        # Class level, before the pool forks: the workers inherit it.
+        monkeypatch.setattr(BVMatcher, "extract", broken_extract)
+        requests = shared_ego_requests()
+        responses, counters = serve_together(requests)
+        seed = ServiceConfig().seed
+        expected = [in_process(r, seed) for r in requests]
+        assert responses == expected
+        assert [r.failure_reason for r in responses[:2]] == [
+            "extraction-error"] * 2
+        assert responses[2].failure_reason != "extraction-error"
+        assert counters["pipeline/failure/extraction-error"] == 2
