@@ -80,6 +80,7 @@ __all__ = [
     "share_messages",
     "share_objects",
     "shm_available",
+    "shm_free_bytes",
     "write_segment",
 ]
 
@@ -190,6 +191,16 @@ def shm_available() -> bool:
             probe.unlink()
             _AVAILABLE = True
     return _AVAILABLE
+
+
+def shm_free_bytes() -> int:
+    """Free space of the ``/dev/shm`` filesystem that holds the segments
+    (0 where it cannot be read)."""
+    try:
+        stats = os.statvfs("/dev/shm")
+    except OSError:
+        return 0
+    return stats.f_bavail * stats.f_frsize
 
 
 class ShmArena:

@@ -17,7 +17,10 @@ stages, each with an explicit failure story:
    two requests reaching an idle two-worker pool run side by side
    instead of back to back on one worker.  Under load — more queued
    than the idle workers can take — batches still fill to
-   ``batch_size``.
+   ``batch_size``.  At most one batch per worker is in flight, which
+   keeps a busy pool's backlog in the queue, where ``queue_limit``
+   sheds it.  An indexed batch amortizes its requests into one task; a
+   scan-pair batch only groups them, each running its own tasks.
 3. **Execution** runs pool tasks, each on one idle worker.  An indexed
    batch is one engine chunk task.  A scan-pair request is scan-keyed:
    one extraction task per distinct scan it carries (the ego cloud, and
@@ -92,6 +95,7 @@ from repro.runtime.shm import (
     share_messages,
     share_objects,
     shm_available,
+    shm_free_bytes,
 )
 from repro.runtime.timings import SweepTimings
 from repro.service import worker
@@ -144,9 +148,9 @@ _EXTRACTION_ERROR = dataclasses.replace(
     degradation=DegradationLevel.IDENTITY.value)
 
 
-#: Initial size of a reserved feature segment (sparse: it costs only
-#: the bytes a worker writes).  A default-configuration BV feature set
-#: is about 2.6 MB.
+#: Size of a reserved feature segment (sparse: it costs only the bytes
+#: a worker writes).  A default-configuration BV feature set is about
+#: 2.6 MB; features that do not fit come back through the pipe.
 _FEATURE_SEGMENT_BYTES = 16 * 1024 * 1024
 
 
@@ -223,9 +227,6 @@ class PoseService:
         self._scans = ScanTable(self.config.config,
                                 self.config.worker_cache_mb, self.registry,
                                 free=self._release_block)
-        #: Size of the segments reserved for features: a generous bound
-        #: that grows to twice the largest features seen.
-        self._feature_bytes = _FEATURE_SEGMENT_BYTES
         #: Parent-owned shared-memory arena for the zero-copy scan data
         #: plane; ``None`` until :meth:`start` (or when unavailable —
         #: the pickle path then carries scan batches transparently).
@@ -264,6 +265,11 @@ class PoseService:
         if self.config.use_shm and self.arena is None:
             if shm_available():
                 self.arena = ShmArena(prefix=f"repro-svc-{os.getpid()}")
+                # Cached features stay in their segments: the cache may
+                # fill half of /dev/shm, the rest is for work in flight.
+                free = shm_free_bytes()
+                if free:
+                    self._scans.limit_bytes(free // 2)
             else:
                 self.registry.counter("service/shm/unavailable").inc()
         # Tracing: requests admitted from here on stitch into whatever
@@ -683,9 +689,7 @@ class PoseService:
         if isinstance(payload, SharedObjects):
             self.registry.counter("service/shm/bytes_shared").inc(
                 payload.block.payload_bytes)
-        nbytes = self._scans.finish(scan, payload)
-        # Reserved segments are sparse, so headroom costs nothing.
-        self._feature_bytes = max(self._feature_bytes, 2 * nbytes)
+        self._scans.finish(scan, payload)
         return payload
 
     def _reserve(self) -> ShmBlockRef | None:
@@ -695,7 +699,7 @@ class PoseService:
         if self.arena is None:
             return None
         try:
-            out = self.arena.reserve(self._feature_bytes)
+            out = self.arena.reserve(_FEATURE_SEGMENT_BYTES)
         except ShmUnavailableError:
             self.registry.counter("service/shm/fallbacks").inc()
             return None

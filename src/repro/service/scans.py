@@ -150,9 +150,9 @@ class ScanTable:
         scan.holders += 1
         return scan, new
 
-    def finish(self, scan: Scan, features: object) -> int:
-        """Record a finished extraction's features; returns their
-        bytes, which is what the cache budget counts."""
+    def finish(self, scan: Scan, features: object) -> None:
+        """Record a finished extraction's features; the cache budget
+        counts their bytes."""
         if isinstance(features, SharedObjects):
             scan.block = features.block
             nbytes = features.block.payload_bytes
@@ -160,7 +160,6 @@ class ScanTable:
             nbytes = _features_nbytes(features)
         if scan.cached:
             self._put(scan, nbytes)
-        return nbytes
 
     def fail(self, scan: Scan) -> None:
         """Forget a failed extraction, so a later request retries it."""
@@ -171,6 +170,11 @@ class ScanTable:
         """A request is done with ``scan``."""
         scan.holders -= 1
         self._maybe_free(scan)
+
+    def limit_bytes(self, nbytes: int) -> None:
+        """Lower the cache's byte budget to ``nbytes`` (at least 1)."""
+        if self.cache.max_entries:
+            self.cache.max_bytes = max(1, min(self.cache.max_bytes, nbytes))
 
     def clear(self) -> None:
         """Drop every entry (service shutdown), freeing its segment."""

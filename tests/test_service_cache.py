@@ -88,6 +88,22 @@ class TestByteBudget:
         assert gone == ["A", "B", "C", "B2"]
         assert cache.evictions == 0  # clear() resets the counters
 
+    def test_shm_space_lowers_the_service_budget(self):
+        """The service's cache keeps features in /dev/shm segments, so
+        its budget never exceeds the share of free space it is given;
+        a disabled cache stays disabled."""
+        from repro.obs.metrics import MetricsRegistry
+        from repro.service.scans import ScanTable
+
+        table = ScanTable(None, 64, MetricsRegistry(), free=lambda _: None)
+        table.limit_bytes(1 << 20)
+        assert table.cache.max_bytes == 1 << 20
+        table.limit_bytes(1 << 30)
+        assert table.cache.max_bytes == 1 << 20
+        off = ScanTable(None, 0, MetricsRegistry(), free=lambda _: None)
+        off.limit_bytes(1 << 20)
+        assert off.cache.max_entries == 0
+
     def test_clear_resets_byte_accounting(self):
         cache = FeatureCache(max_entries=4, max_bytes=100)
         cache.put("a", "A", nbytes=40)
