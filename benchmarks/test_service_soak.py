@@ -6,7 +6,7 @@ Writes ``benchmarks/results/BENCH_service.json`` for the
 * **Clean-path parity** — the service answers the full benchmark sweep
   (same 40 pairs, same seeds) and every pose must be *byte-identical*
   to the direct ``run_pose_recovery_sweep`` outcome.  The service adds
-  transport, batching and supervision around the engine's chunk runner
+  transport, dispatch and supervision around the engine's chunk runner
   — never arithmetic.
 * **Scan data-plane parity** — the same 40 pairs as raw scan-pair
   messages, answered once over the pickle path (shm off, cache off)
@@ -57,19 +57,20 @@ WORKERS = 2
 
 #: Scan data-plane throughput leg: a working set small enough that the
 #: warm cache sees repeats (48 requests over 8 unique pairs) but large
-#: enough that the byte accounting averages over batching jitter.
+#: enough that the byte accounting averages over dispatch jitter.
 DP_UNIQUE_PAIRS = 8
 DP_REQUESTS = 48
 DP_CONCURRENCY = 6
 
 #: Fault plan for the soak.  Faults fire on the *dataset pair index*
 #: (so only during the first of the two request cycles), and the
-#: indices are >= 10 apart: a micro-batch holds at most ``batch_size``
-#: (4) requests drawn from the <= 6 outstanding closed-loop requests,
-#: so no two faults can land in one batch (a kill retry would silently
-#: swallow a co-batched raise) and no two pool faults overlap in
-#: flight (a kill's restart would reap a concurrently hung worker
-#: before its timeout counted it).  The hang comes last for the same
+#: indices are >= 10 apart.  Each indexed request is its own pool task
+#: of one pair, and the <= 6 outstanding closed-loop requests hold
+#: nearby indices, so no two faults are in flight together.  That
+#: matters because a kill's restart breaks every task on the pool: it
+#: would rerun a concurrent raise, whose retry answers clean since the
+#: fault fires once, and it would reap a concurrently hung worker
+#: before its timeout counted it.  The hang comes last for the same
 #: reason.  Each fires exactly once.
 KILL_AT = (2, 13)
 RAISE_AT = (24,)
@@ -77,7 +78,7 @@ HANG_AT = (35,)
 
 #: One hang (2 s timeout) + three restarts + jittered retries all fit
 #: inside a typical soak second; four attempts give even a
-#: cancelled-then-killed batch headroom to finish clean.
+#: cancelled-then-killed task headroom to finish clean.
 SOAK_RETRY = RetryPolicy(attempts=4, base_delay=0.05, multiplier=2.0,
                          max_delay=0.5, jitter=0.5)
 

@@ -112,9 +112,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--queue-limit", type=int, default=32,
                        help="bounded admission queue depth (default 32)")
     serve.add_argument("--batch-size", type=int, default=4,
-                       help="max requests per worker dispatch (default 4)")
+                       help="admitted requests in flight per worker "
+                            "(default 4)")
     serve.add_argument("--batch-timeout", type=float, default=30.0,
-                       help="seconds before a batch counts as hung "
+                       help="seconds before a pool task counts as hung "
                             "(default 30)")
     serve.add_argument("--deadline", type=float, default=None,
                        help="default per-request deadline in seconds "
@@ -126,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="stall duration of an injected hang fault")
     serve.add_argument("--shm", action=argparse.BooleanOptionalAction,
                        default=True,
-                       help="carry scan-pair batches through shared "
+                       help="carry scan-pair tasks through shared "
                             "memory (default on; --no-shm pickles them)")
     serve.add_argument("--cache-mb", type=float, default=64.0,
                        help="service feature cache budget in MiB "

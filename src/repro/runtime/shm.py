@@ -6,7 +6,7 @@ all of it through the worker pool's call pipe on every request: two
 copies (serialize + deserialize) of a ~1 MB payload per pose answer.
 This module is the replacement data plane: the dispatcher *places* the
 heavy arrays into a :mod:`multiprocessing.shared_memory` segment once
-per micro-batch and hands workers a few-hundred-byte descriptor
+per pool task and hands workers a few-hundred-byte descriptor
 (``name``, per-array offset/shape/dtype); the worker maps the segment
 and reconstructs the messages as NumPy views — no serialization of
 array payloads in either direction.
@@ -16,17 +16,17 @@ Ownership protocol (the crash-cleanup contract, see ``DESIGN.md``):
 * **The parent owns every segment.**  Only :class:`ShmArena` (which
   lives in the dispatcher process) creates and unlinks segments.
   Workers attach and close; they never unlink.  A worker that is
-  SIGKILLed mid-batch therefore cannot orphan a segment — its mapping
+  SIGKILLed mid-task therefore cannot orphan a segment — its mapping
   dies with the process, and the parent unlinks the name when the
-  batch's retry ladder resolves.
-* **One placement per batch, released in ``finally``.**  The retry
+  task's retry ladder resolves.
+* **One placement per task, released in ``finally``.**  The retry
   ladder re-submits the *same* descriptor to a restarted pool (the
-  payload has not changed), so a retried batch pays zero re-placement
+  payload has not changed), so a retried task pays zero re-placement
   cost; the segment is released exactly once, whatever the outcome
   (success, exhausted retry budget, cancellation).
 * **Generation tags** stamp every descriptor with the arena's epoch.
   :meth:`ShmArena.release_all` bumps the epoch, so a descriptor that
-  survives an arena teardown (a straggler batch) can be recognized and
+  survives an arena teardown (a straggler task) can be recognized and
   refused instead of attaching to a recycled name.
 * **Backstops:** the arena registers a :mod:`weakref` finalizer (and
   the interpreter's ``atexit`` runs finalizers), so even an abandoned
@@ -207,7 +207,7 @@ class ShmArena:
     """Parent-side owner of shared-memory segments.
 
     Tracks every live segment by name so cleanup is exact: segments are
-    unlinked in :meth:`release` (per batch), :meth:`release_all` (drain
+    unlinked in :meth:`release` (per task), :meth:`release_all` (drain
     / shutdown), or — backstop — by a :mod:`weakref` finalizer when the
     arena is garbage-collected or the interpreter exits.
 

@@ -5,8 +5,9 @@ edge node) answering pose-recovery requests continuously, under load,
 while workers crash and hang.  This package is that service:
 
 * :mod:`repro.service.core` — :class:`PoseService`: bounded admission
-  (typed :class:`ServiceOverloaded` rejection), micro-batching over the
-  warm :class:`~repro.runtime.pool.WorkerPool`, per-request deadlines,
+  (typed :class:`ServiceOverloaded` rejection), per-request dispatch
+  under one in-flight bound over the warm
+  :class:`~repro.runtime.pool.WorkerPool`, per-request deadlines,
   jittered-backoff retry on worker faults, and a supervisor that
   heartbeats and restarts workers.  The robustness contract: an
   admitted request *always* gets a response.

@@ -55,7 +55,7 @@ class ServiceConfig:
     The pipeline half mirrors the sweep engine's knobs (so a service
     answer for dataset pair ``i`` is *byte-identical* to the sweep's
     outcome for pair ``i``); the robustness half sizes the admission
-    queue, micro-batching, deadlines and the supervision loop.
+    queue, the in-flight bound, deadlines and the supervision loop.
 
     Attributes:
         dataset_config: the deterministic dataset indexed requests
@@ -70,20 +70,19 @@ class ServiceConfig:
         workers: pool size (``None``/``0`` = host CPU count).
         queue_limit: bounded admission queue; the ``queue_limit + 1``-th
             waiting request is refused with :class:`ServiceOverloaded`.
-        batch_size: max requests per worker dispatch (micro-batching
-            amortizes the pool round-trip over warm worker state); a
-            queue shorter than the idle workers can take is spread
-            over them in smaller batches instead.
-        batch_window: seconds the dispatcher lingers for a batch to
-            fill once work is queued; 0 dispatches immediately.
+        batch_size: admitted requests in flight per worker: a request
+            leaves the admission queue while fewer than ``workers ×
+            batch_size`` are in flight, so a busy pool's backlog stays
+            in the queue, where ``queue_limit`` sheds it (the name
+            predates per-request dispatch).
         batch_timeout: per-attempt wall bound on one pool task (an
-            indexed batch's chunk, an extraction or a match); exceeding
-            it is treated as a hung worker (restart + retry).
+            indexed request's chunk, an extraction or a match);
+            exceeding it is treated as a hung worker (restart + retry).
         default_deadline: seconds granted to requests that declare no
             deadline of their own; ``None`` = no implicit deadline.
         heartbeat_interval: supervisor probe period (liveness check +
             gauge refresh).
-        retry: backoff schedule for batches that crash or hang
+        retry: backoff schedule for pool tasks that crash or hang
             (:data:`~repro.runtime.retry.SERVICE_DEFAULT`: three
             attempts, jittered exponential backoff).
         fault: deterministic fault injection forwarded to workers on
@@ -116,7 +115,6 @@ class ServiceConfig:
     workers: int | None = 2
     queue_limit: int = 32
     batch_size: int = 4
-    batch_window: float = 0.002
     batch_timeout: float = 30.0
     default_deadline: float | None = None
     heartbeat_interval: float = 0.25
@@ -131,8 +129,6 @@ class ServiceConfig:
             raise ValueError("queue_limit must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.batch_window < 0:
-            raise ValueError("batch_window must be >= 0")
         if self.batch_timeout <= 0:
             raise ValueError("batch_timeout must be > 0")
         if self.default_deadline is not None and self.default_deadline <= 0:

@@ -1,4 +1,4 @@
-"""The always-on pose service: admission, batching, supervision.
+"""The always-on pose service: admission, dispatch, supervision.
 
 :class:`PoseService` is an asyncio front-end over the shared
 :class:`~repro.runtime.pool.WorkerPool`.  Requests flow through four
@@ -11,21 +11,17 @@ stages, each with an explicit failure story:
    ways a request can fail to get a future.  Submitting ``B`` requests
    against a queue of depth ``Q`` in one event-loop tick yields exactly
    ``B - Q`` typed rejections, deterministically.
-2. **Batching** is work-conserving: the dispatcher drains the queue
-   into micro-batches of ``ceil(queued / idle workers)`` requests,
-   capped at ``batch_size`` (after a short ``batch_window`` linger), so
-   two requests reaching an idle two-worker pool run side by side
-   instead of back to back on one worker.  Under load — more queued
-   than the idle workers can take — batches still fill to
-   ``batch_size``.  At most one batch per worker is in flight, which
-   keeps a busy pool's backlog in the queue, where ``queue_limit``
-   sheds it.  An indexed batch amortizes its requests into one task; a
-   scan-pair batch only groups them, each running its own tasks.
+2. **Dispatch** is per request and deferred to the event loop: a
+   request leaves the queue while fewer than ``workers × batch_size``
+   admitted requests are in flight, and runs as its own asyncio task.
+   A request counts against that bound until its task ends, so a busy
+   pool's backlog waits in the queue, where ``queue_limit`` sheds it.
+   The bound does not pick workers; stage 3 does.
 3. **Execution** runs pool tasks, each on one idle worker.  An indexed
-   batch is one engine chunk task.  A scan-pair request is scan-keyed:
-   one extraction task per distinct scan it carries (the ego cloud, and
-   the partner's cloud or BV image), then one match task running
-   ``BBAlign.recover`` on the features.  Extractions resolve through
+   request is one engine chunk task of one pair.  A scan-pair request
+   is scan-keyed: one extraction task per distinct scan it carries (the
+   ego cloud, and the partner's cloud or BV image), then one match task
+   running ``BBAlign.recover`` on the features.  Extractions resolve through
    the service's one feature cache (:class:`~repro.service.scans.\
 ScanTable`), so a scan several requests share — every partner of a V2V
    frame is matched against the same ego scan — is extracted once, and
@@ -42,16 +38,15 @@ ScanTable`), so a scan several requests share — every partner of a V2V
    flagged ``"exhausted"`` response — the service-level rung of the
    paper's degradation ladder: *a pose answer you cannot trust, flagged
    as such, instead of an exception*.
-4. **Deadlines** are per-request timers, not batch properties: when a
-   request's deadline passes — queued or in flight — it resolves
-   immediately with a ``"deadline"`` response; extractions it started
-   still finish (other requests may share them) and its match is
-   skipped.
+4. **Deadlines** are per-request timers: when a request's deadline
+   passes — queued or in flight — it resolves immediately with a
+   ``"deadline"`` response; extractions it started still finish (other
+   requests may share them) and its match is skipped.
 
 A supervisor task heartbeats the pool (dead-worker probe + gauge
-refresh) so workers that die *between* batches are also restarted.
+refresh) so workers that die *between* tasks are also restarted.
 Restarts are generation-guarded in :class:`WorkerPool`: concurrent
-failure paths (batch crash, batch hang, supervisor probe) collapse to
+failure paths (task crash, task hang, supervisor probe) collapse to
 one restart per actual fault, which is what makes the chaos soak's
 ``restarts == injected faults`` check deterministic.
 
@@ -74,6 +69,7 @@ import itertools
 import os
 import pickle
 import time
+import warnings
 from collections import deque
 from dataclasses import dataclass
 from typing import AsyncIterator, Callable, Iterator
@@ -229,20 +225,17 @@ class PoseService:
                                 free=self._release_block)
         #: Parent-owned shared-memory arena for the zero-copy scan data
         #: plane; ``None`` until :meth:`start` (or when unavailable —
-        #: the pickle path then carries scan batches transparently).
+        #: the pickle path then carries scan tasks transparently).
         self.arena: ShmArena | None = None
         self._collector: TraceCollector | None = None
         self._queue: deque[_Pending] = deque()
-        self._batches: set[asyncio.Task] = set()
-        self._dispatcher: asyncio.Task | None = None
+        #: One task per dispatched request, until the task ends.
+        self._running: set[asyncio.Task] = set()
         self._supervisor: asyncio.Task | None = None
-        self._wake: asyncio.Event | None = None
-        self._slots: asyncio.Semaphore | None = None
         self._stopped: asyncio.Event | None = None
         self._started = False
         self._closed = False
         self._stopping = False
-        self._batch_seq = 0
         self._task_seq = 0
         self._admitted = 0
         # Seeded like the engine's retry stream (different tag), so
@@ -253,7 +246,7 @@ class PoseService:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Warm the pool and start dispatcher + supervisor.
+        """Warm the pool and start the supervisor.
 
         Raises:
             PoolUnavailableError: the worker pool refused to start; the
@@ -275,11 +268,7 @@ class PoseService:
         # Tracing: requests admitted from here on stitch into whatever
         # trace session is active around the service's lifecycle.
         self._collector = active_collector()
-        self._wake = asyncio.Event()
         self._stopped = asyncio.Event()
-        self._slots = asyncio.Semaphore(self.pool.workers)
-        self._dispatcher = asyncio.create_task(self._dispatch_loop(),
-                                               name="pose-service-dispatch")
         self._supervisor = asyncio.create_task(self._supervise_loop(),
                                                name="pose-service-supervise")
         self._started = True
@@ -291,7 +280,7 @@ class PoseService:
         ``repro serve``) queued and in-flight requests run to their
         real responses before the pool closes.  With ``drain=False``
         queued requests resolve immediately with typed ``"shed"``
-        responses; in-flight batches still finish — an admitted request
+        responses; in-flight requests still finish — an admitted request
         always gets a response either way.
         """
         if self._stopping or not self._started:
@@ -309,17 +298,13 @@ class PoseService:
                     pending.request.request_id, "shed",
                     "service-shutdown"))
             self._gauge_queue()
-        while self._queue or self._batches:
-            if self._wake is not None:
-                self._wake.set()
+        while self._queue or self._running:
             await asyncio.sleep(0.005)
-        for task in (self._dispatcher, self._supervisor):
-            if task is not None:
-                task.cancel()
-                try:
-                    await task
-                except asyncio.CancelledError:
-                    pass
+        self._supervisor.cancel()
+        try:
+            await self._supervisor
+        except asyncio.CancelledError:
+            pass
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(None, functools.partial(
             self.pool.shutdown, wait=True, cancel_futures=True,
@@ -388,7 +373,9 @@ class PoseService:
         self._queue.append(pending)
         self.registry.counter("service/admitted").inc()
         self._gauge_queue()
-        self._wake.set()
+        # Deferred: a burst submitted in one tick fills the queue before
+        # any of it leaves.
+        loop.call_soon(self._pump)
         return pending.future
 
     async def submit(self, request: ServiceRequest) -> ServiceResponse:
@@ -439,8 +426,8 @@ class PoseService:
         if self._collector is not None and pending.span_id is not None:
             # The request span is synthesized at resolution (spans are
             # emitted on close): admission → response, parented on the
-            # session root, with batch spans nesting underneath via the
-            # span_id handed to _run_batch.
+            # session root, with the request's service/batch span
+            # nesting underneath via the span_id handed to _run.
             self._collector.emit({
                 "type": "span", "name": "service/request",
                 "span_id": pending.span_id,
@@ -466,109 +453,64 @@ class PoseService:
     def _gauge_queue(self) -> None:
         self.registry.gauge("service/queue_depth").set(len(self._queue))
 
-    def _fair_share(self, batch_size: int) -> int:
-        """The next batch's size: the queue spread over the idle
-        workers, ``ceil(queued / idle)``, capped at ``batch_size``.
-
-        Called with a dispatch slot held, so every in-flight batch is in
-        ``self._batches`` and the worker about to take this batch counts
-        as idle.
-        """
-        idle = self.pool.workers - len(self._batches)
-        return min(batch_size, -(-len(self._queue) // idle))
-
-    def _next_batch(self, batch_size: int) -> list[_Pending]:
-        """Pop the next micro-batch: up to ``batch_size`` requests of
-        one kind (indexed batches ride the engine's chunk runner,
-        scan-pair batches the message path — they don't mix)."""
-        batch: list[_Pending] = []
-        kind: str | None = None
-        while self._queue and len(batch) < batch_size:
+    def _pump(self) -> None:
+        """Start queued requests while fewer than ``workers ×
+        batch_size`` are in flight, each as its own task."""
+        limit = self.pool.workers * self.config.batch_size
+        while self._queue and len(self._running) < limit:
             pending = self._queue.popleft()
             if pending.future.done():  # deadline fired while queued
                 continue
-            if kind is None:
-                kind = pending.request.kind
-            elif pending.request.kind != kind:
-                self._queue.appendleft(pending)
-                break
-            batch.append(pending)
+            task = asyncio.create_task(self._run(pending))
+            self._running.add(task)
+            task.add_done_callback(self._finished)
         self._gauge_queue()
-        return batch
+        self.registry.gauge("service/in_flight").set(len(self._running))
 
-    async def _dispatch_loop(self) -> None:
-        while True:
-            await self._wake.wait()
-            self._wake.clear()
-            batch_size = self.config.batch_size
-            batch_window = self.config.batch_window
-            if (self._queue and not self._closed
-                    and len(self._queue) < batch_size
-                    and batch_window > 0):
-                await asyncio.sleep(batch_window)
-            while self._queue:
-                await self._slots.acquire()
-                batch = self._next_batch(self._fair_share(batch_size))
-                if not batch:
-                    self._slots.release()
-                    continue
-                seq = self._batch_seq
-                self._batch_seq += 1
-                task = asyncio.create_task(self._run_batch(seq, batch))
-                self._batches.add(task)
-                task.add_done_callback(self._batch_done)
-
-    def _batch_done(self, task: asyncio.Task) -> None:
-        self._batches.discard(task)
-        self._slots.release()
-        if not task.cancelled() and task.exception() is not None:
-            # _run_batch resolves its requests in a finally; an escape
-            # here is a bug, but it must not kill the dispatcher.
-            self.registry.counter("service/internal_errors").inc()
+    def _finished(self, task: asyncio.Task) -> None:
+        # A request holds its place until its task ends, not until its
+        # future resolves: a deadline does not stop its extractions.
+        self._running.discard(task)
+        self._pump()
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    async def _run_batch(self, seq: int, batch: list[_Pending]) -> None:
-        gauge = self.registry.gauge("service/in_flight")
-        gauge.inc(len(batch))
-        self.registry.counter("service/batches").inc()
-        bspan: SpanHandle | None = None
+    async def _run(self, pending: _Pending) -> None:
+        """One dispatched request, traced as one ``service/batch`` span
+        under its ``service/request`` span."""
+        request = pending.request
+        if pending.future.done():  # deadline fired before the task ran
+            return
+        if self.config.account_payload_bytes:
+            self.registry.counter("service/payload_requests").inc()
+        span: SpanHandle | None = None
+        if self._collector is not None:
+            # Built by hand (not the ambient span() stack): requests run
+            # as interleaved asyncio tasks, and each one's span must
+            # parent on its own request span, not on whatever span
+            # another task happens to have open.
+            span = SpanHandle(
+                "service/batch", self._collector.next_span_id(),
+                pending.span_id, {"requests": 1, "kind": request.kind})
+        trace_parent = span.span_id if span is not None else None
         try:
-            alive = [p for p in batch if not p.future.done()]
-            if not alive:
-                return
-            if self._collector is not None:
-                # Built by hand (not the ambient span() stack): batches
-                # run as interleaved asyncio tasks, and the tree wanted
-                # here — request → batch → worker stages — parents the
-                # batch on its first request's span, not on whatever
-                # span another task happens to have open.
-                bspan = SpanHandle(
-                    "service/batch", self._collector.next_span_id(),
-                    alive[0].span_id,
-                    {"seq": seq, "requests": len(alive),
-                     "kind": alive[0].request.kind})
-            trace_parent = bspan.span_id if bspan is not None else None
-            if alive[0].request.index is not None:
-                await self._run_indexed(alive, trace_parent)
+            if request.index is not None:
+                await self._run_indexed(pending, trace_parent)
             else:
-                outcomes = await asyncio.gather(
-                    *[self._run_scan_pair(pending, trace_parent)
-                      for pending in alive], return_exceptions=True)
-                for outcome in outcomes:
-                    if isinstance(outcome, BaseException):
-                        self.registry.counter(
-                            "service/internal_errors").inc()
+                await self._run_scan_pair(pending, trace_parent)
+        except Exception as error:
+            # Both paths resolve their request; an escape is a bug.
+            self.registry.counter("service/internal_errors").inc()
+            warnings.warn(f"pose service request {request.request_id}: "
+                          f"internal error {error!r}", RuntimeWarning,
+                          stacklevel=1)
         finally:
-            if bspan is not None and self._collector is not None:
-                self._collector.emit(bspan.close_event())
-            gauge.dec(len(batch))
-            for pending in batch:  # safety net: never leave one hanging
-                if not pending.future.done():
-                    self._resolve(pending, _identity_response(
-                        pending.request.request_id, "exhausted",
-                        "internal-error"))
+            if span is not None:
+                self._collector.emit(span.close_event())
+            if not pending.future.done():  # never leave one hanging
+                self._resolve(pending, _identity_response(
+                    request.request_id, "exhausted", "internal-error"))
 
     def _fail(self, pending: _Pending, template: ServiceResponse) -> None:
         """Resolve ``pending`` with a failure ``template`` (an exhausted
@@ -583,23 +525,19 @@ class PoseService:
         self._resolve(pending, dataclasses.replace(
             template, request_id=pending.request.request_id))
 
-    async def _run_indexed(self, alive: list[_Pending],
+    async def _run_indexed(self, pending: _Pending,
                            trace_parent: str | None) -> None:
-        """An indexed batch: one engine chunk task on one worker."""
-        indices = tuple(p.request.index for p in alive)
-        self._count_payload_requests(len(alive))
+        """An indexed request: one engine chunk task of one pair."""
         outcomes = await self._call(
-            alive[0].order, worker.run_chunk,
+            pending.order, worker.run_chunk,
             lambda attempt: worker.build_chunk_task(
-                indices, self.config, attempt=attempt,
+                pending.request.index, self.config, attempt=attempt,
                 trace_parent=trace_parent))
         if outcomes is None:
-            for pending in alive:
-                self._fail(pending, _EXHAUSTED)
-            return
-        for pending, outcome in zip(alive, outcomes):
+            self._fail(pending, _EXHAUSTED)
+        else:
             self._resolve(pending, worker.response_for(
-                outcome, pending.request.request_id))
+                outcomes[0], pending.request.request_id))
 
     async def _run_scan_pair(self, pending: _Pending,
                              trace_parent: str | None) -> None:
@@ -613,7 +551,6 @@ class PoseService:
         """
         request = pending.request
         ego, other = request.ego, request.other
-        self._count_payload_requests(1)
         scans: list[Scan] = []
         try:
             sides: list = [ego.cloud, other]
@@ -709,10 +646,6 @@ class PoseService:
     def _release_block(self, block: ShmBlockRef) -> None:
         if self.arena is not None:
             self.arena.release(block)
-
-    def _count_payload_requests(self, count: int) -> None:
-        if self.config.account_payload_bytes:
-            self.registry.counter("service/payload_requests").inc(count)
 
     @contextlib.contextmanager
     def _placed(self, share, payload) -> Iterator[object | None]:
@@ -827,14 +760,14 @@ class PoseService:
             await asyncio.sleep(self.config.heartbeat_interval)
             self.registry.counter("service/heartbeats").inc()
             self._gauge_queue()
-            # Snapshot the generation *before* probing: a batch-failure
+            # Snapshot the generation *before* probing: a task-failure
             # restart landing between the probe and the snapshot would
             # otherwise hand this path the fresh pool's generation, and
             # it would restart that pool a second time.
             generation = self.pool.generation
             if self.pool.started and self.pool.dead_workers():
-                # A worker died between batches (or its batch has not
-                # noticed yet).  Generation-guarded: if a batch failure
+                # A worker died between tasks (or its task has not
+                # noticed yet).  Generation-guarded: if a task failure
                 # restarts first, this probe is a no-op.
                 if await loop.run_in_executor(None, functools.partial(
                         self.pool.restart, generation,

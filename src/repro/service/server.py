@@ -5,7 +5,7 @@ of length-prefixed frames (``<u32 length> <envelope bytes>``), where
 the envelope is a CRC32-framed :mod:`repro.comms.envelope` message.
 Responses complete out of order — the ``request_id`` the client chose
 is the correlation key — which is what lets one connection pipeline
-requests into the service's micro-batches.
+requests into the service, each dispatched on its own.
 
 Server-side robustness mirrors the service's contract: a frame that is
 not a well-formed request is *counted and skipped* (the framing layer
@@ -20,7 +20,7 @@ messages into a client-owned shared-memory segment and sends only a
 :class:`~repro.comms.envelope.ShmPairRef` descriptor; the server
 resolves the descriptor (attach → copy → close, never unlink) into an
 ordinary scan-pair request *before* admission, so everything past the
-transport — validation, batching, the worker data plane — is identical
+transport — validation, dispatch, the worker data plane — is identical
 for both forms and so are the responses.  A descriptor that does not
 resolve (unknown name, short segment, corrupt payload) gets a typed
 ``"shed"`` response, keeping the answered-or-refused contract.

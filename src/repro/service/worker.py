@@ -2,11 +2,11 @@
 
 Three task shapes run on the service's pool:
 
-* **indexed** batches are the engine's one chunk task over the sweep's
+* **indexed** requests are the engine's one chunk task over the sweep's
   own items: the service builds a :class:`repro.runtime.engine.\
   _ChunkTask` mapping :func:`repro.experiments.common.sweep_pair` over
-  ``(SweepSpec, index)`` for the requested pair indices and submits the
-  engine's chunk runner.  Same function, same seeds, same per-pair
+  the one ``(SweepSpec, index)`` item of the requested pair and submits
+  the engine's chunk runner.  Same function, same seeds, same per-pair
   error capture as :func:`~repro.experiments.common.run_sweep_parallel`
   — which is what makes a service answer for pair ``i`` byte-identical
   to the sweep's outcome for pair ``i`` (the clean-path parity
@@ -62,9 +62,10 @@ __all__ = ["ExtractTask", "ExtractionFailed", "MatchTask",
            "run_chunk", "run_extract", "run_match"]
 
 
-def build_chunk_task(indices: tuple[int, ...], config: ServiceConfig,
+def build_chunk_task(index: int, config: ServiceConfig,
                      attempt: int = 0, trace_parent: str | None = None):
-    """The engine chunk task evaluating ``indices`` for this service."""
+    """The engine chunk task evaluating pair ``index`` for this
+    service."""
     from repro.experiments.common import SweepSpec, sweep_pair
     from repro.runtime.engine import _ChunkTask
     spec = SweepSpec(
@@ -72,8 +73,8 @@ def build_chunk_task(indices: tuple[int, ...], config: ServiceConfig,
         detector_profile=config.detector_profile,
         include_vips=config.include_vips, vips_config=config.vips_config,
         seed=config.seed, fault=config.fault)
-    return _ChunkTask(indices=indices, fn=sweep_pair,
-                      items=tuple((spec, index) for index in indices),
+    return _ChunkTask(indices=(index,), fn=sweep_pair,
+                      items=((spec, index),),
                       trace_parent=trace_parent, attempt=attempt)
 
 

@@ -455,8 +455,7 @@ class TestForkAndWorkers:
                                       cloud=other_cloud)
         config = ServiceConfig(
             dataset_config=DatasetConfig(num_pairs=1, seed=DATA_SEED),
-            workers=1, batch_size=1, batch_window=0.001,
-            heartbeat_interval=0.05)
+            workers=1, batch_size=1, heartbeat_interval=0.05)
         request_id = 7
         expected = BBAlign().recover(
             ego, other_message, ego_message.boxes,

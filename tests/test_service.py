@@ -8,9 +8,9 @@ Fast, deterministic versions of the chaos-soak contract
   byte-identical to the sweep engine's outcome for pair ``i``;
 * an admitted request always gets a response: through worker kills,
   hangs, per-pair raises, deadlines, and both shutdown modes;
-* dispatch is work-conserving: a short queue spreads over idle
-  workers, a burst still fills whole batches, and racing restarts of
-  one pool generation collapse to one;
+* dispatch is per request: a short queue spreads over idle workers, a
+  burst keeps ``workers × batch_size`` requests in flight and the rest
+  queued, and racing restarts of one pool generation collapse to one;
 * the TCP transport survives malformed frames and maps admission
   rejections onto typed wire responses.
 
@@ -53,7 +53,7 @@ DATASET = DatasetConfig(num_pairs=PAIRS, seed=2024)
 
 def service_config(**overrides) -> ServiceConfig:
     base = dict(dataset_config=DATASET, workers=2, batch_size=4,
-                batch_window=0.001, heartbeat_interval=0.05)
+                heartbeat_interval=0.05)
     base.update(overrides)
     return ServiceConfig(**base)
 
@@ -189,8 +189,8 @@ def scan_request(index: int, request_id: int) -> ServiceRequest:
 class TestDispatch:
     def test_idle_workers_split_a_tick(self):
         """Two scan pairs arriving together at an idle two-worker pool
-        run side by side, one batch each, and answer byte for byte what
-        one worker answers running them back to back."""
+        run side by side and answer byte for byte what one worker
+        answers running them back to back."""
         requests = [scan_request(0, 11), scan_request(1, 12)]
 
         async def leg(workers: int):
@@ -200,13 +200,10 @@ class TestDispatch:
                 stages = {name: svc.registry.histogram(f"stage/{name}").count
                           for name in ("scan_pair", "bv_extract",
                                        "stage1_match", "stage2_align")}
-                return [r.encode() for r in responses], counters(svc), \
-                    stages
+                return [r.encode() for r in responses], stages
 
-        spread, spread_stats, spread_stages = run(leg(2))
-        serial, serial_stats, serial_stages = run(leg(1))
-        assert spread_stats["batches"] == 2
-        assert serial_stats["batches"] == 1
+        spread, spread_stages = run(leg(2))
+        serial, serial_stages = run(leg(1))
         assert spread == serial
         # The workers' stage timings reach the service registry: one
         # scan_pair stage per pool task, two extractions and one match
@@ -216,22 +213,27 @@ class TestDispatch:
         assert spread_stages["stage1_match"] == len(requests)
         assert spread_stages == serial_stages
 
-    def test_burst_still_fills_batches(self):
-        """More queued than the idle workers can take: every batch fills
-        to ``batch_size``, as before work-conserving dispatch."""
+    def test_burst_fills_the_in_flight_bound(self):
+        """A one-tick burst twice the in-flight bound: ``workers ×
+        batch_size`` requests run at once, the rest wait in the
+        admission queue, and every request answers."""
         config = service_config()
-        burst = 2 * config.workers * config.batch_size
+        bound = config.workers * config.batch_size
+        burst = 2 * bound
 
         async def scenario():
             async with PoseService(config) as svc:
                 responses = await asyncio.gather(*[
                     svc.submit_nowait(indexed(i % PAIRS, request_id=i + 1))
                     for i in range(burst)])
-                return responses, counters(svc)
+                gauges = {name: svc.registry.gauge(f"service/{name}")
+                          for name in ("in_flight", "queue_depth")}
+                return responses, gauges
 
-        responses, stats = run(scenario())
+        responses, gauges = run(scenario())
         assert [r.status for r in responses] == ["ok"] * burst
-        assert stats["batches"] == 4
+        assert gauges["in_flight"].high_water == bound
+        assert gauges["queue_depth"].high_water == burst
 
 
 class TestDeadline:
@@ -361,8 +363,7 @@ class TestShutdown:
 
     def test_stop_without_drain_sheds_queued(self):
         async def scenario():
-            config = service_config(batch_size=1, workers=1,
-                                    batch_window=0.0)
+            config = service_config(batch_size=1, workers=1)
             svc = PoseService(config)
             await svc.start()
             futures = [svc.submit_nowait(indexed(i, request_id=i + 1))
