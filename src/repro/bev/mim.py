@@ -62,13 +62,11 @@ class MIMResult:
         max_amplitude: (H, H) amplitude of the winning orientation; used to
             weight histograms and to mask meaningless (near-zero energy)
             pixels.
-        total_amplitude: (H, H) amplitude summed over all orientations.
         num_orientations: ``N_o`` of the generating bank.
     """
 
     mim: np.ndarray
     max_amplitude: np.ndarray
-    total_amplitude: np.ndarray
     num_orientations: int
 
     def valid_mask(self, relative_threshold: float = 0.05) -> np.ndarray:
@@ -105,8 +103,7 @@ def compute_mim(bv: BVImage | np.ndarray,
     # stride (~5 ms at 320 px vs ~1 ms for the sweep), and the sweep
     # yields the winning-amplitude map for free.  The strict ``>`` keeps
     # np.argmax's first-occurrence tie-breaking, so the winners are
-    # identical.  The stored maps are float64 for downstream consumers,
-    # and the f64-accumulated total keeps max <= total exact.
+    # identical.  The stored map is float64 for downstream consumers.
     best = amplitude[0].copy()
     mim = np.zeros(best.shape, dtype=np.int32)
     mask = np.empty(best.shape, dtype=bool)
@@ -115,5 +112,4 @@ def compute_mim(bv: BVImage | np.ndarray,
         np.copyto(mim, np.int32(o), where=mask)
         np.maximum(best, amplitude[o], out=best)
     return MIMResult(mim=mim, max_amplitude=best.astype(np.float64),
-                     total_amplitude=amplitude.sum(axis=0, dtype=np.float64),
                      num_orientations=config.num_orientations)

@@ -68,7 +68,6 @@ class BVFeatures:
         flipped_mim = MIMResult(
             mim=self.mim.mim[::-1, ::-1],
             max_amplitude=self.mim.max_amplitude[::-1, ::-1],
-            total_amplitude=self.mim.total_amplitude[::-1, ::-1],
             num_orientations=self.mim.num_orientations,
         )
         flipped_xy = (size - 1) - self.keypoints.xy

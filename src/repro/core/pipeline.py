@@ -586,7 +586,7 @@ class BBAlign:
         zeros = np.zeros((size, size))
         placeholder_bv = BVImage(zeros, kp.cell_size, kp.lidar_range)
         placeholder_mim = MIMResult(
-            mim=zeros, max_amplitude=zeros, total_amplitude=zeros,
+            mim=zeros, max_amplitude=zeros,
             num_orientations=kp.num_orientations)
         xy = kp.xy.astype(float)
         other_features = BVFeatures(

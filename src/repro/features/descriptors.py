@@ -17,14 +17,31 @@ same angle (an orientation index is itself a direction).  MIM orientations
 live on ``[0, pi)`` in steps of ``pi / N_o``, so rotation by a dominant-bin
 angle is an exact circular shift of the value space.
 
-The extractor is loop-free over keypoints: patches for a whole block of
-keypoints are gathered with one fancy index, dominant-orientation voting
-and the final ``l*l*N_o`` histograms are each a single offset-flattened
-``np.bincount`` (each keypoint owns a disjoint bin range, so one call
-accumulates every histogram at once, in the same per-bin order as the
-per-keypoint loop — sums are bit-identical), and normalize/clip/drop run
-vectorized over rows.  The pre-vectorization per-keypoint loop is the
-test twin in ``tests/_reference/descriptors.py``.
+The extractor is loop-free over keypoints and makes few passes over
+memory per block of keypoints:
+
+- Dominant-orientation votes read only the *distinct* pixels of the
+  identity grid, each weighted by how often the grid reads it (see
+  :meth:`BvftDescriptorExtractor._rotation_grid` for why there are only
+  625 of them at ``J = 48``), in one offset-flattened ``np.bincount`` for
+  all keypoints.  A weight times its read count may differ from repeated
+  adds in the last bit, which can move a dominant bin only when two
+  orientations' votes agree to within that bit.
+- Each keypoint's patch is gathered once, through its dominant bin's
+  rotation grid, and every pixel is binned by its *unshifted* MIM value.
+  Rotating content by ``-dom`` shifts orientation values by ``-dom``, and
+  that shift is applied afterwards as a relabel of each cell's ``N_o``
+  bins: every bin receives the same weights in the same order as a
+  shift-then-bin pass would give it, so the sums are bit-identical.
+- One offset-flattened ``np.bincount`` per block accumulates every
+  histogram of the block (each keypoint owns a disjoint bin range), and
+  normalize/clip/drop run once over all rows.
+- Index tensors, grids and bins are ``np.intp``: ``take`` and
+  ``bincount`` convert narrower indices to ``intp`` on every call, which
+  measures slower than reading the wider ones.
+
+The pre-vectorization per-keypoint loop is the test twin in
+``tests/_reference/descriptors.py``.
 """
 
 from __future__ import annotations
@@ -37,8 +54,6 @@ from repro.bev.mim import MIMResult
 from repro.features.fast import Keypoints
 
 __all__ = ["BvftConfig", "DescriptorSet", "BvftDescriptorExtractor"]
-
-_INVALID = -1  # marker for out-of-image / zero-energy pixels in patches
 
 # Keypoints are processed in blocks of this size: large enough to amortize
 # the bincount calls, small enough that the (block, J, J) gather tensors
@@ -116,20 +131,30 @@ class BvftDescriptorExtractor:
 
     The rotation resampling grids are precomputed once per dominant bin
     (there are only ``N_o`` possible rotation angles), so per-block work
-    is two fancy-indexing gathers and two bincounts.
+    is one rotated gather and one bincount.
     """
 
     def __init__(self, config: BvftConfig | None = None) -> None:
         self.config = config or BvftConfig()
         self._rotation_grids: dict[tuple[int, int], np.ndarray] = {}
-        self._linear_grids: dict[tuple[int, int, int], np.ndarray] = {}
+        self._linear_grids: dict[tuple[int, int, int],
+                                 tuple[np.ndarray, np.ndarray,
+                                       np.ndarray]] = {}
 
     # ------------------------------------------------------------------
     def _rotation_grid(self, num_orientations: int, bin_index: int,
                        patch: int) -> np.ndarray:
         """(2, J, J) integer source offsets implementing rotation by the
         bin's angle about the patch center (inverse mapping, nearest
-        neighbor)."""
+        neighbor).
+
+        ``np.rint`` rounds half to even, and the output offsets of an
+        even ``J`` are all half-integers, so the identity grid reads only
+        even offsets: at ``J = 48`` it reads 625 distinct pixels of the
+        48 x 48 patch, 529 of them four times, and the 90-degree grid
+        reads 1,113.  Dominant orientations and bin-0 descriptors
+        therefore see a stride-2 subsample of the patch.
+        """
         key = (num_orientations, bin_index)
         grid = self._rotation_grids.get(key)
         if grid is not None:
@@ -143,167 +168,139 @@ class BvftDescriptorExtractor:
         cos_a, sin_a = np.cos(angle), np.sin(angle)
         src_c = cos_a * oc - sin_a * orr
         src_r = sin_a * oc + cos_a * orr
-        grid = np.stack([np.rint(src_r).astype(np.int64),
-                         np.rint(src_c).astype(np.int64)])
+        grid = np.stack([np.rint(src_r).astype(np.intp),
+                         np.rint(src_c).astype(np.intp)])
         self._rotation_grids[key] = grid
         return grid
 
-    def _linear_grid_stack(self, num_orientations: int, patch: int,
-                           stride: int) -> np.ndarray:
-        """(N_o, J, J) intp stack of *flattened* rotation grids for a
-        padded image of row stride ``stride``: entry ``[b, i, j]`` is the
-        linear offset ``row * stride + col`` of the source pixel, so one
-        ``take`` plus a per-keypoint base offset gathers a whole block."""
+    def _linear_grids_for(self, num_orientations: int, patch: int,
+                          stride: int
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Flattened rotation grids for a padded image of row stride
+        ``stride``.
+
+        Returns ``(stack, vote_offsets, vote_counts)``: the (N_o, J, J)
+        stack whose entry ``[b, i, j]`` is the linear offset
+        ``row * stride + col`` of the source pixel (one ``take`` plus a
+        per-keypoint base offset gathers a whole block), and the distinct
+        offsets of the identity grid with how often it reads each.
+        """
         key = (num_orientations, patch, stride)
-        stack = self._linear_grids.get(key)
-        if stack is not None:
-            return stack
-        grids = [self._rotation_grid(num_orientations, b, patch)
-                 for b in range(num_orientations)]
-        # int32 offsets halve the index-tensor traffic; linear indices are
-        # bounded by the padded image size, so this is safe below 2**31
-        # pixels (a guard in compute() falls back to intp above that).
-        stack = np.stack([g[0] * stride + g[1] for g in grids]).astype(np.int32)
-        self._linear_grids[key] = stack
-        return stack
+        grids = self._linear_grids.get(key)
+        if grids is None:
+            stack = np.stack([
+                g[0] * stride + g[1] for g in
+                (self._rotation_grid(num_orientations, b, patch)
+                 for b in range(num_orientations))])
+            offsets, counts = np.unique(stack[0], return_counts=True)
+            grids = self._linear_grids[key] = (
+                stack, offsets, counts.astype(np.float64))
+        return grids
 
     # ------------------------------------------------------------------
     def compute(self, mim_result: MIMResult,
                 keypoints: Keypoints) -> DescriptorSet:
         """Describe every keypoint far enough from the border.
 
-        Keypoints whose (rotated) patch would leave the image are padded
-        with invalid pixels, which simply contribute no histogram votes;
-        keypoints with an entirely invalid patch are dropped.
+        Keypoints whose (rotated) patch would leave the image read
+        zero-weight padding, which contributes nothing to any histogram;
+        keypoints with an entirely zero-weight patch are dropped.
         """
         cfg = self.config
         n_orient = mim_result.num_orientations
         dim = cfg.descriptor_length(n_orient)
-        if len(keypoints) == 0:
+        n_kp = len(keypoints)
+        if n_kp == 0:
             return DescriptorSet.empty(dim)
 
         patch = cfg.patch_size
         # Pad by the patch diagonal so any rotation stays in bounds.
+        # Padding pixels need no masking at all: their weight is exactly
+        # 0.0, so letting them vote (into bin 0) changes no histogram sum
+        # bit (x + 0.0 == x for the non-negative partial sums here).
         pad = int(np.ceil(patch * np.sqrt(2) / 2)) + 2
-        mim = np.pad(mim_result.mim, pad, mode="constant",
-                     constant_values=_INVALID)
+        mim = np.pad(mim_result.mim.astype(np.intp), pad)
         valid = mim_result.valid_mask()
         if cfg.amplitude_weighting:
             weights_img = mim_result.max_amplitude * valid
         else:
             weights_img = valid.astype(np.float64)
-        weights = np.pad(weights_img, pad, mode="constant",
-                         constant_values=0.0)
-
-        grid_cells = cfg.grid_size
-        cell = patch // grid_cells
-        # Per-patch-pixel cell base bin (row-major over the l x l grid).
-        out_idx = np.arange(patch) // cell
-        cell_index = (out_idx[:, None] * grid_cells + out_idx[None, :])
-        # Histogram bins fit comfortably in int32 (< block * dim); the
-        # narrower dtype halves memory traffic on the (block, J, J)
-        # arithmetic passes and matches the int32 MIM patch values, so no
-        # pass upcasts to int64.
-        cell_bins = (cell_index * n_orient).astype(np.int32)[None]
+        weights = np.pad(weights_img, pad)
 
         # Flattened views + linear indices: one `take` per gather, and mim
-        # and weights share each index tensor.  Invalid (padding) pixels
-        # need no masking at all — their weight is exactly 0.0, so letting
-        # them vote changes no histogram sum bit (x + 0.0 == x for the
-        # non-negative partial sums here); `% n_orient` just keeps their
-        # bins in range.
+        # and weights share each index tensor.
         stride = mim.shape[1]
         mim_flat = mim.ravel()
         weights_flat = weights.ravel()
-        index_dtype = np.int32 if mim.size < 2 ** 31 else np.intp
-        rows_all = np.rint(keypoints.xy[:, 1]).astype(index_dtype) + pad
-        cols_all = np.rint(keypoints.xy[:, 0]).astype(index_dtype) + pad
-        base_all = rows_all * index_dtype(stride) + cols_all
-        lin_grids = self._linear_grid_stack(n_orient, patch, stride)
-        if index_dtype is np.intp:  # pathological image sizes only
-            lin_grids = lin_grids.astype(np.intp)
+        base_all = ((np.rint(keypoints.xy[:, 1]).astype(np.intp) + pad)
+                    * stride
+                    + np.rint(keypoints.xy[:, 0]).astype(np.intp) + pad)
+        lin_grids, vote_offsets, vote_counts = self._linear_grids_for(
+            n_orient, patch, stride)
+        kp_index = np.arange(n_kp)
 
-        n_kp = len(keypoints)
+        if cfg.rotation_invariant:
+            # Dominant orientation from the *unrotated* patches, one
+            # vote per distinct pixel weighted by its read count.  A
+            # keypoint with no votes gets bin 0, whose histogram reads
+            # the same zero-weight pixels, so the norm test drops it.
+            lin0 = vote_offsets + base_all[:, None]
+            flat0 = mim_flat.take(lin0) + (kp_index * n_orient)[:, None]
+            votes = np.bincount(
+                flat0.ravel(),
+                weights=(weights_flat.take(lin0) * vote_counts).ravel(),
+                minlength=n_kp * n_orient).reshape(n_kp, n_orient)
+            dom = np.argmax(votes, axis=1)
+        else:
+            dom = np.zeros(n_kp, dtype=np.intp)
+
+        # Per-patch-pixel cell base bin (row-major over the l x l grid),
+        # plus each block keypoint's own histogram base.
+        grid_cells = cfg.grid_size
+        out_idx = np.arange(patch) // (patch // grid_cells)
+        cell_bins = (out_idx[:, None] * grid_cells + out_idx[None, :]
+                     ) * n_orient
         block = min(n_kp, _KEYPOINT_BLOCK)
-        offsets = np.arange(block, dtype=np.int32)[:, None, None]
-        # Per-keypoint histogram base bins, hoisted out of the block loop
-        # (integer division/modulo have no SIMD path, so every arithmetic
-        # pass over the (block, J, J) tensors is precious).
-        vote_base = offsets * n_orient
-        hist_base = cell_bins + offsets * dim
+        hist_base = cell_bins + (np.arange(block) * dim)[:, None, None]
 
-        desc_blocks: list[np.ndarray] = []
-        kept_blocks: list[np.ndarray] = []
-        dom_blocks: list[np.ndarray] = []
+        # Rotated gather (each keypoint through its dominant bin's grid),
+        # binned by the unshifted MIM value.
+        hist = np.empty((n_kp, dim))
         for start in range(0, n_kp, _KEYPOINT_BLOCK):
             stop = min(n_kp, start + _KEYPOINT_BLOCK)
             nb = stop - start
-            base = base_all[start:stop, None, None]
+            lin = lin_grids.take(dom[start:stop], axis=0)
+            lin += base_all[start:stop, None, None]
+            bins = mim_flat.take(lin)
+            bins += hist_base[:nb]
+            hist[start:stop] = np.bincount(
+                bins.ravel(), weights=weights_flat.take(lin).ravel(),
+                minlength=nb * dim).reshape(nb, dim)
 
-            if cfg.rotation_invariant:
-                # Dominant orientation from the *unrotated* patches.
-                lin0 = lin_grids[0] + base
-                vals0 = mim_flat.take(lin0)
-                w0 = weights_flat.take(lin0)
-                # Valid values already lie in [0, n_orient); maximum() only
-                # lifts the weight-0 padding pixels out of bin -1.
-                flat0 = np.maximum(vals0, 0) + vote_base[:nb]
-                votes = np.bincount(flat0.ravel(), weights=w0.ravel(),
-                                    minlength=nb * n_orient
-                                    ).reshape(nb, n_orient)
-                keep = votes.sum(axis=1) > 0
-                dom = np.argmax(votes, axis=1)
-            else:
-                keep = np.ones(nb, dtype=bool)
-                dom = np.zeros(nb, dtype=np.intp)
+        # Rotating content by -dom shifts orientation values by -dom:
+        # output bin j of each cell is unshifted bin (j + dom) % N_o.
+        if cfg.rotation_invariant:
+            shift = (np.arange(n_orient) + dom[:, None]) % n_orient
+            hist = np.take_along_axis(
+                hist.reshape(n_kp, -1, n_orient), shift[:, None, :],
+                axis=2).reshape(n_kp, dim)
 
-            # Rotated gather: each keypoint picks the grid of its bin.
-            # Bin 0 is the identity rotation, so those rows reuse the
-            # vote-stage gather already in hand (~20% of keypoints on
-            # typical BV images) and only the rest re-gather.
-            if cfg.rotation_invariant:
-                nz = np.nonzero(dom)[0]
-                vals, w = vals0, w0
-                if nz.size:
-                    lin_nz = lin_grids.take(dom[nz], axis=0) + base[nz]
-                    vals[nz] = mim_flat.take(lin_nz)
-                    w[nz] = weights_flat.take(lin_nz)
-            else:
-                lin = lin_grids.take(dom, axis=0) + base
-                vals = mim_flat.take(lin)
-                w = weights_flat.take(lin)
-            # Rotating content by -angle shifts orientation values by -dom:
-            # shifted = (vals - dom) % n_orient, computed branch-free —
-            # y is in [-n_orient, n_orient), so folding adds n_orient
-            # exactly when y < 0 (arithmetic shift gives the sign mask).
-            y = vals - dom.astype(vals.dtype)[:, None, None]
-            sign_shift = 8 * y.dtype.itemsize - 1
-            y += np.right_shift(y, sign_shift) & y.dtype.type(n_orient)
-            flat_bins = hist_base[:nb] + y
-            hist = np.bincount(flat_bins.ravel(), weights=w.ravel(),
-                               minlength=nb * dim).reshape(nb, dim)
-
-            norms = np.linalg.norm(hist, axis=1)
-            keep &= norms > 0
-            hist /= np.where(norms > 0, norms, 1.0)[:, None]
-            if cfg.clip_value > 0:
-                np.minimum(hist, cfg.clip_value, out=hist)
-                norms = np.linalg.norm(hist, axis=1)
-                keep &= norms > 0
-                hist /= np.where(norms > 0, norms, 1.0)[:, None]
-
-            desc_blocks.append(hist[keep])
-            kept_blocks.append(np.arange(start, stop)[keep])
-            dom_blocks.append(dom[keep])
-
-        kept_idx = np.concatenate(kept_blocks)
+        # Drop all-zero rows, normalize, clip, renormalize.  A clipped
+        # unit row keeps its positive entries, so its norm stays > 0.
+        norms = np.linalg.norm(hist, axis=1)
+        keep = norms > 0
+        kept_idx = kp_index[keep]
         if kept_idx.size == 0:
             return DescriptorSet.empty(dim)
+        hist = hist[keep] / norms[keep, None]
+        if cfg.clip_value > 0:
+            np.minimum(hist, cfg.clip_value, out=hist)
+            hist /= np.linalg.norm(hist, axis=1)[:, None]
         return DescriptorSet(
-            descriptors=np.concatenate(desc_blocks),
+            descriptors=hist,
             keypoint_xy=np.asarray(keypoints.xy[kept_idx], dtype=float),
             keypoint_indices=kept_idx.astype(int),
-            dominant_bins=np.concatenate(dom_blocks).astype(int),
+            dominant_bins=dom[keep].astype(int),
         )
 
     # ------------------------------------------------------------------

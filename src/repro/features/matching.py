@@ -98,15 +98,21 @@ def _nn_statistics(a: np.ndarray, b: np.ndarray
         stop = min(n, start + _ROW_BLOCK)
         dist = _distance_matrix(a[start:stop], b)
         rows = np.arange(stop - start)
-        nearest[start:stop] = np.argmin(dist, axis=1)
-        best[start:stop] = dist[rows, nearest[start:stop]]
-        if m >= 2:
-            second[start:stop] = np.partition(dist, 1, axis=1)[:, 1]
+        row_arg = np.argmin(dist, axis=1)
+        nearest[start:stop] = row_arg
+        best[start:stop] = dist[rows, row_arg]
         block_arg = np.argmin(dist, axis=0)
         block_min = dist[block_arg, np.arange(m)]
         better = block_min < reverse_best
         reverse[better] = block_arg[better] + start
         reverse_best[better] = block_min[better]
+        if m >= 2:
+            # Second best = row minimum once the nearest entry is masked:
+            # the same value a partition gives, duplicates included, in
+            # one pass instead of a selection per row.  The reverse
+            # statistics above have already read this block.
+            dist[rows, row_arg] = np.inf
+            second[start:stop] = dist.min(axis=1)
     return nearest, best, second, reverse
 
 

@@ -12,12 +12,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bev.mim import MIMResult
-from repro.features.descriptors import (
-    _INVALID,
-    BvftDescriptorExtractor,
-    DescriptorSet,
-)
+from repro.features.descriptors import BvftDescriptorExtractor, DescriptorSet
 from repro.features.fast import Keypoints
+
+_INVALID = -1  # marker for out-of-image pixels in patches
 
 
 def reference_compute(extractor: BvftDescriptorExtractor,

@@ -8,11 +8,20 @@ Deterministic facts of two fixed inputs, held exactly:
   success parity between the two;
 - one 320 x 320 stage-1 pair (cell 0.48 m, first record of the same
   dataset, RANSAC seed 7): point, keypoint, match and inlier counts,
-  and the ROI window the ground-truth prior crops to.
+  and the ROI window the ground-truth prior crops to;
+- the bits of stage 1: SHA-256 digests of the MIM, winning-amplitude
+  map, keypoints, descriptors and dominant bins of that pair and of one
+  default 192 x 192 scan, and of the pair's match index arrays.  A
+  kernel rework that claims bit-identical outputs must leave these
+  unchanged.  They hold for one numpy/SciPy build on one SIMD level;
+  on another platform, re-record them at a commit known to be good
+  (``stage1_digests`` below computes them).
 
 Every field is seeded, so a change here means behavior changed.  Timing
 lives in ``perfbench``'s per-layer table, not here.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -138,3 +147,104 @@ class TestPaperScaleStage1Pair:
             ego_bv, prior=record.pair.gt_relative.translation)
         assert features.roi is not None
         assert features.roi.size == 192
+
+
+def _digest(array) -> str:
+    """SHA-256 over an array's dtype, shape and bytes."""
+    array = np.ascontiguousarray(array)
+    h = hashlib.sha256(f"{array.dtype.str}{array.shape}".encode())
+    h.update(array.tobytes())
+    return h.hexdigest()
+
+
+def stage1_digests(features) -> dict:
+    """Digests of the MIM, keypoint and descriptor arrays of a
+    :class:`BVFeatures`."""
+    desc = features.descriptors
+    return {
+        "mim": _digest(features.mim.mim),
+        "max_amplitude": _digest(features.mim.max_amplitude),
+        "keypoints": _digest(np.concatenate(
+            [features.keypoints.xy.ravel(), features.keypoints.scores])),
+        "descriptors": _digest(desc.descriptors),
+        "keypoint_indices": _digest(desc.keypoint_indices),
+        "dominant_bins": _digest(desc.dominant_bins),
+    }
+
+
+#: Recorded before the descriptor, Log-Gabor and matching kernels were
+#: reworked for speed; the rework must reproduce every bit.
+PAIR_OTHER_DIGESTS = {
+    "mim":
+        "1837bb2d7a7d5c4dcc7e8a688884b844b4441641f0c1d82646e5b4a9589ceaff",
+    "max_amplitude":
+        "e771a62904220062f113cabf0bda808e1a529ec9dcc3738cc86fa7c5b3c2d7c8",
+    "keypoints":
+        "d752b78a51f5e6c0d805649107c89dcb29125f0eba230d6b8fe96813962dbf64",
+    "descriptors":
+        "afd8e8ef5f708a55d53e1adc77fe9c92fe0fb6732db431e899af329970270b08",
+    "keypoint_indices":
+        "339274f076e140c1e7f78d62883543bc70b9657d4ca6e2509f512ddbe2c3b739",
+    "dominant_bins":
+        "5c9e2a9ec6b1982b615ea6e5c9dd28adadc4d4739c4a59fb403c3e5b1ce38370",
+}
+PAIR_EGO_DIGESTS = {
+    "mim":
+        "3b804a8d8dbc72a3b4ae5b2235f526eec07fae89ba5628b09adaec696e27f1a6",
+    "max_amplitude":
+        "9b70517788dbf07c58af1b078ff8286555951e1b6fff021a06faa08cda631ce4",
+    "keypoints":
+        "5588c9e0dd0a7be7ba09584f88c6983e200c594be78a62b692d4e2870aba1385",
+    "descriptors":
+        "960931b753f0900dfb3856361026344ca46e88884c899453151e114b2f6bd6e3",
+    "keypoint_indices":
+        "12483682b8f6deacf151119ef4706e3063b64b2c530468ed18be06058fb34725",
+    "dominant_bins":
+        "b33794710225eef28cc151dd279620d5c084d7046aae298603223d4f455ec52e",
+}
+PAIR_MATCH_DIGEST = (
+    "de985efa1f90f3f6bcdd548b1d49f1edeaf8665621b655435c628436685cfc6b")
+SCAN_192_DIGESTS = {
+    "mim":
+        "cce7d32d0b715010128eadded30b4033682133795eabba487c6114db57517ea5",
+    "max_amplitude":
+        "29886ac0f4816f28b6a4b3f9b8a16dbb997a4dce0f85a46331770790bc8eb288",
+    "keypoints":
+        "8043ab26c44a1af1e6b7a6c739fd89213d0785f2b4e15b0635b6fa2ac675c112",
+    "descriptors":
+        "dd41ddcaa8b8c4516ae5fb888e1aa5d6a6151fc02eab989bfea00ae749b4ffcd",
+    "keypoint_indices":
+        "616fd21a708b0aecf22fe27c49c2b512e00e04cf8f2e32728c66918e0327cfff",
+    "dominant_bins":
+        "37f7553f9e000bcafe2ab9b761075123f4e048b4547013626a688a7d8372d224",
+}
+
+
+class TestStage1Bits:
+    @pytest.fixture(scope="class")
+    def pair(self):
+        matcher = BVMatcher(BBAlignConfig(
+            bv_image=BVImageConfig(cell_size=0.48)))
+        record = default_dataset(1, DATA_SEED)[0]
+        other = matcher.extract(
+            matcher.make_bv_image(record.pair.other_cloud))
+        ego = matcher.extract(matcher.make_bv_image(record.pair.ego_cloud))
+        result = matcher.match(other, ego, rng=np.random.default_rng(7))
+        return other, ego, result
+
+    def test_pair_features(self, pair):
+        other, ego, _ = pair
+        assert stage1_digests(other) == PAIR_OTHER_DIGESTS
+        assert stage1_digests(ego) == PAIR_EGO_DIGESTS
+
+    def test_pair_match_indices(self, pair):
+        matches = pair[2].matches
+        assert _digest(np.stack([matches.src_indices, matches.dst_indices])
+                       ) == PAIR_MATCH_DIGEST
+
+    def test_default_scan(self):
+        matcher = BVMatcher()
+        record = default_dataset(1, DATA_SEED)[0]
+        bv = matcher.make_bv_image(record.pair.ego_cloud)
+        assert bv.size == 192
+        assert stage1_digests(matcher.extract(bv)) == SCAN_192_DIGESTS

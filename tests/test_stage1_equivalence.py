@@ -12,9 +12,10 @@ tests pin the equivalence contracts down:
   the only thing the MIM consumes — is *identical* on valid
   (non-negligible-energy) pixels.
 - FAST: the LUT detector is bit-identical to the dense reference.
-- BVFT descriptors: identical kept keypoints and dominant bins,
-  descriptor values within 1e-9; ``flipped_set`` equals recomputing on
-  the flipped MIM.
+- BVFT descriptors: identical kept keypoints and dominant bins (also
+  with unweighted votes, where orientation ties are exact), descriptor
+  values within 1e-9; ``flipped_set`` equals recomputing on the flipped
+  MIM.
 - RANSAC: identical result *and* identical generator stream position for
   the same ``rng`` — the stream is shared with stage 2, so consuming it
   differently would change pipeline outputs.
@@ -221,6 +222,14 @@ class TestDescriptorEquivalence:
             BvftDescriptorExtractor(BvftConfig(rotation_invariant=False)),
             mim_result, keypoints)
 
+    def test_unweighted_votes(self, mim_result, keypoints):
+        """0/1 weights make every vote an exact integer, so ties between
+        orientations are real: the distinct-pixel votes (weight times
+        read count) must break them as the per-pixel reference does."""
+        self.assert_equivalent(
+            BvftDescriptorExtractor(BvftConfig(amplitude_weighting=False)),
+            mim_result, keypoints)
+
     def test_zero_keypoints(self, mim_result):
         extractor = BvftDescriptorExtractor()
         out = extractor.compute(mim_result, Keypoints.empty())
@@ -250,7 +259,6 @@ class TestDescriptorEquivalence:
         flipped_mim = MIMResult(
             mim=mim_result.mim[::-1, ::-1],
             max_amplitude=mim_result.max_amplitude[::-1, ::-1],
-            total_amplitude=mim_result.total_amplitude[::-1, ::-1],
             num_orientations=mim_result.num_orientations)
         flipped_kp = Keypoints(xy=(bv_image.size - 1) - keypoints.xy,
                                scores=keypoints.scores)
