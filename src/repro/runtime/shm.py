@@ -1,15 +1,17 @@
 """Zero-copy scan transport over POSIX shared memory.
 
 The service's scan-pair requests carry the sensing itself — point
-clouds, BV images, keypoint payloads — and the PR 8 data path pickled
-all of it through the worker pool's call pipe on every request: two
-copies (serialize + deserialize) of a ~1 MB payload per pose answer.
-This module is the replacement data plane: the dispatcher *places* the
-heavy arrays into a :mod:`multiprocessing.shared_memory` segment once
-per pool task and hands workers a few-hundred-byte descriptor
-(``name``, per-array offset/shape/dtype); the worker maps the segment
-and reconstructs the messages as NumPy views — no serialization of
-array payloads in either direction.
+clouds, BV images, keypoint payloads — and pickling all of it through
+the worker pool's call pipe costs two copies (serialize + deserialize)
+of a ~1 MB payload per pose answer.  This module is the data plane that
+avoids them, with one packing format: any picklable object is pickled
+with protocol 5, its array buffers go out of band into a
+:mod:`multiprocessing.shared_memory` segment, and the worker gets the
+few-hundred-byte pickle stream plus a descriptor (``name``, per-buffer
+offset/shape/dtype).  The worker maps the segment and rebuilds the
+objects with their arrays as read-only NumPy views — no serialization
+of array payloads in either direction, and no worker can write into a
+segment the parent may resubmit on a retry.
 
 Ownership protocol (the crash-cleanup contract, see ``DESIGN.md``):
 
@@ -24,10 +26,6 @@ Ownership protocol (the crash-cleanup contract, see ``DESIGN.md``):
   payload has not changed), so a retried task pays zero re-placement
   cost; the segment is released exactly once, whatever the outcome
   (success, exhausted retry budget, cancellation).
-* **Generation tags** stamp every descriptor with the arena's epoch.
-  :meth:`ShmArena.release_all` bumps the epoch, so a descriptor that
-  survives an arena teardown (a straggler task) can be recognized and
-  refused instead of attaching to a recycled name.
 * **Backstops:** the arena registers a :mod:`weakref` finalizer (and
   the interpreter's ``atexit`` runs finalizers), so even an abandoned
   arena unlinks its live segments on interpreter exit; the service
@@ -44,14 +42,14 @@ segment (:meth:`ShmArena.reserve`), the worker writes its result into
 it (:func:`pack_objects`) and returns only the descriptor, and the
 parent, which still owns the segment, decides when to unlink it.
 
-Everything here is transport-agnostic: :func:`share_messages` /
-:func:`load_messages` know the tier message shapes,
+Everything here is transport-agnostic and knows no message type:
 :func:`share_objects` / :func:`pack_objects` / :func:`load_objects`
-carry any picklable object (extracted features) with its array buffers
-out of band, and the rest is plain "pack these arrays / map them
-back".  When shared memory is unavailable (no ``/dev/shm``, sealed
-sandbox), :func:`shm_available` reports it and callers fall back to
-the pickle path transparently.
+carry any picklable object (a scan's message, extracted features, a
+match's arguments), and the rest is plain "pack these arrays / map
+them back".  Segment names stay unique through the arena's monotonic
+sequence number.  When shared memory is unavailable (no ``/dev/shm``,
+sealed sandbox), :func:`shm_available` reports it and callers fall
+back to the pickle path transparently.
 """
 
 from __future__ import annotations
@@ -70,14 +68,11 @@ __all__ = [
     "ShmBlockRef",
     "ShmSlice",
     "ShmUnavailableError",
-    "SharedMessages",
     "SharedObjects",
     "attach_block",
-    "load_messages",
     "load_objects",
     "pack_objects",
     "read_segment",
-    "share_messages",
     "share_objects",
     "shm_available",
     "shm_free_bytes",
@@ -104,16 +99,10 @@ class ShmSlice:
 
 @dataclass(frozen=True)
 class ShmBlockRef:
-    """A picklable handle to one shared segment full of packed arrays.
-
-    ``generation`` is the owning arena's epoch at placement time — a
-    consumer can detect a descriptor that outlived its arena (see
-    :meth:`ShmArena.owns`).
-    """
+    """A picklable handle to one shared segment full of packed arrays."""
 
     name: str
     size: int
-    generation: int
     slices: tuple[ShmSlice, ...]
 
     @property
@@ -211,19 +200,14 @@ class ShmArena:
     / shutdown), or — backstop — by a :mod:`weakref` finalizer when the
     arena is garbage-collected or the interpreter exits.
 
-    Counters (``created`` / ``released`` / ``bytes_placed``) feed the
-    service's metrics; ``active`` is the live-segment gauge and must be
-    zero after a drained shutdown (the chaos soak asserts it).
+    ``active`` is the live-segment gauge and must be zero after a
+    drained shutdown (the chaos soak asserts it).
     """
 
     def __init__(self, prefix: str = "repro-shm") -> None:
         if not shm_available():
             raise ShmUnavailableError("shared memory is not available")
         self.prefix = prefix
-        self.generation = 0
-        self.created = 0
-        self.released = 0
-        self.bytes_placed = 0
         self._sequence = 0
         self._segments: dict[str, shared_memory.SharedMemory] = {}
         self._finalizer = weakref.finalize(
@@ -235,10 +219,6 @@ class ShmArena:
         """Live (placed, not yet released) segments."""
         return len(self._segments)
 
-    def owns(self, ref: ShmBlockRef) -> bool:
-        """Whether ``ref`` names a live segment of this arena's epoch."""
-        return ref.generation == self.generation and ref.name in self._segments
-
     # ------------------------------------------------------------------
     def place(self, arrays: Sequence[np.ndarray]) -> ShmBlockRef:
         """Copy ``arrays`` into one fresh segment; returns its handle.
@@ -246,15 +226,13 @@ class ShmArena:
         One copy total (write side); the consumer maps views.  Raises
         :class:`ShmUnavailableError` when the segment cannot be created
         (e.g. ``/dev/shm`` filled up mid-run) — callers fall back to
-        pickling that batch.
+        pickling that task.
         """
         contiguous = [np.ascontiguousarray(a) for a in arrays]
         slices, size = _layout(contiguous)
         segment = self._create(size)
         _write(segment, contiguous, slices)
-        self.bytes_placed += size
-        return ShmBlockRef(name=segment.name, size=size,
-                           generation=self.generation, slices=slices)
+        return ShmBlockRef(name=segment.name, size=size, slices=slices)
 
     def reserve(self, size: int) -> ShmBlockRef:
         """A fresh, empty segment of ``size`` bytes for a worker to fill
@@ -264,8 +242,7 @@ class ShmArena:
         bytes the worker writes, so ``size`` can be a generous bound.
         """
         segment = self._create(size)
-        return ShmBlockRef(name=segment.name, size=size,
-                           generation=self.generation, slices=())
+        return ShmBlockRef(name=segment.name, size=size, slices=())
 
     def _create(self, size: int) -> shared_memory.SharedMemory:
         self._sequence += 1
@@ -277,7 +254,6 @@ class ShmArena:
             raise ShmUnavailableError(
                 f"cannot create shared segment: {error}") from error
         self._segments[name] = segment
-        self.created += 1
         return segment
 
     def release(self, ref: ShmBlockRef) -> None:
@@ -291,14 +267,11 @@ class ShmArena:
             segment.unlink()
         except FileNotFoundError:  # pragma: no cover - external unlink
             pass
-        self.released += 1
 
     def release_all(self) -> None:
-        """Unlink every live segment and bump the epoch."""
+        """Unlink every live segment."""
         for name in list(self._segments):
-            self.release(ShmBlockRef(name=name, size=0,
-                                     generation=self.generation, slices=()))
-        self.generation += 1
+            self.release(ShmBlockRef(name=name, size=0, slices=()))
 
     @staticmethod
     def _unlink_all(segments: dict[str, shared_memory.SharedMemory]) -> None:
@@ -351,185 +324,43 @@ def read_segment(name: str, length: int) -> bytes:
 
 def attach_block(ref: ShmBlockRef,
                  ) -> tuple[list[np.ndarray], Callable[[], None]]:
-    """Map a placed block; returns its arrays (views) and a closer.
+    """Map a placed block; returns its arrays (read-only views) and a
+    closer.
 
-    The views alias the mapped segment: call the closer only after
-    dropping every reference to them (a view kept alive past the close
-    would raise ``BufferError``; the closer tolerates that and leaves
-    the mapping to die with the process — the *name* is still the
-    parent's to unlink, so nothing leaks either way).
+    The views are read-only: the parent may resubmit the same segment
+    to another worker on a retry, so no consumer may write into it.
+    They alias the mapped segment: call the closer after dropping every
+    reference to them.  A view that outlives the closer keeps the
+    mapping alive until it dies (the *name* is still the parent's to
+    unlink, so nothing leaks either way).
     """
     segment = _attach(ref.name)
-    arrays = [np.ndarray(s.shape, dtype=np.dtype(s.dtype),
-                         buffer=segment.buf, offset=s.offset)
-              for s in ref.slices]
+    arrays = []
+    for s in ref.slices:
+        array = np.ndarray(s.shape, dtype=np.dtype(s.dtype),
+                           buffer=segment.buf, offset=s.offset)
+        array.flags.writeable = False
+        arrays.append(array)
 
     def close() -> None:
+        # A NumPy view holds the mmap object as its base but no buffer
+        # export, so closing the mmap would unmap pages a live view
+        # still reads.  Drop the handle instead: the pages are unmapped
+        # when the mmap's last reference dies.
+        segment._mmap = None  # type: ignore[attr-defined]
         try:
             segment.close()
-        except BufferError:  # a view outlived the batch: leave the map
+        except BufferError:  # a view holds an export: it keeps the map
             pass
 
     return arrays, close
 
 
 # ----------------------------------------------------------------------
-# Tier-message packing.  A TieredMessage is a skeleton of scalars plus
-# up to a handful of arrays; share_messages() strips the arrays into an
-# arena block and load_messages() reassembles views on the worker side.
-# The comms import is local: repro.runtime stays import-light and free
-# of a package-level runtime <-> comms cycle.
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _CloudSkeleton:
-    points: int
-    timestamps: int | None
-    labels: int | None
-
-
-@dataclass(frozen=True)
-class _BvImageSkeleton:
-    image: int
-    cell_size: float
-    lidar_range: float
-    num_nonfinite: int
-
-
-@dataclass(frozen=True)
-class _KeypointSkeleton:
-    xy: int
-    scores: int
-    descriptors: int
-    image_size: int
-    cell_size: float
-    lidar_range: float
-    grid_size: int
-    num_orientations: int
-
-
-@dataclass(frozen=True)
-class _MessageSkeleton:
-    """One tier message with its arrays replaced by slice indices."""
-
-    tier: str
-    boxes: tuple
-    cloud: _CloudSkeleton | None = None
-    bv_image: _BvImageSkeleton | None = None
-    keypoints: _KeypointSkeleton | None = None
-
-
-@dataclass(frozen=True)
-class SharedMessages:
-    """A batch of tier messages packed into one shared segment.
-
-    Picklable and tiny (the block handle plus per-message skeletons);
-    this is what crosses the pool's call pipe instead of the payloads.
-    """
-
-    block: ShmBlockRef
-    skeletons: tuple[_MessageSkeleton, ...]
-
-    @property
-    def payload_bytes(self) -> int:
-        return self.block.payload_bytes
-
-
-def share_messages(arena: ShmArena, messages: Sequence) -> SharedMessages:
-    """Strip a batch of :class:`~repro.comms.tiers.TieredMessage` into
-    one arena segment plus skeletons.
-
-    Raises :class:`ShmUnavailableError` when the segment cannot be
-    created; the caller falls back to pickling the batch.
-    """
-    arrays: list[np.ndarray] = []
-
-    def add(array: np.ndarray) -> int:
-        arrays.append(array)
-        return len(arrays) - 1
-
-    skeletons: list[_MessageSkeleton] = []
-    for message in messages:
-        cloud = bv = kp = None
-        if message.cloud is not None:
-            c = message.cloud
-            cloud = _CloudSkeleton(
-                points=add(c.points),
-                timestamps=(add(c.timestamps)
-                            if c.timestamps is not None else None),
-                labels=add(c.labels) if c.labels is not None else None)
-        if message.bv_image is not None:
-            b = message.bv_image
-            bv = _BvImageSkeleton(image=add(b.image),
-                                  cell_size=b.cell_size,
-                                  lidar_range=b.lidar_range,
-                                  num_nonfinite=b.num_nonfinite)
-        if message.keypoints is not None:
-            k = message.keypoints
-            kp = _KeypointSkeleton(
-                xy=add(k.xy), scores=add(k.scores),
-                descriptors=add(k.descriptors), image_size=k.image_size,
-                cell_size=k.cell_size, lidar_range=k.lidar_range,
-                grid_size=k.grid_size,
-                num_orientations=k.num_orientations)
-        skeletons.append(_MessageSkeleton(
-            tier=message.tier.value, boxes=tuple(message.boxes),
-            cloud=cloud, bv_image=bv, keypoints=kp))
-    block = arena.place(arrays)
-    return SharedMessages(block=block, skeletons=tuple(skeletons))
-
-
-def load_messages(shared: SharedMessages,
-                  ) -> tuple[list, Callable[[], None]]:
-    """Reassemble the batch's messages as views over the mapped block.
-
-    Cloud points stay zero-copy views (the heavy payload, consumed
-    within the batch); the small BV-image/keypoint arrays are *copied*
-    out of the segment so anything downstream that retains them (the
-    worker's warm feature cache) can outlive the mapping safely.
-
-    Returns ``(messages, close)``; call ``close`` after the batch drops
-    its message references.
-    """
-    from repro.bev.projection import BVImage
-    from repro.comms.tiers import KeypointPayload, Tier, TieredMessage
-    from repro.pointcloud.cloud import PointCloud
-
-    arrays, close = attach_block(shared.block)
-    messages = []
-    for skel in shared.skeletons:
-        cloud = bv = kp = None
-        if skel.cloud is not None:
-            cloud = PointCloud(
-                arrays[skel.cloud.points],
-                timestamps=(arrays[skel.cloud.timestamps]
-                            if skel.cloud.timestamps is not None else None),
-                labels=(arrays[skel.cloud.labels]
-                        if skel.cloud.labels is not None else None))
-        if skel.bv_image is not None:
-            bv = BVImage(arrays[skel.bv_image.image].copy(),
-                         cell_size=skel.bv_image.cell_size,
-                         lidar_range=skel.bv_image.lidar_range,
-                         num_nonfinite=skel.bv_image.num_nonfinite)
-        if skel.keypoints is not None:
-            k = skel.keypoints
-            kp = KeypointPayload(
-                xy=arrays[k.xy].copy(), scores=arrays[k.scores].copy(),
-                descriptors=arrays[k.descriptors].copy(),
-                image_size=k.image_size, cell_size=k.cell_size,
-                lidar_range=k.lidar_range, grid_size=k.grid_size,
-                num_orientations=k.num_orientations)
-        messages.append(TieredMessage(tier=Tier(skel.tier),
-                                      boxes=list(skel.boxes),
-                                      cloud=cloud, bv_image=bv,
-                                      keypoints=kp))
-    return messages, close
-
-
-# ----------------------------------------------------------------------
-# Generic object packing.  Pickle protocol 5 hands every contiguous
-# array buffer to a callback instead of copying it into the stream; the
-# buffers go into one arena block and the stream (a few hundred bytes
-# per object) crosses the pipe.
+# Object packing.  Pickle protocol 5 hands every contiguous array buffer
+# to a callback instead of copying it into the stream; the buffers go
+# into one arena block and the stream (a few hundred bytes per object)
+# crosses the pipe.
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class SharedObjects:
@@ -593,8 +424,8 @@ def pack_objects(ref: ShmBlockRef, objects: object) -> SharedObjects | None:
 
 
 def load_objects(shared: SharedObjects) -> tuple[object, Callable[[], None]]:
-    """Rebuild the objects with their arrays as views over the mapped
-    block.
+    """Rebuild the objects with their arrays as read-only views over
+    the mapped block.
 
     Returns ``(objects, close)``; call ``close`` after dropping every
     reference into the objects (see :func:`attach_block`).

@@ -88,7 +88,6 @@ from repro.runtime.shm import (
     ShmArena,
     ShmBlockRef,
     ShmUnavailableError,
-    share_messages,
     share_objects,
     shm_available,
     shm_free_bytes,
@@ -575,7 +574,7 @@ class PoseService:
             # descriptors; anything else heavy gets a segment here.
             placed = (contextlib.nullcontext() if all(
                 isinstance(v, SharedObjects) for v in sides)
-                else self._placed(share_objects, args))
+                else self._placed(args))
             with placed as shared:
                 response = await self._call(
                     pending.order, worker.run_match,
@@ -610,7 +609,7 @@ class PoseService:
         out = self._reserve()
         payload = None
         try:
-            with self._placed(share_messages, [message]) as shared:
+            with self._placed(message) as shared:
                 payload = await self._call(
                     order, worker.run_extract,
                     lambda attempt: worker.ExtractTask(
@@ -648,9 +647,9 @@ class PoseService:
             self.arena.release(block)
 
     @contextlib.contextmanager
-    def _placed(self, share, payload) -> Iterator[object | None]:
-        """Place one task's arrays into an arena segment for the task's
-        whole retry ladder.
+    def _placed(self, payload) -> Iterator[SharedObjects | None]:
+        """Place ``payload``'s arrays into an arena segment for the
+        task's whole retry ladder.
 
         Yields the descriptor, or ``None`` when the pickle path carries
         the task: no arena, or a placement failure (``/dev/shm``
@@ -664,13 +663,13 @@ class PoseService:
         shared = None
         if self.arena is not None:
             try:
-                shared = share(self.arena, payload)
+                shared = share_objects(self.arena, payload)
             except ShmUnavailableError:
                 self.registry.counter("service/shm/fallbacks").inc()
             else:
                 self.registry.counter("service/shm/segments").inc()
                 self.registry.counter("service/shm/bytes_shared").inc(
-                    shared.block.size)
+                    shared.block.payload_bytes)
         try:
             yield shared
         finally:

@@ -24,8 +24,9 @@ Three task shapes run on the service's pool:
 
 Scan payloads reach the worker through one of two data planes: the
 pickle path (the message or features ride inside the task) or the
-zero-copy path (the task carries a shared-memory descriptor and the
-arrays are mapped out of a parent-owned segment).
+zero-copy path (the task carries a
+:class:`~repro.runtime.shm.SharedObjects` descriptor and the arrays
+are mapped, read-only, out of a parent-owned segment).
 
 Every task returns the engine's chunk shape ``(key, payload,
 telemetry)`` — telemetry is a registry snapshot the parent folds in
@@ -47,10 +48,8 @@ from repro.core.config import BBAlignConfig
 from repro.obs.metrics import MetricsRegistry, counter, use_registry
 from repro.obs.spans import collect_spans
 from repro.runtime.shm import (
-    SharedMessages,
     SharedObjects,
     ShmBlockRef,
-    load_messages,
     load_objects,
     pack_objects,
 )
@@ -149,13 +148,13 @@ class ExtractTask:
 
     ``scan`` is the message carrying the scan — the cloud of a
     full-scan message or the image of a BV-image message — inline
-    (pickle path) or as the one message of a shared segment.  With
-    ``out``, a segment the parent reserved, the features go back
-    through it instead of the pipe.
+    (pickle path) or as a shared segment holding it.  With ``out``, a
+    segment the parent reserved, the features go back through it
+    instead of the pipe.
     """
 
     config: BBAlignConfig | None
-    scan: TieredMessage | SharedMessages
+    scan: TieredMessage | SharedObjects
     out: ShmBlockRef | None = None
     trace_parent: str | None = None
 
@@ -170,11 +169,9 @@ def run_extract(task: ExtractTask) -> tuple[int, object, dict]:
     ``extraction-error``.
     """
     aligner = _aligner(task.config)
-    close = None
-    message = task.scan
-    if isinstance(message, SharedMessages):
-        (message,), close = load_messages(message)
+    closers: list = []
     try:
+        message = _mapped(task.scan, closers)
         with _recorded(task.trace_parent) as telemetry:
             try:
                 with stage(None, "bv_extract"):
@@ -185,15 +182,25 @@ def run_extract(task: ExtractTask) -> tuple[int, object, dict]:
                             message.bv_image)
             except Exception as error:
                 return 0, ExtractionFailed(repr(error)), telemetry
+        # Packed while the scan is mapped: a BV-image scan's features
+        # alias its image.
+        if task.out is not None:
+            features = pack_objects(task.out, features) or features
     finally:
-        if close is not None:
-            # Features never alias the segment: clouds are projected
-            # into fresh images and loaded BV images are copies.
-            message = None
+        message = None
+        for close in closers:
             close()
-    if task.out is not None:
-        features = pack_objects(task.out, features) or features
     return 0, features, telemetry
+
+
+def _mapped(value, closers: list):
+    """``value``, or the objects it describes when it is a
+    :class:`SharedObjects` descriptor — mapped, with the mapping's
+    closer appended to ``closers``."""
+    if isinstance(value, SharedObjects):
+        value, close = load_objects(value)
+        closers.append(close)
+    return value
 
 
 @dataclass(frozen=True)
@@ -226,17 +233,10 @@ def run_match(task: MatchTask) -> tuple[int, ServiceResponse, dict]:
     pose.
     """
     aligner = _aligner(task.config)
-    closers = []
-
-    def mapped(value):
-        if isinstance(value, SharedObjects):
-            value, close = load_objects(value)
-            closers.append(close)
-        return value
-
+    closers: list = []
     try:
-        ego, other, ego_boxes, other_boxes = mapped(task.args)
-        ego, other = mapped(ego), mapped(other)
+        ego, other, ego_boxes, other_boxes = _mapped(task.args, closers)
+        ego, other = _mapped(ego, closers), _mapped(other, closers)
         with _recorded(task.trace_parent) as telemetry:
             aligner.reset_temporal()
             result = aligner.recover(

@@ -1,19 +1,24 @@
 """Tests for the zero-copy scan data plane (:mod:`repro.runtime.shm`).
 
 The lifecycle contract under test: the parent owns every segment
-(workers attach and close, never unlink), placement fidelity is exact
-for every tier-message shape, the shm-pair envelope kind survives
-encode/decode and malformed input, the TCP shared-memory fast path
-returns the same responses as the wire path, and — the crash-cleanup
-protocol — chaos faults leave zero segments in ``/dev/shm``.
+(workers attach and close, never unlink), packing fidelity is exact
+for every tier-message shape and for extracted features, mapped arrays
+are read-only, the shm-pair envelope kind survives encode/decode and
+malformed input, the TCP shared-memory fast path returns the same
+responses as the wire path, and — the crash-cleanup protocol — chaos
+faults leave zero segments in ``/dev/shm``.
 """
 
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import gc
 import glob
 import struct
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -35,14 +40,13 @@ from repro.comms.tiers import (
 from repro.pointcloud.cloud import PointCloud
 from repro.runtime.faults import WorkerFault
 from repro.runtime.shm import (
+    SharedObjects,
     ShmArena,
     ShmUnavailableError,
     attach_block,
-    load_messages,
     load_objects,
     pack_objects,
     read_segment,
-    share_messages,
     share_objects,
     shm_available,
     write_segment,
@@ -53,6 +57,8 @@ from repro.service import (
     ServiceConfig,
     ServiceServer,
 )
+from repro.service.core import _FEATURE_SEGMENT_BYTES
+from repro.service.worker import ExtractTask, run_extract
 from repro.simulation.dataset import DatasetConfig, V2VDatasetSim
 
 pytestmark = pytest.mark.skipif(not shm_available(),
@@ -95,6 +101,7 @@ class TestArena:
         for original, view, shm_slice in zip(arrays, views, ref.slices):
             assert view.dtype == original.dtype
             np.testing.assert_array_equal(view, original)
+            assert not view.flags.writeable  # segments may be resubmitted
             assert shm_slice.offset % 64 == 0  # cache-line aligned
         del views
         close()
@@ -107,16 +114,16 @@ class TestArena:
         ref = arena.place([np.arange(4.0)])
         arena.release(ref)
         arena.release(ref)  # no-op, no error
-        assert arena.released == 1
+        assert arena.active == 0
         assert not leaked_segments()
 
-    def test_release_all_bumps_generation_and_disowns(self):
+    def test_release_all_unlinks_every_segment(self):
         arena = ShmArena(prefix="repro-test")
-        ref = arena.place([np.arange(4.0)])
-        assert arena.owns(ref)
+        placed = arena.place([np.arange(4.0)])
+        reserved = arena.reserve(1024)
+        assert placed.name != reserved.name
         arena.release_all()
-        assert arena.generation == ref.generation + 1
-        assert not arena.owns(ref)  # stale descriptors are refusable
+        assert arena.active == 0
         assert not leaked_segments()
 
     def test_finalizer_backstop_unlinks_on_gc(self):
@@ -140,6 +147,33 @@ class TestArena:
         close()
         arena.release(ref)
 
+    def test_view_outliving_close_stays_readable(self):
+        # Unmapping pages under a live view crashes the process that
+        # reads it, so the check runs in a child.
+        script = textwrap.dedent("""
+            import numpy as np
+            from repro.runtime.shm import (
+                ShmArena, load_objects, share_objects)
+            arena = ShmArena(prefix="repro-test")
+            view, close = load_objects(share_objects(arena, np.arange(8.0)))
+            close()
+            assert view.sum() == 28.0
+            arena.release_all()
+        """)
+        child = subprocess.run([sys.executable, "-c", script],
+                               capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        assert not leaked_segments()
+
+    def test_place_failure_raises_unavailable(self):
+        arena = ShmArena(prefix="repro-test")
+        arena._sequence = -1  # force a name collision with ourselves
+        ref = arena.place([np.arange(4.0)])
+        arena._sequence = -1
+        with pytest.raises(ShmUnavailableError):
+            arena.place([np.arange(4.0)])
+        arena.release(ref)
+
     def test_raw_segment_roundtrip(self):
         segment = write_segment(b"hello shm")
         try:
@@ -153,83 +187,49 @@ class TestArena:
             read_segment(segment.name, 1)
 
 
-class TestMessagePacking:
-    def roundtrip(self, messages):
-        arena = ShmArena(prefix="repro-test")
-        shared = share_messages(arena, messages)
-        loaded, close = load_messages(shared)
-        try:
-            assert len(loaded) == len(messages)
-            for original, copy in zip(messages, loaded):
-                assert copy.tier is original.tier
-                assert copy.boxes == original.boxes
-                if original.cloud is None:
-                    assert copy.cloud is None
-                else:
-                    np.testing.assert_array_equal(copy.cloud.points,
-                                                  original.cloud.points)
-                    for field in ("timestamps", "labels"):
-                        mine = getattr(copy.cloud, field)
-                        theirs = getattr(original.cloud, field)
-                        if theirs is None:
-                            assert mine is None
-                        else:
-                            np.testing.assert_array_equal(mine, theirs)
-                if original.bv_image is not None:
-                    assert copy.bv_image is not None
-                    np.testing.assert_array_equal(copy.bv_image.image,
-                                                  original.bv_image.image)
-                    assert copy.bv_image.cell_size == \
-                        original.bv_image.cell_size
-                    assert copy.bv_image.lidar_range == \
-                        original.bv_image.lidar_range
-                    assert copy.bv_image.num_nonfinite == \
-                        original.bv_image.num_nonfinite
-                if original.keypoints is not None:
-                    kp, okp = copy.keypoints, original.keypoints
-                    for field in ("xy", "scores", "descriptors"):
-                        np.testing.assert_array_equal(getattr(kp, field),
-                                                      getattr(okp, field))
-                    assert kp.image_size == okp.image_size
-                    assert kp.grid_size == okp.grid_size
-        finally:
-            loaded = None  # noqa: F841  (views must die before close)
-            close()
-            arena.release(shared.block)
-        assert not leaked_segments()
+def assert_same(got, want):
+    """Deep equality; arrays must match in dtype, shape and bytes."""
+    assert type(got) is type(want)
+    if isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    elif isinstance(want, dict):
+        assert got.keys() == want.keys()
+        for key in want:
+            assert_same(got[key], want[key])
+    elif isinstance(want, (list, tuple)):
+        assert len(got) == len(want)
+        for mine, theirs in zip(got, want):
+            assert_same(mine, theirs)
+    elif dataclasses.is_dataclass(want) or hasattr(want, "__slots__"):
+        names = ([f.name for f in dataclasses.fields(want)]
+                 if dataclasses.is_dataclass(want) else want.__slots__)
+        for name in names:
+            assert_same(getattr(got, name), getattr(want, name))
+    else:
+        assert got == want
 
-    def test_full_scan_fidelity(self):
-        self.roundtrip([
-            build_message(Tier.FULL_SCAN, sample_boxes(),
-                          cloud=sample_cloud(80, seed=1)),
-            build_message(Tier.FULL_SCAN, [],
-                          cloud=PointCloud(np.zeros((3, 3)))),
-        ])
 
-    def test_bv_image_and_keypoints_fidelity(self):
-        rng = np.random.default_rng(3)
-        bv = BVImage(rng.uniform(size=(32, 32)), cell_size=0.5,
-                     lidar_range=40.0, num_nonfinite=2)
-        kp = KeypointPayload(
-            xy=rng.integers(0, 32, (5, 2)),
-            scores=rng.uniform(size=5).astype(np.float64),
-            descriptors=rng.uniform(size=(5, 24)),
-            image_size=32, cell_size=0.5, lidar_range=40.0,
-            grid_size=2, num_orientations=6)
-        self.roundtrip([
-            TieredMessage(Tier.BV_IMAGE, sample_boxes(), bv_image=bv),
-            TieredMessage(Tier.KEYPOINTS, [], keypoints=kp),
-            build_message(Tier.BOXES_ONLY, sample_boxes()),
-        ])
-
-    def test_place_failure_raises_unavailable(self):
-        arena = ShmArena(prefix="repro-test")
-        arena._sequence = -1  # force a name collision with ourselves
-        ref = arena.place([np.arange(4.0)])
-        arena._sequence = -1
-        with pytest.raises(ShmUnavailableError):
-            arena.place([np.arange(4.0)])
-        arena.release(ref)
+def sample_messages() -> list[TieredMessage]:
+    """One message of every tier shape the data plane carries."""
+    rng = np.random.default_rng(3)
+    bv = BVImage(rng.uniform(size=(32, 32)), cell_size=0.5,
+                 lidar_range=40.0, num_nonfinite=2)
+    kp = KeypointPayload(
+        xy=rng.integers(0, 32, (5, 2)),
+        scores=rng.uniform(size=5).astype(np.float64),
+        descriptors=rng.uniform(size=(5, 24)),
+        image_size=32, cell_size=0.5, lidar_range=40.0,
+        grid_size=2, num_orientations=6)
+    return [
+        build_message(Tier.FULL_SCAN, sample_boxes(),
+                      cloud=sample_cloud(80, seed=1)),
+        build_message(Tier.FULL_SCAN, [],
+                      cloud=PointCloud(np.zeros((3, 3)))),
+        TieredMessage(Tier.BV_IMAGE, sample_boxes(), bv_image=bv),
+        TieredMessage(Tier.KEYPOINTS, [], keypoints=kp),
+        build_message(Tier.BOXES_ONLY, sample_boxes()),
+    ]
 
 
 class TestObjectPacking:
@@ -237,39 +237,88 @@ class TestObjectPacking:
     the parent (``share_objects``) or written by a worker into a
     segment the parent reserved (``pack_objects``)."""
 
-    def sample(self):
+    def samples(self) -> list:
         rng = np.random.default_rng(5)
-        return {"image": rng.uniform(size=(16, 16)),
-                "fortran": np.asfortranarray(rng.uniform(size=(3, 4))),
-                "strided": np.arange(10.0)[::3],
-                "empty": np.empty((0, 3)),
-                "boxes": sample_boxes(), "scale": 0.4}
-
-    def assert_same(self, got, want):
-        assert got.keys() == want.keys()
-        for key, value in want.items():
-            if isinstance(value, np.ndarray):
-                assert got[key].dtype == value.dtype
-                np.testing.assert_array_equal(got[key], value)
-            else:
-                assert got[key] == value
+        mixed = {"image": rng.uniform(size=(16, 16)),
+                 "fortran": np.asfortranarray(rng.uniform(size=(3, 4))),
+                 "strided": np.arange(10.0)[::3],
+                 "empty": np.empty((0, 3)),
+                 "boxes": sample_boxes(), "scale": 0.4}
+        # Every tier-message shape, one at a time (as an extraction
+        # task's scan travels) and all together.
+        messages = sample_messages()
+        return [mixed, *messages, messages]
 
     def test_share_and_pack_roundtrip(self):
         arena = ShmArena(prefix="repro-test")
-        want = self.sample()
-        out = arena.reserve(1 << 20)
-        for shared in (share_objects(arena, want), pack_objects(out, want)):
-            got, close = load_objects(shared)
-            self.assert_same(got, want)
-            got = None  # noqa: F841  (views must die before close)
-            close()
+        for want in self.samples():
+            out = arena.reserve(1 << 20)
+            for shared in (share_objects(arena, want),
+                           pack_objects(out, want)):
+                got, close = load_objects(shared)
+                assert_same(got, want)
+                got = None  # noqa: F841  (drop the views before close)
+                close()
         arena.release_all()
         assert arena.active == 0
         assert not leaked_segments()
 
+    def test_loaded_arrays_are_read_only(self):
+        arena = ShmArena(prefix="repro-test")
+        cloud_message, _, bv_message = sample_messages()[:3]
+        got, close = load_objects(share_objects(
+            arena, [cloud_message, bv_message]))
+        try:
+            with pytest.raises(ValueError):
+                got[0].cloud.points[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                got[1].bv_image.image[0, 0] = 1.0
+        finally:
+            got = None  # noqa: F841
+            close()
+            arena.release_all()
+        assert not leaked_segments()
+
     def test_pack_refuses_what_does_not_fit(self):
         arena = ShmArena(prefix="repro-test")
-        assert pack_objects(arena.reserve(64), self.sample()) is None
+        assert pack_objects(arena.reserve(64), self.samples()[0]) is None
+        arena.release_all()
+        assert not leaked_segments()
+
+
+class TestRunExtract:
+    """The worker's extraction task, run in-process on every data-plane
+    path: the features equal ``BBAlign`` extraction bit for bit."""
+
+    def scans(self):
+        """A full-scan and a BV-image scan, each with the features
+        in-process extraction gives."""
+        from repro.core.pipeline import BBAlign
+
+        aligner = BBAlign()
+        pair = V2VDatasetSim(DATASET)[0].pair
+        full = build_message(Tier.FULL_SCAN, [], cloud=pair.ego_cloud)
+        bv = TieredMessage(Tier.BV_IMAGE, [],
+                           bv_image=aligner.bv_matcher.make_bv_image(
+                               pair.other_cloud))
+        return [(full, aligner.extract_features(full.cloud)),
+                (bv, aligner.bv_matcher.extract(bv.bv_image))]
+
+    def test_features_equal_in_process_extraction(self):
+        arena = ShmArena(prefix="repro-test")
+        for message, want in self.scans():
+            for scan in (message, share_objects(arena, message)):
+                for out in (arena.reserve(_FEATURE_SEGMENT_BYTES), None):
+                    _, payload, _ = run_extract(ExtractTask(
+                        config=None, scan=scan, out=out))
+                    if out is None:
+                        assert_same(payload, want)
+                        continue
+                    assert isinstance(payload, SharedObjects)
+                    got, close = load_objects(payload)
+                    assert_same(got, want)
+                    got = None  # noqa: F841  (drop the views before close)
+                    close()
         arena.release_all()
         assert not leaked_segments()
 

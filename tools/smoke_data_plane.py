@@ -3,7 +3,10 @@
 without shared memory.
 
 Spawns two real ``repro serve`` processes — one with ``--shm``, one
-with ``--no-shm`` — and sends the same scan pair through every path:
+with ``--no-shm`` — and sends the same two scan pairs (the ego's full
+scan with the partner's full scan, and with the partner's BV image —
+the tier whose arrays workers map straight out of a segment) through
+every path:
 
 * plain wire request to the ``--no-shm`` server (pickle data plane),
 * plain wire request to the ``--shm`` server (zero-copy dispatch),
@@ -24,7 +27,8 @@ import subprocess
 import sys
 
 from repro.comms.envelope import ServiceRequest
-from repro.comms.tiers import Tier, build_message
+from repro.comms.tiers import Tier, TieredMessage, build_message
+from repro.core.pipeline import BBAlign
 from repro.detection.simulated import COBEVT_PROFILE, SimulatedDetector
 from repro.experiments.common import detect_for_pair
 from repro.runtime.shm import shm_available
@@ -32,21 +36,27 @@ from repro.service import ServiceClient
 from repro.simulation.dataset import DatasetConfig, V2VDatasetSim
 
 
-def scan_pair():
+def scan_pairs():
+    """The ego's full scan, and the partner as a full scan and as a BV
+    image, keyed by the partner's tier."""
     pair = V2VDatasetSim(DatasetConfig(num_pairs=2, seed=2024))[0].pair
     ego_dets, other_dets = detect_for_pair(
         pair, SimulatedDetector(COBEVT_PROFILE), 7, 0
     )
-    return (
-        build_message(
-            Tier.FULL_SCAN, [d.box for d in ego_dets], cloud=pair.ego_cloud
-        ),
-        build_message(
-            Tier.FULL_SCAN,
-            [d.box for d in other_dets],
-            cloud=pair.other_cloud,
-        ),
+    other_boxes = [d.box for d in other_dets]
+    ego = build_message(
+        Tier.FULL_SCAN, [d.box for d in ego_dets], cloud=pair.ego_cloud
     )
+    bv_image = BBAlign().bv_matcher.make_bv_image(pair.other_cloud)
+    partners = {
+        Tier.FULL_SCAN: build_message(
+            Tier.FULL_SCAN, other_boxes, cloud=pair.other_cloud
+        ),
+        Tier.BV_IMAGE: TieredMessage(
+            Tier.BV_IMAGE, other_boxes, bv_image=bv_image
+        ),
+    }
+    return ego, partners
 
 
 def start_server(flag: str) -> tuple[subprocess.Popen, int]:
@@ -100,19 +110,22 @@ def drive(port: int, ego, other, *, via_shm: bool):
 
 def main() -> int:
     segments_before = set(glob.glob("/dev/shm/*"))
-    ego, other = scan_pair()
-    by_flag = {}
+    ego, partners = scan_pairs()
+    by_flag: dict = {}
     for flag in ("--shm", "--no-shm"):
         process, port = start_server(flag)
+        by_flag[flag] = {}
         try:
-            by_flag[flag] = drive(port, ego, other, via_shm=False)
-            assert by_flag[flag].status == "ok", by_flag[flag]
-            if flag == "--shm" and shm_available():
-                descriptor = drive(port, ego, other, via_shm=True)
-                assert descriptor == by_flag[flag], (
-                    f"shm descriptor response diverged:\n{descriptor}\n"
-                    f"!=\n{by_flag[flag]}"
-                )
+            for tier, other in partners.items():
+                wire = drive(port, ego, other, via_shm=False)
+                assert wire.status == "ok", (tier, wire)
+                by_flag[flag][tier] = wire
+                if flag == "--shm" and shm_available():
+                    descriptor = drive(port, ego, other, via_shm=True)
+                    assert descriptor == wire, (
+                        f"{tier.value}: shm descriptor response diverged:"
+                        f"\n{descriptor}\n!=\n{wire}"
+                    )
             process.send_signal(signal.SIGTERM)
             out, _err = process.communicate(timeout=60)
         finally:
@@ -128,8 +141,9 @@ def main() -> int:
     leaked = sorted(set(glob.glob("/dev/shm/*")) - segments_before)
     assert not leaked, f"leaked shared-memory segments: {leaked}"
     print(
-        "service data-plane smoke: wire == shm descriptor, "
-        "--shm server == --no-shm server, zero leaked segments"
+        "service data-plane smoke (full-scan and BV-image partners): "
+        "wire == shm descriptor, --shm server == --no-shm server, "
+        "zero leaked segments"
     )
     return 0
 
