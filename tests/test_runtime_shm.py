@@ -232,36 +232,51 @@ def sample_messages() -> list[TieredMessage]:
     ]
 
 
+def assert_roundtrips(samples) -> None:
+    """Each sample comes back exact from ``load_objects``, whether the
+    parent placed it (``share_objects``) or a worker packed it into a
+    segment the parent reserved (``pack_objects``)."""
+    arena = ShmArena(prefix="repro-test")
+    for want in samples:
+        out = arena.reserve(1 << 20)
+        for shared in (share_objects(arena, want), pack_objects(out, want)):
+            got, close = load_objects(shared)
+            assert_same(got, want)
+            got = None  # noqa: F841  (drop the views before close)
+            close()
+    arena.release_all()
+    assert arena.active == 0
+    assert not leaked_segments()
+
+
+class TestMessagePacking:
+    """Every tier-message shape, one at a time (as an extraction task's
+    scan travels) and all together."""
+
+    def test_full_scan_fidelity(self):
+        messages = sample_messages()[:2]
+        assert_roundtrips([*messages, messages])
+
+    def test_bv_image_and_keypoints_fidelity(self):
+        messages = sample_messages()[2:]
+        assert_roundtrips([*messages, messages])
+
+
 class TestObjectPacking:
     """Any picklable object, its array buffers out of band: placed by
     the parent (``share_objects``) or written by a worker into a
     segment the parent reserved (``pack_objects``)."""
 
-    def samples(self) -> list:
+    def sample(self) -> dict:
         rng = np.random.default_rng(5)
-        mixed = {"image": rng.uniform(size=(16, 16)),
-                 "fortran": np.asfortranarray(rng.uniform(size=(3, 4))),
-                 "strided": np.arange(10.0)[::3],
-                 "empty": np.empty((0, 3)),
-                 "boxes": sample_boxes(), "scale": 0.4}
-        # Every tier-message shape, one at a time (as an extraction
-        # task's scan travels) and all together.
-        messages = sample_messages()
-        return [mixed, *messages, messages]
+        return {"image": rng.uniform(size=(16, 16)),
+                "fortran": np.asfortranarray(rng.uniform(size=(3, 4))),
+                "strided": np.arange(10.0)[::3],
+                "empty": np.empty((0, 3)),
+                "boxes": sample_boxes(), "scale": 0.4}
 
     def test_share_and_pack_roundtrip(self):
-        arena = ShmArena(prefix="repro-test")
-        for want in self.samples():
-            out = arena.reserve(1 << 20)
-            for shared in (share_objects(arena, want),
-                           pack_objects(out, want)):
-                got, close = load_objects(shared)
-                assert_same(got, want)
-                got = None  # noqa: F841  (drop the views before close)
-                close()
-        arena.release_all()
-        assert arena.active == 0
-        assert not leaked_segments()
+        assert_roundtrips([self.sample(), [self.sample(), *sample_messages()]])
 
     def test_loaded_arrays_are_read_only(self):
         arena = ShmArena(prefix="repro-test")
@@ -281,7 +296,7 @@ class TestObjectPacking:
 
     def test_pack_refuses_what_does_not_fit(self):
         arena = ShmArena(prefix="repro-test")
-        assert pack_objects(arena.reserve(64), self.samples()[0]) is None
+        assert pack_objects(arena.reserve(64), self.sample()) is None
         arena.release_all()
         assert not leaked_segments()
 
