@@ -54,7 +54,7 @@ from repro.core.pose_graph import (
 )
 from repro.core.result import PoseRecoveryResult
 from repro.geometry.se2 import SE2
-from repro.runtime.cache import FeatureCache, extraction_fingerprint
+from repro.runtime.cache import FeatureCache, extraction_fingerprint, scan_key
 from repro.runtime.fanout import fan_out
 from repro.runtime.timings import stage
 
@@ -127,30 +127,31 @@ class MultiVehicleAligner:
         self._previous = None
 
     # ------------------------------------------------------------------
-    def _features(self, clouds, cache: FeatureCache | None,
-                  scene_key) -> list[BVFeatures]:
+    def _features(self, clouds,
+                  cache: FeatureCache | None) -> list[BVFeatures]:
         """Stage-1 features, one extraction per vehicle.
 
-        With a cache and a scene key, each vehicle's features are keyed
-        ``(scene_key, index, "multi", extraction fingerprint)`` — the
-        incident edges of a vehicle share one extraction, and repeated
-        scenes (worker processes revisiting a frame, incremental
-        re-alignment of an unchanged fleet) skip extraction entirely.
-        Each extraction is one ``bv_extract`` stage.
+        With a cache, each vehicle's features are keyed by
+        :func:`~repro.runtime.cache.scan_key` — the incident edges of a
+        vehicle share one extraction, and repeated scenes (worker
+        processes revisiting a frame, incremental re-alignment of an
+        unchanged fleet, a sweep that already extracted the scan) skip
+        extraction entirely.  Each extraction is one ``bv_extract``
+        stage.
         """
         def extract(cloud) -> BVFeatures:
             with stage(None, "bv_extract"):
                 return self.aligner.extract_features(cloud)
 
-        if cache is None or scene_key is None:
+        if cache is None:
             return list(fan_out(extract, clouds))
-        extraction_fp = extraction_fingerprint(self.aligner.config)
-        keys = [(scene_key, index, "multi", extraction_fp)
-                for index in range(len(clouds))]
-        # Extract what the cache lacks now side by side, then replay the
-        # loop's get/put order, so hits, misses and evictions are the
-        # loop's.  A key an earlier put evicts is extracted inline.
-        missing = [index for index, key in enumerate(keys)
+        fingerprint = extraction_fingerprint(self.aligner.config)
+        keys = [scan_key(cloud, fingerprint) for cloud in clouds]
+        # Extract what the cache lacks now side by side (each distinct
+        # scan once), then replay the loop's get/put order, so hits,
+        # misses and evictions are the loop's.  A key an earlier put
+        # evicts is extracted inline.
+        missing = [keys.index(key) for key in dict.fromkeys(keys)
                    if key not in cache]
         fresh = fan_out(extract, [clouds[index] for index in missing])
         features: list[BVFeatures] = []
@@ -183,7 +184,6 @@ class MultiVehicleAligner:
     def align(self, clouds, boxes_per_vehicle,
               rng: np.random.Generator | int | None = None, *,
               pairs=None, cache: FeatureCache | None = None,
-              scene_key=None,
               incremental: bool = False) -> MultiAlignment:
         """Align K vehicles into the ego (index 0) frame.
 
@@ -199,7 +199,6 @@ class MultiVehicleAligner:
                 :meth:`repro.simulation.multi.MultiFrame.\
 candidate_pairs`).  ``None`` attempts every pair.
             cache: optional feature cache; see :meth:`_features`.
-            scene_key: hashable identity of this frame for the cache.
             incremental: warm-start from the previous call's solved
                 graph, re-solving only components whose edge sets
                 changed (see :func:`~repro.core.pose_graph.\
@@ -217,7 +216,7 @@ solve_incremental`).
             rng = np.random.default_rng(rng)
         candidate_pairs = self._normalize_pairs(k, pairs)
 
-        features = self._features(clouds, cache, scene_key)
+        features = self._features(clouds, cache)
 
         # One root draw keeps per-pair streams subset-stable: a sparser
         # connectivity graph replays the exact streams the full graph

@@ -42,10 +42,9 @@ from repro.obs.metrics import counter, histogram, use_registry
 from repro.obs.spans import span
 from repro.runtime.cache import (
     FeatureCache,
-    dataset_fingerprint,
     extraction_fingerprint,
-    feature_key,
     get_default_cache,
+    scan_key,
 )
 from repro.runtime.engine import resolve_workers, run_tasks_parallel
 from repro.runtime.faults import WorkerFault
@@ -178,9 +177,9 @@ def _pair_priors(aligner: BBAlign, pair: FramePair):
 
     Only produced when culling is enabled.  The simulated sweeps use the
     pair's ground-truth translation as the stand-in for the coarse prior
-    a deployment would get from GPS/tracking; it is a pure function of
-    (dataset, index), which is what keeps ROI-cropped features valid
-    under the (dataset, index, role, extraction-config) cache key.
+    a deployment would get from GPS/tracking.  The prior is part of the
+    feature-cache key (:func:`~repro.runtime.cache.scan_key`), so a
+    scan cropped for one prior never serves another.
     """
     if not aligner.config.roi.enabled:
         return (None, None)
@@ -188,14 +187,12 @@ def _pair_priors(aligner: BBAlign, pair: FramePair):
     return (gt.translation, gt.inverse().translation)
 
 
-def _features_for(aligner: BBAlign, cloud, role: str, index: int,
-                  cache: FeatureCache | None, dataset_fp: tuple | None,
-                  extraction_fp: tuple | None, prior=None):
-    """Stage-1 features for one scan, via the cache when identifiable."""
+def _features_for(aligner: BBAlign, cloud, cache: FeatureCache | None,
+                  prior=None):
+    """Stage-1 features for one scan, via the cache when given."""
     key = None
-    if (cache is not None and dataset_fp is not None
-            and extraction_fp is not None):
-        key = feature_key(dataset_fp, index, role, extraction_fp)
+    if cache is not None:
+        key = scan_key(cloud, extraction_fingerprint(aligner.config), prior)
         features = cache.get(key)
         if features is not None:
             counter(CACHE_HITS_KEY).inc()
@@ -213,9 +210,7 @@ def evaluate_pair(record, aligner: BBAlign, detector: SimulatedDetector,
                   seed: int = 7,
                   include_vips: bool = True,
                   vips_config: VipsConfig | None = None,
-                  cache: FeatureCache | None = None,
-                  dataset_fp: tuple | None = None,
-                  extraction_fp: tuple | None = None) -> PairOutcome:
+                  cache: FeatureCache | None = None) -> PairOutcome:
     """Evaluate one dataset record into a :class:`PairOutcome`.
 
     Pure up to the supplied collaborators: given the same record,
@@ -231,21 +226,16 @@ def evaluate_pair(record, aligner: BBAlign, detector: SimulatedDetector,
         seed: sweep base seed; all randomness spawns from
             ``[seed, record.index, stream]``.
         include_vips / vips_config: also run the graph-matching baseline.
-        cache: stage-1 feature cache; pass ``dataset_fp`` and
-            ``extraction_fp`` (from :mod:`repro.runtime.cache`) to make
-            features identifiable — without them extraction runs cold.
+        cache: stage-1 feature cache (``None``: extraction runs cold).
     """
     pair = record.pair
     with stage(None, "detection"):
         ego_dets, other_dets = detect_for_pair(pair, detector, seed,
                                                record.index)
     ego_prior, other_prior = _pair_priors(aligner, pair)
-    ego_features = _features_for(aligner, pair.ego_cloud, "ego",
-                                 record.index, cache, dataset_fp,
-                                 extraction_fp, prior=ego_prior)
-    other_features = _features_for(aligner, pair.other_cloud, "other",
-                                   record.index, cache, dataset_fp,
-                                   extraction_fp, prior=other_prior)
+    ego_features = _features_for(aligner, pair.ego_cloud, cache, ego_prior)
+    other_features = _features_for(aligner, pair.other_cloud, cache,
+                                   other_prior)
     result = aligner.recover(
         ego_features, other_features,
         [d.box for d in ego_dets], [d.box for d in other_dets],
@@ -368,8 +358,7 @@ def run_sweep_pair(index: int, load_record: Callable[[int], FrameRecord],
                    aligner: BBAlign, detector: SimulatedDetector, *,
                    seed: int, include_vips: bool,
                    vips_config: VipsConfig | None,
-                   cache: FeatureCache | None, dataset_fp: tuple | None,
-                   extraction_fp: tuple | None,
+                   cache: FeatureCache | None,
                    fault: WorkerFault | None = None,
                    ) -> PairOutcome | PairErrorOutcome:
     """One pair of a sweep, the loop body of the serial path and of the
@@ -391,8 +380,7 @@ def run_sweep_pair(index: int, load_record: Callable[[int], FrameRecord],
             return evaluate_pair(
                 record, aligner, detector, seed=seed,
                 include_vips=include_vips, vips_config=vips_config,
-                cache=cache, dataset_fp=dataset_fp,
-                extraction_fp=extraction_fp)
+                cache=cache)
     except Exception as error:
         counter("engine/pair_errors").inc()
         return PairErrorOutcome.from_exception(index, error)
@@ -406,16 +394,11 @@ def _run_sweep_serial(dataset, config, detector_profile, include_vips,
     start = time.perf_counter()
     aligner = BBAlign(config)
     detector = SimulatedDetector(detector_profile)
-    ds_fp = ext_fp = None
-    if cache is not None and isinstance(dataset, V2VDatasetSim):
-        ds_fp = dataset_fingerprint(dataset.config)
-        ext_fp = extraction_fingerprint(aligner.config)
     with span("engine/sweep", mode="serial", pairs=len(dataset)):
         outcomes = [run_sweep_pair(
             index, dataset.__getitem__, aligner, detector, seed=seed,
             include_vips=include_vips, vips_config=vips_config,
-            cache=cache, dataset_fp=ds_fp, extraction_fp=ext_fp)
-            for index in range(len(dataset))]
+            cache=cache) for index in range(len(dataset))]
     counter(PAIRS_KEY).inc(len(outcomes))
     histogram(WALL_KEY).observe(time.perf_counter() - start)
     return outcomes
@@ -442,14 +425,15 @@ class SweepSpec:
     fault: WorkerFault | None
 
     def state_key(self) -> tuple:
-        return (dataset_fingerprint(self.dataset_config),
-                repr(self.config), repr(self.detector_profile))
+        return (repr(self.dataset_config), repr(self.config),
+                repr(self.detector_profile))
 
 
 # Per-process sweep state: each pool worker (and the parent, for
 # in-process chunks) keeps its dataset, aligner and detector across the
 # chunks and sweeps it is handed, rebuilding only when the spec's
-# configuration changes.
+# configuration changes: the whole dataset config, length included, so a
+# state built for a shorter dataset never serves a longer one.
 _SWEEP_STATE_KEY: tuple | None = None
 _SWEEP_STATE: tuple | None = None
 
@@ -458,12 +442,9 @@ def _sweep_state(spec: SweepSpec) -> tuple:
     global _SWEEP_STATE_KEY, _SWEEP_STATE
     key = spec.state_key()
     if _SWEEP_STATE is None or key != _SWEEP_STATE_KEY:
-        dataset = V2VDatasetSim(spec.dataset_config)
-        aligner = BBAlign(spec.config)
-        _SWEEP_STATE = (dataset, aligner,
-                        SimulatedDetector(spec.detector_profile),
-                        dataset_fingerprint(spec.dataset_config),
-                        extraction_fingerprint(aligner.config))
+        _SWEEP_STATE = (V2VDatasetSim(spec.dataset_config),
+                        BBAlign(spec.config),
+                        SimulatedDetector(spec.detector_profile))
         _SWEEP_STATE_KEY = key
     return _SWEEP_STATE
 
@@ -482,15 +463,14 @@ def sweep_pair(item: tuple[SweepSpec, int],
     spec, index = item
     counter(PAIRS_KEY).inc()
     try:
-        dataset, aligner, detector, ds_fp, ext_fp = _sweep_state(spec)
+        dataset, aligner, detector = _sweep_state(spec)
     except Exception as error:
         counter("engine/pair_errors").inc()
         return PairErrorOutcome.from_exception(index, error)
     return run_sweep_pair(
         index, dataset.__getitem__, aligner, detector, seed=spec.seed,
         include_vips=spec.include_vips, vips_config=spec.vips_config,
-        cache=get_default_cache(), dataset_fp=ds_fp, extraction_fp=ext_fp,
-        fault=spec.fault)
+        cache=get_default_cache(), fault=spec.fault)
 
 
 def run_sweep_parallel(

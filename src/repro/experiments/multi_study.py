@@ -112,13 +112,10 @@ def _evaluate_scene(payload: _ScenePayload) -> SceneOutcome:
         visible, np.random.default_rng([payload.seed, payload.scene, i]))]
         for i, visible in enumerate(frame.visible)]
     pairs = frame.candidate_pairs()
-    scene_key = ("multi", payload.seed, payload.scene,
-                 payload.num_vehicles, payload.spacing, payload.density,
-                 payload.degradation)
     result = aligner.align(
         list(frame.clouds), boxes,
         rng=np.random.default_rng([payload.seed, payload.scene, 99]),
-        pairs=pairs, cache=get_default_cache(), scene_key=scene_key)
+        pairs=pairs, cache=get_default_cache())
     # The study's unit of work is one candidate-pair recovery.
     counter(PAIRS_KEY).inc(len(result.recoveries))
 

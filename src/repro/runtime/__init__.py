@@ -24,9 +24,10 @@ reproduction; this package makes it a schedulable, measurable unit:
   ladder and the service's batch ladder;
 * :mod:`repro.runtime.faults` — deterministic, picklable fault
   injection (:class:`WorkerFault`) for exercising those retry ladders;
-* :mod:`repro.runtime.cache` — keyed LRU cache for stage-1
-  :class:`~repro.core.bv_matching.BVFeatures`, so sweeps revisiting the
-  same frame pairs skip re-extraction;
+* :mod:`repro.runtime.cache` — LRU cache for stage-1
+  :class:`~repro.core.bv_matching.BVFeatures` under one content key
+  (:func:`scan_key`), so sweeps, fleet frames and the service skip
+  re-extracting a scan they have seen;
 * :mod:`repro.runtime.timings` — per-stage time accounting:
   :func:`stage` records into the ambient metrics registry, and
   :class:`SweepTimings` reports it under the CLI's ``--timings`` flag.
@@ -34,10 +35,9 @@ reproduction; this package makes it a schedulable, measurable unit:
 
 from repro.runtime.cache import (
     FeatureCache,
-    dataset_fingerprint,
     extraction_fingerprint,
-    feature_key,
     get_default_cache,
+    scan_key,
     set_default_cache,
 )
 from repro.runtime.engine import (
@@ -71,13 +71,12 @@ __all__ = [
     "WorkerPool",
     "chunk_indices",
     "collect_timings",
-    "dataset_fingerprint",
     "extraction_fingerprint",
     "fan_out",
-    "feature_key",
     "get_default_cache",
     "resolve_workers",
     "run_tasks_parallel",
+    "scan_key",
     "set_default_cache",
     "shutdown_pool",
     "stage",

@@ -94,9 +94,10 @@ class ServiceConfig:
             transparently when shared memory is unavailable; responses
             are byte-identical either way.
         worker_cache_mb: byte budget (MiB) of the service's one
-            content-keyed :class:`~repro.runtime.cache.FeatureCache`
-            for scan-pair stage-1 features, kept in the parent (the
-            name predates the move from per-worker caches); ``0``
+            :class:`~repro.runtime.cache.FeatureCache` for scan-pair
+            stage-1 features, keyed by
+            :func:`~repro.runtime.cache.scan_key` and kept in the parent
+            (the name predates the move from per-worker caches); ``0``
             disables caching, and with it the sharing of running
             extractions.  Cache on/off is also response-byte-identical.
         account_payload_bytes: measure the serialized size of every

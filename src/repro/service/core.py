@@ -100,7 +100,7 @@ from repro.service.config import (
     ServiceOverloaded,
     ServiceUnsupported,
 )
-from repro.service.scans import Scan, ScanTable, carries_scan
+from repro.service.scans import Scan, ScanTable, scan_of
 
 __all__ = ["PoseService"]
 
@@ -550,14 +550,15 @@ class PoseService:
         """
         request = pending.request
         ego, other = request.ego, request.other
+        other_scan = scan_of(other)
         scans: list[Scan] = []
         try:
             sides: list = [ego.cloud, other]
             if other.tier is not Tier.BOXES_ONLY:
-                sides[0] = self._scan(ego, pending, trace_parent)
+                sides[0] = self._scan(ego.cloud, pending, trace_parent)
                 scans.append(sides[0])
-            if carries_scan(other):
-                sides[1] = self._scan(other, pending, trace_parent)
+            if other_scan is not None:
+                sides[1] = self._scan(other_scan, pending, trace_parent)
                 scans.append(sides[1])
             for side, value in enumerate(sides):
                 if isinstance(value, Scan):
@@ -569,7 +570,7 @@ class PoseService:
             if pending.future.done():  # deadline fired while extracting
                 return
             args = (*sides, ego.boxes,
-                    list(other.boxes) if carries_scan(other) else None)
+                    list(other.boxes) if other_scan is not None else None)
             # Features a worker wrote into a segment travel as their
             # descriptors; anything else heavy gets a segment here.
             placed = (contextlib.nullcontext() if all(
@@ -591,30 +592,30 @@ class PoseService:
         else:
             self._resolve(pending, response)
 
-    def _scan(self, message, pending: _Pending,
+    def _scan(self, data, pending: _Pending,
               trace_parent: str | None) -> Scan:
-        """Hold the scan ``message`` carries, starting its extraction
-        (on behalf of ``pending``) unless another request already did
-        or the cache holds its features."""
-        scan, new = self._scans.acquire(message)
+        """Hold the scan ``data`` (a cloud or BV image), starting its
+        extraction (on behalf of ``pending``) unless another request
+        already did or the cache holds its features."""
+        scan, new = self._scans.acquire(data)
         if new:
             scan.task = asyncio.create_task(self._extract(
-                scan, message, pending.order, trace_parent))
+                scan, data, pending.order, trace_parent))
         return scan
 
-    async def _extract(self, scan: Scan, message, order: int,
+    async def _extract(self, scan: Scan, data, order: int,
                        trace_parent: str | None):
         """Run one extraction task; returns the features, or the failure
         response every request waiting on it answers with."""
         out = self._reserve()
         payload = None
         try:
-            with self._placed(message) as shared:
+            with self._placed(data) as shared:
                 payload = await self._call(
                     order, worker.run_extract,
                     lambda attempt: worker.ExtractTask(
                         config=self.config.config,
-                        scan=message if shared is None else shared,
+                        scan=data if shared is None else shared,
                         out=out, trace_parent=trace_parent))
         finally:
             if out is not None and not isinstance(payload, SharedObjects):

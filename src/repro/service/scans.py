@@ -1,9 +1,8 @@
-"""The service's scan table: content keys and its one feature cache.
+"""The service's scan table: its one feature cache, keyed by content.
 
-Stage-1 extraction is a pure function of (scan bytes, extraction
-configuration), so a content digest of the scan plus
-:func:`~repro.runtime.cache.extraction_fingerprint` identifies its
-features exactly, whatever transport delivered the scan.  The
+Stage-1 extraction is a pure function of (scan, extraction
+configuration), so :func:`~repro.runtime.cache.scan_key` identifies a
+scan's features exactly, whatever transport delivered the scan.  The
 :class:`ScanTable` keys the service's single
 :class:`~repro.runtime.cache.FeatureCache` that way.  An entry is a
 :class:`Scan`, an extraction running or done.  So a scan that several
@@ -17,18 +16,19 @@ deterministic recomputation.
 from __future__ import annotations
 
 import asyncio
-import hashlib
 from typing import Callable, Hashable
 
 import numpy as np
 
+from repro.bev.projection import BVImage
 from repro.comms.tiers import Tier, TieredMessage
 from repro.core.config import BBAlignConfig
 from repro.obs.metrics import MetricsRegistry
-from repro.runtime.cache import FeatureCache, extraction_fingerprint
+from repro.pointcloud.cloud import PointCloud
+from repro.runtime.cache import FeatureCache, extraction_fingerprint, scan_key
 from repro.runtime.shm import SharedObjects, ShmBlockRef
 
-__all__ = ["Scan", "ScanTable", "carries_scan"]
+__all__ = ["Scan", "ScanTable", "scan_of"]
 
 #: Entry bound far above what any byte budget admits; the byte budget
 #: is the real limiter (entries are megabytes each).
@@ -36,24 +36,6 @@ _CACHE_MAX_ENTRIES = 1024
 #: The counters perfbench and the tests read (named for the per-worker
 #: caches this table replaced).
 _COUNTER = "service/worker_cache/"
-
-
-def _digest(*arrays: np.ndarray | None) -> str:
-    """SHA-256 content digest over a sequence of (optional) arrays.
-
-    SHA-256 runs on the CPU's SHA extensions where present, about three
-    times the speed of BLAKE2b here; a full-scan digest is on every
-    request's path.
-    """
-    h = hashlib.sha256()
-    for array in arrays:
-        if array is None:
-            h.update(b"\x00none")
-            continue
-        array = np.ascontiguousarray(array)
-        h.update(str((array.shape, array.dtype.str)).encode())
-        h.update(array)
-    return h.hexdigest()
 
 
 def _features_nbytes(features, _depth: int = 0) -> int:
@@ -76,12 +58,15 @@ def _features_nbytes(features, _depth: int = 0) -> int:
                for name in names)
 
 
-def carries_scan(message: TieredMessage) -> bool:
-    """Whether ``message`` carries a scan stage 1 extracts: a full-scan
-    cloud or a BV image.  Other tiers go to the match as they are."""
-    return ((message.tier is Tier.FULL_SCAN and message.cloud is not None)
-            or (message.tier is Tier.BV_IMAGE
-                and message.bv_image is not None))
+def scan_of(message: TieredMessage) -> PointCloud | BVImage | None:
+    """The scan ``message`` carries for stage 1 to extract — its
+    full-scan cloud or its BV image — or ``None``: other tiers go to the
+    match as they are."""
+    if message.tier is Tier.FULL_SCAN:
+        return message.cloud
+    if message.tier is Tier.BV_IMAGE:
+        return message.bv_image
+    return None
 
 
 class Scan:
@@ -126,29 +111,19 @@ class ScanTable:
         self._registry = registry
         self._free = free
 
-    def _key(self, message: TieredMessage) -> tuple:
-        """The content key of the scan ``message`` carries."""
-        if message.tier is Tier.FULL_SCAN:
-            cloud = message.cloud
-            return ("cloud", _digest(cloud.points, cloud.timestamps,
-                                     cloud.labels), self.fingerprint)
-        bv = message.bv_image
-        return ("bv", _digest(bv.image), bv.cell_size, bv.lidar_range,
-                bv.num_nonfinite, self.fingerprint)
-
-    def acquire(self, message: TieredMessage) -> tuple[Scan, bool]:
-        """Hold the scan ``message`` carries; whether it is new (the
-        caller then starts its extraction)."""
-        key = self._key(message)
-        scan = self.cache.get(key)
+    def acquire(self, scan: PointCloud | BVImage) -> tuple[Scan, bool]:
+        """Hold ``scan``'s extraction; whether it is new (the caller
+        then starts it)."""
+        key = scan_key(scan, self.fingerprint)
+        entry = self.cache.get(key)
         self._registry.counter(
-            _COUNTER + ("misses" if scan is None else "hits")).inc()
-        new = scan is None
+            _COUNTER + ("misses" if entry is None else "hits")).inc()
+        new = entry is None
         if new:
-            scan = Scan(key)
-            self._put(scan, 0)
-        scan.holders += 1
-        return scan, new
+            entry = Scan(key)
+            self._put(entry, 0)
+        entry.holders += 1
+        return entry, new
 
     def finish(self, scan: Scan, features: object) -> None:
         """Record a finished extraction's features; the cache budget

@@ -23,7 +23,7 @@ Three task shapes run on the service's pool:
   ``[seed, request_id, 2]`` stream, and return its response.
 
 Scan payloads reach the worker through one of two data planes: the
-pickle path (the message or features ride inside the task) or the
+pickle path (the scan or features ride inside the task) or the
 zero-copy path (the task carries a
 :class:`~repro.runtime.shm.SharedObjects` descriptor and the arrays
 are mapped, read-only, out of a parent-owned segment).
@@ -42,11 +42,12 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.bev.projection import BVImage
 from repro.comms.envelope import ServiceResponse
-from repro.comms.tiers import Tier, TieredMessage
 from repro.core.config import BBAlignConfig
 from repro.obs.metrics import MetricsRegistry, counter, use_registry
 from repro.obs.spans import collect_spans
+from repro.pointcloud.cloud import PointCloud
 from repro.runtime.shm import (
     SharedObjects,
     ShmBlockRef,
@@ -109,8 +110,6 @@ def configure_worker(config: BBAlignConfig | None = None) -> None:
     only warns: a pipeline that cannot extract fails its own tasks, with
     the typed response they carry.
     """
-    from repro.pointcloud.cloud import PointCloud
-
     matcher = _aligner(config).bv_matcher
     try:
         matcher.extract(matcher.make_bv_image(PointCloud(np.empty((0, 3)))))
@@ -146,15 +145,14 @@ class ExtractionFailed:
 class ExtractTask:
     """Stage-1 extraction of one scan.
 
-    ``scan`` is the message carrying the scan — the cloud of a
-    full-scan message or the image of a BV-image message — inline
-    (pickle path) or as a shared segment holding it.  With ``out``, a
-    segment the parent reserved, the features go back through it
-    instead of the pipe.
+    ``scan`` is the scan itself — a full-scan cloud or a BV image, not
+    the message that carried it — inline (pickle path) or as a shared
+    segment holding it.  With ``out``, a segment the parent reserved,
+    the features go back through it instead of the pipe.
     """
 
     config: BBAlignConfig | None
-    scan: TieredMessage | SharedObjects
+    scan: PointCloud | BVImage | SharedObjects
     out: ShmBlockRef | None = None
     trace_parent: str | None = None
 
@@ -171,15 +169,13 @@ def run_extract(task: ExtractTask) -> tuple[int, object, dict]:
     aligner = _aligner(task.config)
     closers: list = []
     try:
-        message = _mapped(task.scan, closers)
+        scan = _mapped(task.scan, closers)
         with _recorded(task.trace_parent) as telemetry:
             try:
                 with stage(None, "bv_extract"):
-                    if message.tier is Tier.FULL_SCAN:
-                        features = aligner.extract_features(message.cloud)
-                    else:
-                        features = aligner.bv_matcher.extract(
-                            message.bv_image)
+                    features = (aligner.bv_matcher.extract(scan)
+                                if isinstance(scan, BVImage)
+                                else aligner.extract_features(scan))
             except Exception as error:
                 return 0, ExtractionFailed(repr(error)), telemetry
         # Packed while the scan is mapped: a BV-image scan's features
@@ -187,7 +183,7 @@ def run_extract(task: ExtractTask) -> tuple[int, object, dict]:
         if task.out is not None:
             features = pack_objects(task.out, features) or features
     finally:
-        message = None
+        scan = None
         for close in closers:
             close()
     return 0, features, telemetry

@@ -189,15 +189,31 @@ class TestEndToEndMulti:
         cache = FeatureCache(max_entries=16)
         aligner = MultiVehicleAligner()
         a = aligner.align(list(multi_frame.clouds), boxes, rng=0,
-                          cache=cache, scene_key="scene-a")
+                          cache=cache)
         misses_after_first = cache.misses
         b = aligner.align(list(multi_frame.clouds), boxes, rng=0,
-                          cache=cache, scene_key="scene-a")
+                          cache=cache)
         # One extraction per vehicle on the first pass, all hits after.
         assert misses_after_first == multi_frame.num_vehicles
         assert cache.misses == misses_after_first
         assert cache.hits == multi_frame.num_vehicles
         assert b.poses == a.poses
+
+    def test_feature_cache_extracts_a_repeated_cloud_once(
+            self, multi_frame, boxes):
+        """Two vehicles with the same cloud share one key: one
+        extraction, the second lookup a hit, and the alignment equals
+        the uncached one."""
+        from repro.runtime.cache import FeatureCache
+        clouds = list(multi_frame.clouds) + [multi_frame.clouds[0]]
+        repeated = list(boxes) + [boxes[0]]
+        cache = FeatureCache(max_entries=16)
+        cached = MultiVehicleAligner().align(clouds, repeated, rng=0,
+                                             cache=cache)
+        assert cache.misses == multi_frame.num_vehicles
+        assert cache.hits == 1 and len(cache) == multi_frame.num_vehicles
+        uncached = MultiVehicleAligner().align(clouds, repeated, rng=0)
+        assert cached.poses == uncached.poses
 
     def test_input_validation(self):
         aligner = MultiVehicleAligner()

@@ -1,12 +1,15 @@
-"""Tests for the stage-1 feature cache (repro.runtime.cache)."""
+"""Tests for the stage-1 feature cache and its one key
+(repro.runtime.cache)."""
 
 import contextlib
 from dataclasses import replace
 
 import numpy as np
 
+from repro.bev.projection import BVImage
 from repro.bev.roi import RoiCullConfig
 from repro.core.config import BBAlignConfig
+from repro.core.multi import MultiVehicleAligner
 from repro.core.pipeline import BBAlign
 from repro.detection.simulated import SimulatedDetector
 from repro.obs import use_registry
@@ -16,14 +19,15 @@ from repro.experiments.common import (
     evaluate_pair,
     run_pose_recovery_sweep,
 )
+from repro.pointcloud.cloud import PointCloud
 from repro.runtime.cache import (
     FeatureCache,
-    dataset_fingerprint,
     extraction_fingerprint,
-    feature_key,
+    scan_key,
 )
 from repro.runtime.timings import SweepTimings
-from repro.simulation.dataset import DatasetConfig
+
+FP = extraction_fingerprint(BBAlignConfig())
 
 
 class TestFeatureCache:
@@ -79,22 +83,80 @@ class TestFingerprints:
         assert extraction_fingerprint(base) \
             != extraction_fingerprint(detector_variant)
 
-    def test_dataset_fingerprint_ignores_num_pairs(self):
-        a = DatasetConfig(num_pairs=10, seed=5)
-        b = DatasetConfig(num_pairs=40, seed=5)
-        # Records are generated per index, so a 10-pair and a 40-pair
-        # dataset share their first 10 records — and their cache entries.
-        assert dataset_fingerprint(a) == dataset_fingerprint(b)
-        assert dataset_fingerprint(a) != dataset_fingerprint(
-            DatasetConfig(num_pairs=10, seed=6))
+    def test_datasets_differing_in_length_share_entries(self):
+        """Records generate per index, so a 1-pair and a 2-pair dataset
+        share their first pair's scans — and their cache entries."""
+        cache = FeatureCache(max_entries=16)
+        run_pose_recovery_sweep(default_dataset(1, seed=5),
+                                include_vips=False, cache=cache)
+        timings = SweepTimings()
+        run_pose_recovery_sweep(default_dataset(2, seed=5),
+                                include_vips=False, cache=cache,
+                                timings=timings)
+        assert timings.cache_hits == 2 and timings.cache_misses == 2
+        other_seed = SweepTimings()
+        run_pose_recovery_sweep(default_dataset(1, seed=6),
+                                include_vips=False, cache=cache,
+                                timings=other_seed)
+        assert other_seed.cache_hits == 0
 
-    def test_feature_key_separates_roles_and_indices(self):
-        ds = dataset_fingerprint(DatasetConfig())
-        ext = extraction_fingerprint(BBAlignConfig())
-        keys = {feature_key(ds, 0, "ego", ext),
-                feature_key(ds, 0, "other", ext),
-                feature_key(ds, 1, "ego", ext)}
-        assert len(keys) == 3
+    def test_scan_key_separates_scans(self):
+        """Each role of each pair is its own scan, so its own key."""
+        dataset = default_dataset(2, seed=5)
+        keys = {scan_key(cloud, FP) for record in dataset
+                for cloud in (record.pair.ego_cloud, record.pair.other_cloud)}
+        assert len(keys) == 4
+
+
+class TestScanKey:
+    """What the key covers: only what extraction reads."""
+
+    def cloud(self, n: int = 40, seed: int = 0) -> PointCloud:
+        rng = np.random.default_rng(seed)
+        return PointCloud(rng.normal(size=(n, 3)) * 10.0,
+                          timestamps=rng.uniform(0.0, 1.0, n),
+                          labels=rng.integers(0, 3, n))
+
+    def test_scan_key_separates_content_and_shape(self):
+        cloud = self.cloud()
+        assert scan_key(cloud, FP) == scan_key(
+            PointCloud(cloud.points.copy()), FP)
+        moved = cloud.points.copy()
+        moved[0, 0] += 1.0
+        assert scan_key(cloud, FP) != scan_key(PointCloud(moved), FP)
+        assert scan_key(cloud, FP) != scan_key(
+            PointCloud(cloud.points[:-1]), FP)
+        assert scan_key(PointCloud.empty(), FP) \
+            != scan_key(BVImage(np.zeros((0, 0)), 0.2, 0.0), FP)
+        bv = BVImage(np.arange(16.0).reshape(4, 4), 0.2, 0.4)
+        assert scan_key(bv, FP) == scan_key(
+            BVImage(bv.image.copy(), 0.2, 0.4), FP)
+        assert scan_key(bv, FP) != scan_key(
+            BVImage(bv.image.T, 0.2, 0.4), FP)
+
+    def test_timestamps_and_labels_do_not_count(self):
+        """Extraction reads a cloud's points only."""
+        cloud = self.cloud()
+        assert scan_key(cloud, FP) == scan_key(
+            PointCloud(cloud.points), FP)
+
+    def test_bv_metadata_counts(self):
+        image = np.ones((4, 4))
+        base = scan_key(BVImage(image, 0.2, 0.4), FP)
+        assert base != scan_key(BVImage(image, 0.25, 0.4), FP)
+        assert base != scan_key(BVImage(image, 0.2, 0.5), FP)
+        assert base != scan_key(BVImage(image, 0.2, 0.4, 3), FP)
+
+    def test_prior_and_fingerprint_count(self):
+        cloud = self.cloud()
+        assert scan_key(cloud, FP) != scan_key(cloud, FP, (1.0, 2.0))
+        assert scan_key(cloud, FP, (1.0, 2.0)) \
+            == scan_key(cloud, FP, np.array([1.0, 2.0]))
+        assert scan_key(cloud, FP, (1.0, 2.0)) \
+            != scan_key(cloud, FP, (1.0, 2.5))
+        harris = extraction_fingerprint(
+            BBAlignConfig(keypoint_detector="harris"))
+        assert scan_key(cloud, FP) != scan_key(cloud, harris)
 
 
 class TestCachedSweep:
@@ -111,6 +173,36 @@ class TestCachedSweep:
                                        cache=cache, timings=timings)
         assert warm == cold
         assert timings.cache_hits == 6
+
+    def test_record_list_sweep_hits(self):
+        """A sweep over a list of records caches as a dataset sweep
+        does: its second run is all hits and byte-identical."""
+        records = list(default_dataset(2, seed=23))
+        cache = FeatureCache(max_entries=16)
+        cold_timings, warm_timings = SweepTimings(), SweepTimings()
+        cold = run_pose_recovery_sweep(records, include_vips=False,
+                                       cache=cache, timings=cold_timings)
+        warm = run_pose_recovery_sweep(records, include_vips=False,
+                                       cache=cache, timings=warm_timings)
+        assert cold_timings.cache_misses == 4
+        assert warm_timings.cache_hits == 4
+        assert warm_timings.cache_misses == 0
+        assert warm == cold
+
+    def test_sweep_entries_serve_fleet_alignment(self):
+        """Features a sweep cached are hits for
+        ``MultiVehicleAligner.align`` on the same clouds, and the
+        alignment equals an uncached one."""
+        record = next(iter(default_dataset(1, seed=24)))
+        cache = FeatureCache(max_entries=16)
+        run_pose_recovery_sweep([record], include_vips=False, cache=cache)
+        clouds = [record.pair.ego_cloud, record.pair.other_cloud]
+        hits, misses = cache.hits, cache.misses
+        multi = MultiVehicleAligner()
+        cached = multi.align(clouds, [[], []], rng=0, cache=cache)
+        assert cache.hits == hits + 2 and cache.misses == misses
+        assert MultiVehicleAligner().align(clouds, [[], []],
+                                           rng=0).poses == cached.poses
 
     def test_cache_false_disables(self):
         dataset = default_dataset(2, seed=22)
@@ -138,19 +230,16 @@ class TestPairBatchedCache:
         self.record = next(iter(default_dataset(1, seed=31)))
         self.aligner = BBAlign()
         self.detector = SimulatedDetector()
-        self.ds_fp = dataset_fingerprint(DatasetConfig(seed=31))
-        self.ext_fp = extraction_fingerprint(self.aligner.config)
 
     def _key(self, role):
-        return feature_key(self.ds_fp, self.record.index, role, self.ext_fp)
+        return scan_key(getattr(self.record.pair, f"{role}_cloud"),
+                        extraction_fingerprint(self.aligner.config))
 
     def _evaluate(self, cache, timings=None):
         with (use_registry(timings.registry) if timings is not None
               else contextlib.nullcontext()):
             return evaluate_pair(self.record, self.aligner, self.detector,
-                                 include_vips=False, cache=cache,
-                                 dataset_fp=self.ds_fp,
-                                 extraction_fp=self.ext_fp)
+                                 include_vips=False, cache=cache)
 
     def _single(self, role):
         return self.aligner.extract_features(
@@ -190,11 +279,9 @@ class TestPairBatchedCache:
         `evaluate_pair` bit-for-bit, and vice versa."""
         single_cache = FeatureCache(max_entries=8)
         ego_single = _features_for(
-            self.aligner, self.record.pair.ego_cloud, "ego",
-            self.record.index, single_cache, self.ds_fp, self.ext_fp)
+            self.aligner, self.record.pair.ego_cloud, single_cache)
         other_single = _features_for(
-            self.aligner, self.record.pair.other_cloud, "other",
-            self.record.index, single_cache, self.ds_fp, self.ext_fp)
+            self.aligner, self.record.pair.other_cloud, single_cache)
         timings = SweepTimings()
         from_single = self._evaluate(single_cache, timings)
         assert timings.cache_hits == 2
@@ -232,16 +319,13 @@ class TestRoiSweepExtraction:
         run_pose_recovery_sweep(dataset, config=config, include_vips=False,
                                 workers=1, cache=cache)
         aligner = BBAlign(config)
-        ds_fp = dataset_fingerprint(dataset.config)
-        ext_fp = extraction_fingerprint(config)
+        fingerprint = extraction_fingerprint(config)
         for record in dataset:
             gt = record.pair.gt_relative  # other -> ego
-            for role, cloud, prior in (
-                    ("ego", record.pair.ego_cloud, gt.translation),
-                    ("other", record.pair.other_cloud,
-                     gt.inverse().translation)):
-                got = cache.get(feature_key(ds_fp, record.index, role,
-                                            ext_fp))
+            for cloud, prior in (
+                    (record.pair.ego_cloud, gt.translation),
+                    (record.pair.other_cloud, gt.inverse().translation)):
+                got = cache.get(scan_key(cloud, fingerprint, prior))
                 assert got is not None
                 assert got.roi is not None
                 want = aligner.extract_features(cloud, prior=prior)
@@ -250,3 +334,22 @@ class TestRoiSweepExtraction:
                 assert np.array_equal(got.mim.mim, want.mim.mim)
                 assert np.array_equal(got.mim.max_amplitude,
                                       want.mim.max_amplitude)
+
+    def test_one_cloud_two_priors_two_entries(self):
+        """Under ROI culling the prior picks the crop, so one cloud
+        extracted for two priors is two entries, each equal to its own
+        direct extraction."""
+        config = BBAlignConfig(roi=RoiCullConfig(enabled=True))
+        aligner = BBAlign(config)
+        cloud = next(iter(default_dataset(1, seed=34))).pair.ego_cloud
+        cache = FeatureCache(max_entries=16)
+        priors = ((20.0, 0.0), (-20.0, 5.0))
+        got = [_features_for(aligner, cloud, cache, prior)
+               for prior in priors]
+        assert len(cache) == 2 and cache.misses == 2
+        assert got[0].roi != got[1].roi
+        for features, prior in zip(got, priors):
+            assert _features_for(aligner, cloud, cache, prior) is features
+            assert _same_features(
+                features, aligner.extract_features(cloud, prior=prior))
+        assert cache.hits == 2

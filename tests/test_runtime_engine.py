@@ -16,6 +16,7 @@ from repro.runtime.engine import (
 from repro.runtime.faults import WorkerFault
 from repro.runtime.retry import RetryPolicy
 from repro.runtime.timings import SweepTimings, collect_timings
+from repro.simulation.dataset import DatasetConfig
 
 
 def _refuse_pool(workers):
@@ -66,6 +67,24 @@ class TestParallelDeterminism:
         assert timings.workers == 2
         assert timings.wall_seconds > 0
         assert timings.seconds.get("bv_extract", 0) > 0
+
+
+class TestSweepState:
+    def test_longer_dataset_rebuilds_the_state(self):
+        """The per-process sweep state is keyed on the whole dataset
+        config: after a 1-pair sweep, a 3-pair sweep of the same seed
+        evaluates all three pairs instead of reading them out of the
+        1-pair dataset."""
+        def sweep(num_pairs):
+            return common.run_sweep_parallel(
+                DatasetConfig(num_pairs=num_pairs, seed=5),
+                num_pairs=num_pairs, workers=1, include_vips=False)
+
+        short = sweep(1)
+        longer = sweep(3)
+        assert all(isinstance(o, common.PairOutcome) for o in longer)
+        assert [o.index for o in longer] == [0, 1, 2]
+        assert longer[0] == short[0]
 
 
 class TestFallback:

@@ -263,8 +263,7 @@ class TestAlignParallelEqualsSerial:
                 outputs.append(multi.align(
                     clouds, boxes, rng=np.random.default_rng(
                         [DATA_SEED, index, 99]),
-                    pairs=pairs, cache=cache,
-                    scene_key=None if cache is None else index))
+                    pairs=pairs, cache=cache))
         return outputs, multi.aligner.last_good_transform, registry
 
     @staticmethod

@@ -306,23 +306,20 @@ class TestRunExtract:
     path: the features equal ``BBAlign`` extraction bit for bit."""
 
     def scans(self):
-        """A full-scan and a BV-image scan, each with the features
+        """A full-scan cloud and a BV image, each with the features
         in-process extraction gives."""
         from repro.core.pipeline import BBAlign
 
         aligner = BBAlign()
         pair = V2VDatasetSim(DATASET)[0].pair
-        full = build_message(Tier.FULL_SCAN, [], cloud=pair.ego_cloud)
-        bv = TieredMessage(Tier.BV_IMAGE, [],
-                           bv_image=aligner.bv_matcher.make_bv_image(
-                               pair.other_cloud))
-        return [(full, aligner.extract_features(full.cloud)),
-                (bv, aligner.bv_matcher.extract(bv.bv_image))]
+        bv = aligner.bv_matcher.make_bv_image(pair.other_cloud)
+        return [(pair.ego_cloud, aligner.extract_features(pair.ego_cloud)),
+                (bv, aligner.bv_matcher.extract(bv))]
 
     def test_features_equal_in_process_extraction(self):
         arena = ShmArena(prefix="repro-test")
-        for message, want in self.scans():
-            for scan in (message, share_objects(arena, message)):
+        for data, want in self.scans():
+            for scan in (data, share_objects(arena, data)):
                 for out in (arena.reserve(_FEATURE_SEGMENT_BYTES), None):
                     _, payload, _ = run_extract(ExtractTask(
                         config=None, scan=scan, out=out))

@@ -16,7 +16,7 @@ from repro.comms.envelope import ServiceRequest
 from repro.comms.tiers import Tier, TieredMessage, build_message
 from repro.runtime.cache import FeatureCache
 from repro.service import PoseService, ServiceConfig
-from repro.service.scans import _digest, _features_nbytes
+from repro.service.scans import _features_nbytes
 from repro.simulation.dataset import DatasetConfig, V2VDatasetSim
 
 DATASET = DatasetConfig(num_pairs=2, seed=2024)
@@ -112,16 +112,6 @@ class TestByteBudget:
 
 
 class TestWorkerHelpers:
-    def test_digest_separates_content_and_shape(self):
-        a = np.arange(6, dtype=np.float64)
-        assert _digest(a) == _digest(a.copy())
-        assert _digest(a) != _digest(a.reshape(2, 3))
-        assert _digest(a) != _digest(a.astype(np.float32))
-        assert _digest(None) != _digest(np.empty(0))
-        b = a.copy()
-        b[0] += 1
-        assert _digest(a) != _digest(b)
-
     def test_features_nbytes_walks_attributes(self):
         class Inner:
             __slots__ = ("image",)
