@@ -29,14 +29,20 @@ Performance notes (the stage-1 hot path runs this on every frame):
 * Transforms go through the shared :mod:`repro.bev._fft` backend (SciPy's
   pocketfft when available — SIMD-vectorized and ~2x faster than
   ``numpy.fft`` on this workload — falling back to ``numpy.fft``).
-* The bank owns its **scratch workspace**, one per thread: the
-  per-scale scaled spectra, the product buffer and the magnitude
-  temporary are allocated on a thread's first use and reused across
-  every image that thread filters (:meth:`LogGaborBank._workspace`), so
-  the hot loop performs no per-call allocations beyond the returned
-  sums and the backend's inverse-transform outputs, and two threads
-  sharing one cached bank (:mod:`repro.runtime.fanout`) never write
-  each other's buffers.
+* The bank owns a small **pool of scratch workspaces**, one per
+  concurrent call: the per-scale scaled spectra, the product buffer
+  (which also holds the downcast input spectrum), the magnitude
+  temporary and the orientation accumulator.  A call takes a free set
+  under a lock and returns it when done
+  (:meth:`LogGaborBank._workspace`), so the sets are reused by
+  whichever thread runs next — fan-out helper threads live for one
+  call — and two threads sharing one cached bank
+  (:mod:`repro.runtime.fanout`) never write each other's buffers.
+* Orientations are yielded one at a time
+  (:meth:`LogGaborBank.orientation_sums`), so the MIM winner sweep
+  needs no ``(N_o, H, H)`` stack.  Per call, the only fresh allocation
+  is the forward transform's double-precision output (SciPy's inverse
+  transforms run in place).
 * The inverse transforms are applied filter-by-filter rather than as one
   giant batched transform: the angular window is one-sided, so the complex
   response *is* the analytic signal and a single complex ``ifft2`` already
@@ -63,8 +69,11 @@ argmax decisions and amplitude agreement at single-precision tolerance
 
 from __future__ import annotations
 
+import contextlib
+import os
 import threading
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -72,6 +81,13 @@ from repro.bev._fft import fft2 as _fft2
 from repro.bev._fft import ifft2 as _ifft2
 
 __all__ = ["LogGaborConfig", "LogGaborBank"]
+
+# Guards every bank's free workspace list (LogGaborBank._workspace).  A
+# fork waits for it, so no child inherits it held.
+_WORKSPACE_LOCK = threading.Lock()
+os.register_at_fork(before=_WORKSPACE_LOCK.acquire,
+                    after_in_parent=_WORKSPACE_LOCK.release,
+                    after_in_child=_WORKSPACE_LOCK.release)
 
 
 def _pack_window(window: np.ndarray) -> np.ndarray:
@@ -177,8 +193,8 @@ class LogGaborBank:
         # output bit.
         self._angular_packed[
             self._angular_packed < np.finfo(np.float32).tiny] = 0.0
-        # Reusable scratch buffers, per thread (see _workspace).
-        self._scratch = threading.local()
+        # Free scratch-buffer sets (see _workspace).
+        self._free: list[tuple[np.ndarray, ...]] = []
 
     # ------------------------------------------------------------------
     def _frequency_grid(self) -> tuple[np.ndarray, np.ndarray]:
@@ -263,56 +279,78 @@ class LogGaborBank:
             out.append(per_scale)
         return out
 
-    def _workspace(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The calling thread's scratch buffers, allocated on its first
-        use.
+    @contextlib.contextmanager
+    def _workspace(self) -> Iterator[tuple[np.ndarray, np.ndarray,
+                                           np.ndarray, np.ndarray]]:
+        """Scratch buffers for one call, taken from the bank's pool.
 
-        Returns ``(scaled, product, magnitude)``: the per-scale scaled
-        spectra ``(N_s, H, 2W)``, the complex product buffer ``(H, W)``
-        and the magnitude temporary ``(H, W)``.
+        Yields ``(scaled, product, magnitude, acc)``: the per-scale
+        scaled spectra ``(N_s, H, 2W)``, the complex product buffer
+        ``(H, W)``, the magnitude temporary and the orientation
+        accumulator ``(H, W)``.  A call takes a free set, or allocates
+        one when every set is in use, and returns it when it ends, so
+        the pool holds as many sets as calls ever ran at once.  A pool
+        rather than thread-local sets: fan-out helper threads are
+        started per call, and a thread-local set would be allocated
+        anew on every fanned extraction and never reused.
         """
-        buffers = getattr(self._scratch, "buffers", None)
+        with _WORKSPACE_LOCK:
+            buffers = self._free.pop() if self._free else None
         if buffers is None:
             n = self.size
-            buffers = self._scratch.buffers = (
-                np.empty((self.config.num_scales, n, 2 * n),
-                         dtype=np.float32),
-                np.empty((n, n), dtype=np.complex64),
-                np.empty((n, n), dtype=np.float32))
-        return buffers
+            buffers = (np.empty((self.config.num_scales, n, 2 * n),
+                                dtype=np.float32),
+                       np.empty((n, n), dtype=np.complex64),
+                       np.empty((n, n), dtype=np.float32),
+                       np.empty((n, n), dtype=np.float32))
+        try:
+            yield buffers
+        finally:
+            with _WORKSPACE_LOCK:
+                self._free.append(buffers)
 
-    def orientation_amplitude_sum(self, image: np.ndarray) -> np.ndarray:
-        """Eq. (9): per-orientation amplitude summed over scales.
+    def orientation_sums(self, image: np.ndarray) -> Iterator[np.ndarray]:
+        """Eq. (9) one orientation at a time.
 
-        Returns an array of shape ``(N_o, H, H)``, float32 — the
-        transforms run in single precision (see the module docstring);
-        consumers needing double precision cast at their boundary.
+        Yields, for ``o = 0 .. N_o - 1``, orientation ``o``'s amplitude
+        summed over scales: an ``(H, H)`` float32 array — the transforms
+        run in single precision (see the module docstring).  Every item
+        is the same workspace buffer, overwritten by the next one, so a
+        caller that keeps an item copies it.
         """
         cfg = self.config
-        # Double-precision forward FFT, then downcast: the input spectrum
-        # keeps full accuracy while the 48 products and inverse
-        # transforms run at complex64 speed.
-        spectrum = _fft2(self._check_image(image)).astype(np.complex64)
-        fview = spectrum.view(np.float32)  # (H, 2W) interleaved re/im
-        scaled, product, magnitude = self._workspace()
-        # Hoist the radial product: scaled[s] = spectrum * radial[s], then
-        # each filter is one angular multiply away.  All operands are
-        # interleaved-f32 views (see _pack_window), so every product is a
-        # contiguous real SIMD multiply.
-        for s in range(cfg.num_scales):
-            np.multiply(fview, self._radial_packed[s], out=scaled[s])
-        sums = np.empty((cfg.num_orientations, self.size, self.size),
-                        dtype=np.float32)
-        pview = product.view(np.float32)
-        for o in range(cfg.num_orientations):
-            acc = sums[o]  # accumulate in place, no final copy
-            # The first scale writes its magnitude straight into the
-            # accumulator (0.0 + x == x, so skipping the zero-fill and
-            # first add is bit-identical and two passes cheaper).
-            np.multiply(scaled[0], self._angular_packed[o], out=pview)
-            np.abs(_ifft2(product, overwrite=True), out=acc)
-            for s in range(1, cfg.num_scales):
-                np.multiply(scaled[s], self._angular_packed[o], out=pview)
-                np.abs(_ifft2(product, overwrite=True), out=magnitude)
-                acc += magnitude
+        image = self._check_image(image)
+        with self._workspace() as (scaled, product, magnitude, acc):
+            # Double-precision forward FFT, downcast into the product
+            # buffer (free until the first filter): the input spectrum
+            # keeps full accuracy while the 48 products and inverse
+            # transforms run at complex64 speed.
+            np.copyto(product, _fft2(image))
+            pview = product.view(np.float32)  # (H, 2W) interleaved re/im
+            # Hoist the radial product: scaled[s] = spectrum * radial[s],
+            # then each filter is one angular multiply away.  All operands
+            # are interleaved-f32 views (see _pack_window), so every
+            # product is a contiguous real SIMD multiply.
+            for s in range(cfg.num_scales):
+                np.multiply(pview, self._radial_packed[s], out=scaled[s])
+            for o in range(cfg.num_orientations):
+                # The first scale writes its magnitude straight into the
+                # accumulator (0.0 + x == x, so skipping the zero-fill and
+                # first add is bit-identical and two passes cheaper).
+                np.multiply(scaled[0], self._angular_packed[o], out=pview)
+                np.abs(_ifft2(product, overwrite=True), out=acc)
+                for s in range(1, cfg.num_scales):
+                    np.multiply(scaled[s], self._angular_packed[o],
+                                out=pview)
+                    np.abs(_ifft2(product, overwrite=True), out=magnitude)
+                    acc += magnitude
+                yield acc
+
+    def orientation_amplitude_sum(self, image: np.ndarray) -> np.ndarray:
+        """Eq. (9) for all orientations: :meth:`orientation_sums`
+        stacked into an ``(N_o, H, H)`` float32 array."""
+        sums = np.empty((self.config.num_orientations, self.size,
+                         self.size), dtype=np.float32)
+        for o, acc in enumerate(self.orientation_sums(image)):
+            sums[o] = acc
         return sums

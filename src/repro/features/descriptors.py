@@ -17,16 +17,18 @@ same angle (an orientation index is itself a direction).  MIM orientations
 live on ``[0, pi)`` in steps of ``pi / N_o``, so rotation by a dominant-bin
 angle is an exact circular shift of the value space.
 
-The extractor is loop-free over keypoints and makes few passes over
-memory per block of keypoints:
+The extractor is loop-free within a block of keypoints and makes few
+passes over memory per block:
 
 - Dominant-orientation votes read only the *distinct* pixels of the
   identity grid, each weighted by how often the grid reads it (see
   :meth:`BvftDescriptorExtractor._rotation_grid` for why there are only
-  625 of them at ``J = 48``), in one offset-flattened ``np.bincount`` for
-  all keypoints.  A weight times its read count may differ from repeated
-  adds in the last bit, which can move a dominant bin only when two
-  orientations' votes agree to within that bit.
+  625 of them at ``J = 48``), in one offset-flattened ``np.bincount`` per
+  block.  Each keypoint's bins receive its votes in the same order
+  whatever the block, so the block size changes no bit.  A weight times
+  its read count may differ from repeated adds in the last bit, which
+  can move a dominant bin only when two orientations' votes agree to
+  within that bit.
 - Each keypoint's patch is gathered once, through its dominant bin's
   rotation grid, and every pixel is binned by its *unshifted* MIM value.
   Rotating content by ``-dom`` shifts orientation values by ``-dom``, and
@@ -34,8 +36,9 @@ memory per block of keypoints:
   bins: every bin receives the same weights in the same order as a
   shift-then-bin pass would give it, so the sums are bit-identical.
 - One offset-flattened ``np.bincount`` per block accumulates every
-  histogram of the block (each keypoint owns a disjoint bin range), and
-  normalize/clip/drop run once over all rows.
+  histogram of the block (each keypoint owns a disjoint bin range) and
+  its relabel is written straight into the output rows; normalize, clip
+  and drop then run once over all rows, in place.
 - Index tensors, grids and bins are ``np.intp``: ``take`` and
   ``bincount`` convert narrower indices to ``intp`` on every call, which
   measures slower than reading the wider ones.
@@ -56,10 +59,14 @@ from repro.features.fast import Keypoints
 __all__ = ["BvftConfig", "DescriptorSet", "BvftDescriptorExtractor"]
 
 # Keypoints are processed in blocks of this size: large enough to amortize
-# the bincount calls, small enough that the (block, J, J) gather tensors
-# (~1.2 MB at J=48) stay cache-resident — 64 measures ~2x faster than 512
-# on both the 192- and 320-pixel configurations.
-_KEYPOINT_BLOCK = 64
+# the per-block numpy calls, small enough that the three (block, J, J)
+# gather tensors (0.6 MB each at J=48) stay cache-resident and bound
+# extraction's peak.  Re-measured on a 2-vCPU Xeon host at 192 px, two
+# extractions through fan_out, median per pair over 8 runs of 24 pairs:
+# 64 -> 43.3 ms, 32 -> 43.4 ms, 24 -> 44.3 ms, 16 -> 46.3 ms.  One
+# extraction's traced peak, worst of 20 scans: 7.2 MB at 64, 5.2 MB at
+# 32, 4.2 MB at 16.  (512 measured ~2x slower than 64.)
+_KEYPOINT_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -124,6 +131,12 @@ class DescriptorSet:
     def empty(dim: int) -> "DescriptorSet":
         return DescriptorSet(np.empty((0, dim)), np.empty((0, 2)),
                              np.empty(0, dtype=int), np.empty(0, dtype=int))
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(rows, axis=1)`` bit for bit, with one temporary
+    the size of ``rows`` where numpy's ``x.conj() * x`` makes two."""
+    return np.sqrt(np.add.reduce(np.square(rows), axis=1))
 
 
 class BvftDescriptorExtractor:
@@ -206,26 +219,75 @@ class BvftDescriptorExtractor:
         zero-weight padding, which contributes nothing to any histogram;
         keypoints with an entirely zero-weight patch are dropped.
         """
+        dim = self.config.descriptor_length(mim_result.num_orientations)
+        if len(keypoints) == 0:
+            return DescriptorSet.empty(dim)
+        hist, dom = self._histograms(mim_result, keypoints)
+
+        # Drop all-zero rows, normalize, clip, renormalize, in place.  A
+        # clipped unit row keeps its positive entries, so its norm stays
+        # > 0.
+        norms = _row_norms(hist)
+        keep = norms > 0
+        if not keep.all():
+            hist, norms = hist[keep], norms[keep]
+            if len(hist) == 0:
+                return DescriptorSet.empty(dim)
+        hist /= norms[:, None]
+        if self.config.clip_value > 0:
+            np.minimum(hist, self.config.clip_value, out=hist)
+            hist /= _row_norms(hist)[:, None]
+        kept_idx = np.flatnonzero(keep)
+        return DescriptorSet(
+            descriptors=hist,
+            keypoint_xy=np.asarray(keypoints.xy[kept_idx], dtype=float),
+            keypoint_indices=kept_idx.astype(int),
+            dominant_bins=dom[keep].astype(int),
+        )
+
+    @staticmethod
+    def _dominant_bins(mim_flat: np.ndarray, weights_flat: np.ndarray,
+                       base: np.ndarray, vote_offsets: np.ndarray,
+                       vote_counts: np.ndarray, n_orient: int) -> np.ndarray:
+        """Dominant orientation of each keypoint at linear offset
+        ``base``, from its *unrotated* patch: one vote per distinct
+        pixel, weighted by its read count.  A keypoint with no votes gets
+        bin 0, whose histogram reads the same zero-weight pixels, so the
+        norm test drops it."""
+        lin0 = vote_offsets + base[:, None]
+        bins = mim_flat.take(lin0)
+        bins += (np.arange(len(base)) * n_orient)[:, None]
+        votes = weights_flat.take(lin0)
+        votes *= vote_counts
+        return np.argmax(np.bincount(
+            bins.ravel(), weights=votes.ravel(),
+            minlength=len(base) * n_orient).reshape(-1, n_orient), axis=1)
+
+    def _histograms(self, mim_result: MIMResult, keypoints: Keypoints
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """Every keypoint's rotation-normalized cell histograms, as
+        ``(n_kp, l * l * N_o)`` float64 rows, and its dominant bin."""
         cfg = self.config
         n_orient = mim_result.num_orientations
         dim = cfg.descriptor_length(n_orient)
         n_kp = len(keypoints)
-        if n_kp == 0:
-            return DescriptorSet.empty(dim)
-
         patch = cfg.patch_size
         # Pad by the patch diagonal so any rotation stays in bounds.
         # Padding pixels need no masking at all: their weight is exactly
         # 0.0, so letting them vote (into bin 0) changes no histogram sum
         # bit (x + 0.0 == x for the non-negative partial sums here).
+        # Each map is written straight into its padded frame.
         pad = int(np.ceil(patch * np.sqrt(2) / 2)) + 2
-        mim = np.pad(mim_result.mim.astype(np.intp), pad)
+        inner = tuple(slice(pad, pad + n) for n in mim_result.mim.shape)
+        mim = np.zeros([n + 2 * pad for n in mim_result.mim.shape],
+                       dtype=np.intp)
+        mim[inner] = mim_result.mim
+        weights = np.zeros(mim.shape)
         valid = mim_result.valid_mask()
         if cfg.amplitude_weighting:
-            weights_img = mim_result.max_amplitude * valid
+            np.multiply(mim_result.max_amplitude, valid, out=weights[inner])
         else:
-            weights_img = valid.astype(np.float64)
-        weights = np.pad(weights_img, pad)
+            weights[inner] = valid
 
         # Flattened views + linear indices: one `take` per gather, and mim
         # and weights share each index tensor.
@@ -237,22 +299,6 @@ class BvftDescriptorExtractor:
                     + np.rint(keypoints.xy[:, 0]).astype(np.intp) + pad)
         lin_grids, vote_offsets, vote_counts = self._linear_grids_for(
             n_orient, patch, stride)
-        kp_index = np.arange(n_kp)
-
-        if cfg.rotation_invariant:
-            # Dominant orientation from the *unrotated* patches, one
-            # vote per distinct pixel weighted by its read count.  A
-            # keypoint with no votes gets bin 0, whose histogram reads
-            # the same zero-weight pixels, so the norm test drops it.
-            lin0 = vote_offsets + base_all[:, None]
-            flat0 = mim_flat.take(lin0) + (kp_index * n_orient)[:, None]
-            votes = np.bincount(
-                flat0.ravel(),
-                weights=(weights_flat.take(lin0) * vote_counts).ravel(),
-                minlength=n_kp * n_orient).reshape(n_kp, n_orient)
-            dom = np.argmax(votes, axis=1)
-        else:
-            dom = np.zeros(n_kp, dtype=np.intp)
 
         # Per-patch-pixel cell base bin (row-major over the l x l grid),
         # plus each block keypoint's own histogram base.
@@ -260,48 +306,41 @@ class BvftDescriptorExtractor:
         out_idx = np.arange(patch) // (patch // grid_cells)
         cell_bins = (out_idx[:, None] * grid_cells + out_idx[None, :]
                      ) * n_orient
-        block = min(n_kp, _KEYPOINT_BLOCK)
-        hist_base = cell_bins + (np.arange(block) * dim)[:, None, None]
+        hist_base = (np.arange(min(n_kp, _KEYPOINT_BLOCK)) * dim
+                     )[:, None, None]
+        # rolled[d, j] = (j + d) % N_o: rotating content by -d shifts
+        # orientation values by -d, so output bin j of each cell is
+        # unshifted bin (j + d) % N_o.
+        orientation = np.arange(n_orient)
+        rolled = (orientation + orientation[:, None]) % n_orient
 
-        # Rotated gather (each keypoint through its dominant bin's grid),
-        # binned by the unshifted MIM value.
+        dom = np.zeros(n_kp, dtype=np.intp)
         hist = np.empty((n_kp, dim))
         for start in range(0, n_kp, _KEYPOINT_BLOCK):
             stop = min(n_kp, start + _KEYPOINT_BLOCK)
             nb = stop - start
+            base = base_all[start:stop]
+            if cfg.rotation_invariant:
+                dom[start:stop] = self._dominant_bins(
+                    mim_flat, weights_flat, base, vote_offsets, vote_counts,
+                    n_orient)
+
+            # Rotated gather (each keypoint through its dominant bin's
+            # grid), binned by the unshifted MIM value, then relabeled.
             lin = lin_grids.take(dom[start:stop], axis=0)
-            lin += base_all[start:stop, None, None]
+            lin += base[:, None, None]
             bins = mim_flat.take(lin)
+            bins += cell_bins
             bins += hist_base[:nb]
-            hist[start:stop] = np.bincount(
+            counts = np.bincount(
                 bins.ravel(), weights=weights_flat.take(lin).ravel(),
-                minlength=nb * dim).reshape(nb, dim)
+                minlength=nb * dim).reshape(nb, -1, n_orient)
+            if cfg.rotation_invariant:
+                counts = np.take_along_axis(
+                    counts, rolled[dom[start:stop], None, :], axis=2)
+            hist[start:stop] = counts.reshape(nb, dim)
 
-        # Rotating content by -dom shifts orientation values by -dom:
-        # output bin j of each cell is unshifted bin (j + dom) % N_o.
-        if cfg.rotation_invariant:
-            shift = (np.arange(n_orient) + dom[:, None]) % n_orient
-            hist = np.take_along_axis(
-                hist.reshape(n_kp, -1, n_orient), shift[:, None, :],
-                axis=2).reshape(n_kp, dim)
-
-        # Drop all-zero rows, normalize, clip, renormalize.  A clipped
-        # unit row keeps its positive entries, so its norm stays > 0.
-        norms = np.linalg.norm(hist, axis=1)
-        keep = norms > 0
-        kept_idx = kp_index[keep]
-        if kept_idx.size == 0:
-            return DescriptorSet.empty(dim)
-        hist = hist[keep] / norms[keep, None]
-        if cfg.clip_value > 0:
-            np.minimum(hist, cfg.clip_value, out=hist)
-            hist /= np.linalg.norm(hist, axis=1)[:, None]
-        return DescriptorSet(
-            descriptors=hist,
-            keypoint_xy=np.asarray(keypoints.xy[kept_idx], dtype=float),
-            keypoint_indices=kept_idx.astype(int),
-            dominant_bins=dom[keep].astype(int),
-        )
+        return hist, dom
 
     # ------------------------------------------------------------------
     def flipped_set(self, descriptors: DescriptorSet,

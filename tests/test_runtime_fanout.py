@@ -6,20 +6,29 @@ forces the CPU count to 2 and to 1 (monkeypatching the affinity lookup)
 and asserts the two runs agree bit for bit: outputs, raised exceptions,
 the aligner's last-good pose, and the telemetry the calls record.  The
 fork tests check that a fan-out in the parent leaves a pool or a
-service started afterwards working, and that pool workers run the
-primitive serially.
+service started afterwards working, that pool workers run the
+primitive serially, and that a fork never hands a child the Log-Gabor
+workspace-pool lock held.  The footprint tests bound what fanned
+extractions cost the allocator: one extraction's traced peak, and the
+page faults two fanned extractions take once warm.
 """
 
 from __future__ import annotations
 
 import asyncio
 import functools
+import hashlib
+import os
+import signal
 import sys
 import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.bev import log_gabor
 from repro.bev.log_gabor import LogGaborBank
 from repro.comms import Tier, TieredMessage, encode_message
 from repro.comms.envelope import ServiceRequest
@@ -98,6 +107,27 @@ def wire_pairs():
         pairs.append((index, pair.ego_cloud, pair.other_cloud,
                       [d.box for d in ego], [d.box for d in other], wire))
     return pairs
+
+
+@pytest.fixture(scope="module")
+def bv_pairs(wire_pairs):
+    """The BV images of both scans of each ``wire_pairs`` pair (192 px,
+    the default configuration)."""
+    matcher = BBAlign().bv_matcher
+    return [(matcher.make_bv_image(ego), matcher.make_bv_image(other))
+            for _, ego, other, *_ in wire_pairs]
+
+
+def features_digest(features) -> str:
+    """SHA-256 of a BVFeatures' MIM maps, keypoints and descriptors."""
+    descriptors = features.descriptors
+    digest = hashlib.sha256()
+    for array in (features.mim.mim, features.mim.max_amplitude,
+                  features.keypoints.xy, descriptors.descriptors,
+                  descriptors.keypoint_xy, descriptors.keypoint_indices,
+                  descriptors.dominant_bins):
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
 
 
 def result_key(result) -> tuple:
@@ -248,6 +278,50 @@ class TestSharedStateUnderThreads:
             assert len(results[slot]) == 3 * len(images)
             for index, sums in results[slot]:
                 assert np.array_equal(sums, serial[index])
+
+    def test_concurrent_workspaces_never_share_buffers(self):
+        """Each thread fills every buffer of the workspace it holds with
+        its own byte, lets the others run, and must find the byte
+        intact; the barrier makes all four hold a workspace at once."""
+        bank = LogGaborBank(32)
+        with bank._workspace() as first, bank._workspace() as second:
+            assert not any(np.shares_memory(a, b)
+                           for a in first for b in second)
+        barrier = threading.Barrier(4, timeout=60)
+        clobbered: list[int] = []
+
+        def worker(slot: int) -> None:
+            for round_ in range(20):
+                with bank._workspace() as buffers:
+                    for buffer in buffers:
+                        buffer.view(np.uint8).fill(slot)
+                    if round_ == 0:
+                        barrier.wait()
+                    time.sleep(0)
+                    if not all((buffer.view(np.uint8) == slot).all()
+                               for buffer in buffers):
+                        clobbered.append(slot)
+
+        run_threads(worker, 4)
+        assert clobbered == []
+        assert len(bank._free) == 4  # one set per call that overlapped
+
+
+class TestExtractionParallelEqualsSerial:
+    def test_fanned_extractions_match_serial_across_calls(self, cpus,
+                                                          bv_pairs):
+        """MIM and descriptor digests of every scan, extracted pairwise
+        through fan_out three times over, equal the serial ones: the
+        pooled workspaces carry nothing from one call to the next."""
+        matcher = BBAlign().bv_matcher
+        cpus(1)
+        serial = [[features_digest(matcher.extract(bv)) for bv in pair]
+                  for pair in bv_pairs]
+        cpus(2)
+        for _ in range(3):
+            for pair, expected in zip(bv_pairs, serial):
+                assert [features_digest(features) for features in
+                        fan_out(matcher.extract, pair)] == expected
 
 
 # ----------------------------------------------------------------------
@@ -428,6 +502,44 @@ def _worker_fan_out() -> tuple[int, set[str], str]:
 
 
 class TestForkAndWorkers:
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_fork_while_workspace_lock_held_extracts_in_child(self,
+                                                              bv_pairs):
+        """Another thread holds the workspace-pool lock as the parent
+        forks: the fork waits for it, so the child, which has no such
+        thread, finds the lock free and extracts the same features."""
+        matcher = BBAlign().bv_matcher
+        bv = bv_pairs[0][0]
+        expected = features_digest(matcher.extract(bv))
+        held, release = threading.Event(), threading.Event()
+
+        def holder() -> None:
+            with log_gabor._WORKSPACE_LOCK:
+                held.set()
+                release.wait(timeout=60)
+
+        thread = threading.Thread(target=holder)
+        thread.start()
+        assert held.wait(timeout=60)
+        # Release while the fork below waits for the lock.
+        timer = threading.Timer(0.2, release.set)
+        timer.start()
+        pid = os.fork()
+        if pid == 0:  # the child: exit with the verdict, never return
+            code = 1
+            try:
+                signal.signal(signal.SIGALRM, signal.SIG_DFL)
+                signal.alarm(30)  # a lock inherited held hangs here
+                code = 0 if features_digest(
+                    matcher.extract(bv)) == expected else 2
+            finally:
+                os._exit(code)
+        timer.join(timeout=60)
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+
     def test_pool_after_fan_out_runs_serially_in_workers(self, cpus,
                                                          wire_pairs):
         cpus(2)  # the forked worker inherits the forced count
@@ -472,3 +584,54 @@ class TestForkAndWorkers:
             expected.transform.tx, expected.transform.ty,
             expected.transform.theta)
         assert response.inliers_bv == expected.inliers_bv
+
+
+# ----------------------------------------------------------------------
+# Extraction footprint
+# ----------------------------------------------------------------------
+class TestExtractionFootprint:
+    """Fanned extractions run on the allocator's per-thread arenas, so
+    what one extraction allocates is paid once per concurrent call and
+    must stay small, and warm calls must not fault in fresh pages."""
+
+    def test_extraction_peak_is_bounded(self, bv_pairs):
+        """One warmed extraction of a default 192-px scan allocates at
+        most 6 MB at its peak (12.6 MB before the Log-Gabor stack and
+        the all-keypoint vote arrays went)."""
+        matcher = BBAlign().bv_matcher
+        bv = bv_pairs[0][0]
+        assert bv.size == 192
+        matcher.extract(bv)  # builds the bank, the grids, a workspace
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            matcher.extract(bv)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 6e6
+
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="reads Linux minor-fault counts")
+    def test_fanned_extraction_takes_few_page_faults(self, cpus,
+                                                      bv_pairs):
+        """Once warm, two extractions through fan_out take fewer than
+        500 minor page faults per pair (about 5,000 when the process was
+        capped to one malloc arena, which unmapped the temporaries)."""
+        import resource
+
+        cpus(2)
+        matcher = BBAlign().bv_matcher
+        for pair in bv_pairs:  # warm-up
+            list(fan_out(matcher.extract, pair))
+        rounds = 3
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(rounds):
+            for pair in bv_pairs:
+                list(fan_out(matcher.extract, pair))
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults / (rounds * len(bv_pairs)) < 500
