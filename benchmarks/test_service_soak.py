@@ -3,24 +3,25 @@
 Writes ``benchmarks/results/BENCH_service.json`` for the
 ``tools/check_bench.py`` regression gate.  Four legs:
 
-* **Clean-path parity** — the service answers the full benchmark sweep
-  (same 40 pairs, same seeds) and every pose must be *byte-identical*
-  to the direct ``run_pose_recovery_sweep`` outcome.  The service adds
-  transport, dispatch and supervision around the engine's chunk runner
-  — never arithmetic.
-* **Scan data-plane parity** — the same 40 pairs as raw scan-pair
-  messages, answered once over the pickle path (shm off, cache off)
-  and once over the zero-copy path (shm on, warm cache on), same
-  request ids in both legs.  Every response field must be identical:
+* **Clean-path parity** — the service answers the 40 benchmark pairs
+  as full-scan scan-pair messages (detector boxes included), and every
+  response must equal, field for field, ``BBAlign.recover`` run in this
+  process on the same messages with the same ``[seed, request_id, 2]``
+  stream.  The service adds transport, dispatch, caching and
+  supervision around the pipeline — never arithmetic.
+* **Scan data-plane parity** — the same 40 scan pairs, answered once
+  over the pickle path (shm off, cache off) and once over the
+  zero-copy path (shm on, warm cache on), same request ids in both
+  legs.  Every response field must be identical:
   the data plane moves bytes, never arithmetic.
 * **Scan data-plane throughput** — a closed-loop load run cycling a
   small working set of scan pairs, pickle leg vs shm leg, with task
   payload accounting on.  The per-request serialized bytes reduction
   (>= 5x) is asserted always; the RPS speedup (>= 1.5x) is asserted
   under ``REPRO_BENCH_STRICT=1`` and ratio-gated otherwise.
-* **Chaos soak** — a closed-loop load run (80 requests, 6 virtual
-  clients) while injected faults kill two workers, hang a third past
-  the batch timeout, and make one pair evaluation raise.  The contract
+* **Chaos soak** — a closed-loop load run of scan pairs (80 requests,
+  6 virtual clients) while injected faults kill two workers mid-match,
+  hang a third past the batch timeout, and make one match raise.  The contract
   under fire: every admitted request gets a typed response, zero
   unhandled errors, and the restart counter equals the injected pool
   faults — supervision is exact, not best-effort.
@@ -42,14 +43,14 @@ import os
 import resource
 import time
 
-from repro.comms.envelope import ServiceRequest
-from repro.comms.tiers import Tier, build_message
-from repro.detection.simulated import COBEVT_PROFILE, SimulatedDetector
-from repro.experiments.common import detect_for_pair
+import numpy as np
+
+from repro.comms.envelope import ServiceRequest, ServiceResponse
+from repro.core.pipeline import BBAlign
+from repro.experiments.common import scan_pair_messages
 from repro.runtime.faults import WorkerFault
 from repro.runtime.retry import RetryPolicy
 from repro.service import PoseService, ServiceConfig, run_load
-from repro.simulation.dataset import DatasetConfig, V2VDatasetSim
 
 SWEEP_PAIRS = 40
 SWEEP_SEED = 2024
@@ -62,19 +63,17 @@ DP_UNIQUE_PAIRS = 8
 DP_REQUESTS = 48
 DP_CONCURRENCY = 6
 
-#: Fault plan for the soak.  Faults fire on the *dataset pair index*
-#: (so only during the first of the two request cycles), and the
-#: indices are >= 10 apart.  Each indexed request is its own pool task
-#: of one pair, and the <= 6 outstanding closed-loop requests hold
-#: nearby indices, so no two faults are in flight together.  That
-#: matters because a kill's restart breaks every task on the pool: it
-#: would rerun a concurrent raise, whose retry answers clean since the
-#: fault fires once, and it would reap a concurrently hung worker
-#: before its timeout counted it.  The hang comes last for the same
-#: reason.  Each fires exactly once.
-KILL_AT = (2, 13)
-RAISE_AT = (24,)
-HANG_AT = (35,)
+#: Fault plan for the soak.  Faults fire in the match task of the
+#: listed *request ids* (each request runs exactly one match, whether
+#: or not the cache held its features), and the ids are >= 10 apart.
+#: The <= 6 outstanding closed-loop requests hold nearby ids, so no two
+#: faults are in flight together.  That matters because a kill's
+#: restart breaks every task on the pool: it would reap a concurrently
+#: hung worker before its timeout counted it.  The hang comes last for
+#: the same reason.  Each fires exactly once.
+KILL_AT = (3, 14)
+RAISE_AT = (25,)
+HANG_AT = (36,)
 
 #: One hang (2 s timeout) + three restarts + jittered retries all fit
 #: inside a typical soak second; four attempts give even a
@@ -87,9 +86,9 @@ _REPORT: dict = {}
 
 @dataclasses.dataclass(frozen=True)
 class MixedFault:
-    """Kills, hangs and raises at disjoint indices, each fire-once.
+    """Kills, hangs and raises at disjoint request ids, each fire-once.
 
-    Duck-typed like :class:`WorkerFault` (the engine only calls
+    Duck-typed like :class:`WorkerFault` (the match task only calls
     ``maybe_fire``); delegates each kind to a real ``WorkerFault`` so
     the claim-by-sentinel protocol is shared.
     """
@@ -111,41 +110,58 @@ class MixedFault:
 
 
 def _service_config(**overrides) -> ServiceConfig:
-    base = dict(
-        dataset_config=DatasetConfig(num_pairs=SWEEP_PAIRS,
-                                     seed=SWEEP_SEED),
-        include_vips=True,  # match the session sweep's configuration
-        workers=WORKERS, queue_limit=64, batch_size=4,
-        heartbeat_interval=0.1)
+    base = dict(workers=WORKERS, queue_limit=64, batch_size=4,
+                heartbeat_interval=0.1)
     base.update(overrides)
     return ServiceConfig(**base)
 
 
-def test_service_clean_path_parity(sweep_outcomes):
-    """Every service answer is byte-identical to the sweep's outcome."""
+def _messages(count: int = SWEEP_PAIRS) -> list[tuple]:
+    return scan_pair_messages(count, SWEEP_SEED)
+
+
+def _in_process(requests: list[ServiceRequest],
+                seed: int) -> list[ServiceResponse]:
+    """What ``BBAlign.recover`` answers for each request on the same
+    messages and the ``[seed, request_id, 2]`` stream, as responses."""
+    aligner = BBAlign()
+    responses = []
+    for request in requests:
+        aligner.reset_temporal()
+        result = aligner.recover(
+            request.ego.cloud, request.other, request.ego.boxes,
+            rng=np.random.default_rng([seed, request.request_id, 2]))
+        responses.append(ServiceResponse(
+            request_id=request.request_id, status="ok",
+            success=result.success,
+            failure_reason=(result.failure_reason.value
+                            if result.failure_reason is not None
+                            else None),
+            degradation=result.degradation.value,
+            inliers_bv=result.inliers_bv, inliers_box=result.inliers_box,
+            tx=result.transform.tx, ty=result.transform.ty,
+            theta=result.transform.theta))
+    return responses
+
+
+def test_service_clean_path_parity():
+    """Every service answer equals in-process recovery, field for
+    field."""
+    requests = [ServiceRequest(request_id=index + 1, ego=ego, other=other)
+                for index, (ego, other) in enumerate(_messages())]
+    config = _service_config()
+
     async def scenario():
-        async with PoseService(_service_config()) as service:
-            futures = [service.submit_nowait(
-                ServiceRequest(request_id=index + 1, index=index))
-                for index in range(SWEEP_PAIRS)]
-            return await asyncio.gather(*futures)
+        async with PoseService(config) as service:
+            return await asyncio.gather(*[
+                service.submit_nowait(request) for request in requests])
 
     start = time.perf_counter()
     responses = asyncio.run(asyncio.wait_for(scenario(), timeout=600))
     parity_seconds = time.perf_counter() - start
 
-    mismatches = 0
-    for outcome, response in zip(sweep_outcomes, responses):
-        identical = (response.status == "ok"
-                     and response.tx == outcome.tx
-                     and response.ty == outcome.ty
-                     and response.theta == outcome.theta
-                     and response.success == outcome.success
-                     and response.degradation == outcome.degradation
-                     and response.failure_reason == outcome.failure_reason
-                     and response.inliers_bv == outcome.inliers_bv
-                     and response.inliers_box == outcome.inliers_box)
-        mismatches += not identical
+    expected = _in_process(requests, config.seed)
+    mismatches = sum(a != b for a, b in zip(responses, expected))
     assert mismatches == 0
 
     _REPORT["parity"] = {
@@ -153,25 +169,6 @@ def test_service_clean_path_parity(sweep_outcomes):
         "identical": mismatches == 0,
         "parity_s": round(parity_seconds, 3),
     }
-
-
-def _scan_messages(count: int) -> list[tuple]:
-    """(ego, other) FULL_SCAN message tuples for the first ``count``
-    benchmark pairs, detector boxes included — the realistic payload a
-    vehicle would actually ship."""
-    dataset = V2VDatasetSim(DatasetConfig(num_pairs=max(count, 1),
-                                          seed=SWEEP_SEED))
-    detector = SimulatedDetector(COBEVT_PROFILE)
-    messages = []
-    for index in range(count):
-        pair = dataset[index].pair
-        ego_dets, other_dets = detect_for_pair(pair, detector, 7, index)
-        messages.append((
-            build_message(Tier.FULL_SCAN, [d.box for d in ego_dets],
-                          cloud=pair.ego_cloud),
-            build_message(Tier.FULL_SCAN, [d.box for d in other_dets],
-                          cloud=pair.other_cloud)))
-    return messages
 
 
 def _leaked_segments() -> list[str]:
@@ -185,11 +182,10 @@ def test_service_scan_data_plane_parity():
     off them), one leg with shm and the warm cache off, one with both
     on.  Every response field must match — the correctness contract of
     the data plane."""
-    messages = _scan_messages(SWEEP_PAIRS)
+    messages = _messages()
 
     async def leg(use_shm: bool, cache_mb: float):
-        config = _service_config(include_vips=False, use_shm=use_shm,
-                                 worker_cache_mb=cache_mb)
+        config = _service_config(use_shm=use_shm, worker_cache_mb=cache_mb)
         async with PoseService(config) as service:
             futures = [service.submit_nowait(
                 ServiceRequest(request_id=index + 1, ego=ego, other=other))
@@ -223,7 +219,7 @@ def test_service_scan_data_plane_throughput():
     wall-clock bar (>= 1.5x RPS) is asserted under
     ``REPRO_BENCH_STRICT=1`` and ratio-gated against the committed
     baseline otherwise."""
-    messages = _scan_messages(DP_UNIQUE_PAIRS)
+    messages = _messages(DP_UNIQUE_PAIRS)
 
     def factory(n: int) -> ServiceRequest:
         ego, other = messages[n % DP_UNIQUE_PAIRS]
@@ -231,8 +227,7 @@ def test_service_scan_data_plane_throughput():
                               ego=ego, other=other)
 
     async def leg(use_shm: bool, cache_mb: float):
-        config = _service_config(include_vips=False, use_shm=use_shm,
-                                 worker_cache_mb=cache_mb,
+        config = _service_config(use_shm=use_shm, worker_cache_mb=cache_mb,
                                  account_payload_bytes=True)
         async with PoseService(config) as service:
             summary = await run_load(service.submit,
@@ -302,17 +297,22 @@ def test_service_scan_data_plane_throughput():
 
 
 def test_service_chaos_soak(tmp_path, results_dir):
-    """Sustained load under injected kills, a hang, and a raise."""
+    """Sustained scan-pair load under injected kills, a hang, and a
+    raise."""
+    messages = _messages()
     fault = MixedFault(kills=KILL_AT, hangs=HANG_AT, raise_at=RAISE_AT,
                        once_dir=str(tmp_path))
-    config = _service_config(include_vips=False, batch_timeout=2.0,
-                             retry=SOAK_RETRY, fault=fault)
+    config = _service_config(batch_timeout=2.0, retry=SOAK_RETRY,
+                             fault=fault)
+
+    def factory(n: int) -> ServiceRequest:
+        ego, other = messages[n % SWEEP_PAIRS]
+        return ServiceRequest(request_id=n + 1, ego=ego, other=other)
 
     async def scenario():
         async with PoseService(config) as service:
-            summary = await run_load(service.submit, requests=80,
-                                     concurrency=6,
-                                     num_pairs=SWEEP_PAIRS)
+            summary = await run_load(service.submit, make_request=factory,
+                                     requests=80, concurrency=6)
             snapshot = service.registry.snapshot().get("counters", {})
             stats = {key.removeprefix("service/"): value
                      for key, value in snapshot.items()
@@ -334,9 +334,10 @@ def test_service_chaos_soak(tmp_path, results_dir):
     assert stats.get("exhausted", 0) == 0
     assert stats.get("internal_errors", 0) == 0
     # The raise reaches the caller as a typed failed response (status
-    # still "ok" transport-wise, success False), never an exception —
-    # the exact success/degradation tallies are seeded and gate
-    # against the committed baseline.
+    # still "ok" transport-wise, success False, tagged
+    # evaluation-error), never an exception and never a restart — the
+    # exact success/degradation tallies are seeded and gate against the
+    # committed baseline.
 
     leaked = _leaked_segments()
     assert leaked == [], f"leaked shm segments: {leaked}"

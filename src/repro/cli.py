@@ -30,12 +30,15 @@ Two non-experiment subcommands expose the always-on pose service
 ``serve`` runs :class:`~repro.service.core.PoseService` behind the TCP
 transport until SIGTERM/SIGINT, then drains gracefully (every admitted
 request gets its real response before the pool closes).  ``--chaos
-KIND:IDX[,IDX...]`` injects a fire-once worker fault — the lever the CI
-smoke uses to prove a killed worker is restarted mid-serve.  The data
+KIND:ID[,ID...]`` injects a fire-once worker fault into the match of
+each listed request id — the lever the CI smoke uses to prove a killed
+worker is restarted mid-serve.  The data
 plane is tunable: ``--shm/--no-shm`` toggles the shared-memory scan
 transport, ``--cache-mb`` sizes the service's feature cache, and
 ``--trace PATH`` exports per-request span trees.
-``service-load`` is the closed-loop load client; ``--standalone`` runs
+``service-load`` is the closed-loop load client: it builds full-scan
+scan-pair requests from ``--pairs`` simulated pairs (dataset
+``--seed``), detector boxes included; ``--standalone`` runs
 service and load in one process (no TCP), ``--warmup`` absorbs cold
 pool costs before the timed window, and ``--json`` writes the
 :class:`~repro.service.load.LoadSummary` for the benchmark gate.
@@ -102,11 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=0,
                        help="listen port; 0 binds an ephemeral port "
                             "(the bound port is printed)")
-    serve.add_argument("--pairs", type=int, default=40,
-                       help="dataset pairs indexed requests resolve "
-                            "against (default 40)")
-    serve.add_argument("--seed", type=int, default=2024,
-                       help="dataset seed (default 2024)")
     serve.add_argument("--workers", type=int, default=2,
                        help="pool processes (default 2)")
     serve.add_argument("--queue-limit", type=int, default=32,
@@ -120,9 +118,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--deadline", type=float, default=None,
                        help="default per-request deadline in seconds "
                             "(default: none)")
-    serve.add_argument("--chaos", default=None, metavar="KIND:IDX[,IDX...]",
+    serve.add_argument("--chaos", default=None, metavar="KIND:ID[,ID...]",
                        help="inject a fire-once worker fault "
-                            "(kill/hang/raise) at the given pair indices")
+                            "(kill/hang/raise) into the match of each "
+                            "given request id")
     serve.add_argument("--hang-seconds", type=float, default=6.0,
                        help="stall duration of an injected hang fault")
     serve.add_argument("--shm", action=argparse.BooleanOptionalAction,
@@ -151,10 +150,10 @@ def build_parser() -> argparse.ArgumentParser:
     load.add_argument("--concurrency", type=int, default=4,
                       help="simultaneous virtual clients (default 4)")
     load.add_argument("--pairs", type=int, default=40,
-                      help="indexed requests cycle 0..pairs-1 "
-                           "(default 40)")
+                      help="requests cycle through the scan pairs of "
+                           "simulated pairs 0..pairs-1 (default 40)")
     load.add_argument("--seed", type=int, default=2024,
-                      help="dataset seed for --standalone (default 2024)")
+                      help="seed of the simulated dataset (default 2024)")
     load.add_argument("--workers", type=int, default=2,
                       help="pool processes for --standalone (default 2)")
     load.add_argument("--deadline-ms", type=int, default=0,
@@ -222,7 +221,8 @@ def _run_one(name: str, pairs: int, seed: int, workers: int,
 
 
 def _parse_fault(spec: str, hang_seconds: float):
-    """``KIND:IDX[,IDX...]`` → a fire-once :class:`WorkerFault`."""
+    """``KIND:ID[,ID...]`` → a fire-once :class:`WorkerFault` keyed by
+    request id."""
     import tempfile
 
     from repro.runtime.faults import WorkerFault
@@ -231,7 +231,7 @@ def _parse_fault(spec: str, hang_seconds: float):
         indices = tuple(int(part) for part in raw.split(","))
     except ValueError:
         raise SystemExit(
-            f"--chaos expects KIND:IDX[,IDX...], got {spec!r}") from None
+            f"--chaos expects KIND:ID[,ID...], got {spec!r}") from None
     return WorkerFault(kind=kind, indices=indices,
                        once_dir=tempfile.mkdtemp(prefix="repro-chaos-"),
                        hang_seconds=hang_seconds)
@@ -242,12 +242,10 @@ def _cmd_serve(args) -> int:
     import signal
 
     from repro.service import PoseService, ServiceConfig, ServiceServer
-    from repro.simulation.dataset import DatasetConfig
 
     fault = (_parse_fault(args.chaos, args.hang_seconds)
              if args.chaos is not None else None)
     config = ServiceConfig(
-        dataset_config=DatasetConfig(num_pairs=args.pairs, seed=args.seed),
         workers=args.workers, queue_limit=args.queue_limit,
         batch_size=args.batch_size, batch_timeout=args.batch_timeout,
         default_deadline=args.deadline, fault=fault,
@@ -282,7 +280,6 @@ def _cmd_serve(args) -> int:
             flush=True)
 
     trace_cm = (trace_session(args.trace, command="serve",
-                              pairs=args.pairs, seed=args.seed,
                               workers=args.workers)
                 if args.trace is not None else contextlib.nullcontext())
     with trace_cm:
@@ -296,13 +293,24 @@ def _cmd_service_load(args) -> int:
     import asyncio
     import json
 
+    from repro.comms.envelope import ServiceRequest
+    from repro.experiments.common import scan_pair_messages
     from repro.service import (
         PoseService,
         ServiceClient,
         ServiceConfig,
         run_load,
     )
-    from repro.simulation.dataset import DatasetConfig
+
+    if args.pairs < 1:
+        raise SystemExit("service-load needs --pairs >= 1")
+    messages = scan_pair_messages(min(args.pairs, max(args.requests, 1)),
+                                  args.seed)
+
+    def make_request(n: int) -> ServiceRequest:
+        ego, other = messages[n % len(messages)]
+        return ServiceRequest(request_id=(n + 1) & 0xFFFFFFFF, ego=ego,
+                              other=other, deadline_ms=args.deadline_ms)
 
     async def run():
         if args.standalone:
@@ -311,23 +319,19 @@ def _cmd_service_load(args) -> int:
             # the first few latency samples and skews every percentile).
             warmup = (args.warmup if args.warmup >= 0
                       else (args.workers or 2))
-            config = ServiceConfig(
-                dataset_config=DatasetConfig(num_pairs=args.pairs,
-                                             seed=args.seed),
-                workers=args.workers)
-            async with PoseService(config) as service:
+            async with PoseService(
+                    ServiceConfig(workers=args.workers)) as service:
                 return await run_load(
-                    service.submit, requests=args.requests,
-                    concurrency=args.concurrency, num_pairs=args.pairs,
-                    deadline_ms=args.deadline_ms, warmup=warmup)
+                    service.submit, make_request=make_request,
+                    requests=args.requests, concurrency=args.concurrency,
+                    warmup=warmup)
         if args.port is None:
             raise SystemExit("service-load needs --port (or --standalone)")
         client = await ServiceClient.connect(args.host, args.port)
         try:
             return await run_load(
-                client.request, requests=args.requests,
-                concurrency=args.concurrency, num_pairs=args.pairs,
-                deadline_ms=args.deadline_ms,
+                client.request, make_request=make_request,
+                requests=args.requests, concurrency=args.concurrency,
                 warmup=max(args.warmup, 0))
         finally:
             await client.close()

@@ -10,9 +10,6 @@ magics are rejected.  Two magics:
 * ``SQ01`` — :class:`ServiceRequest`: one scan-pair pose-recovery
   request.  Two kinds share the envelope:
 
-  - **indexed** (``kind=0``): names a pair of the service's configured
-    deterministic dataset by index — the sweep-parity and soak
-    workload; nothing heavy crosses the wire.
   - **scan-pair** (``kind=1``): carries the sensing itself as two
     embedded :mod:`repro.comms.tiers` messages (ego + other), so a
     client can submit any tier combination the pipeline accepts.
@@ -62,8 +59,6 @@ RESPONSE_MAGIC = b"SP01"
 
 # Request: magic, request_id, kind, flags (reserved), deadline_ms.
 _REQ_HEAD = struct.Struct("<4sIBBI")
-# Indexed-pair request block: dataset index.
-_REQ_INDEX = struct.Struct("<I")
 # Scan-pair request block header: ego/other embedded message lengths.
 _REQ_SCANS = struct.Struct("<II")
 # Shm-pair request block header: ego/other encoded lengths inside the
@@ -73,7 +68,8 @@ _REQ_SHM = struct.Struct("<IIB")
 # success flag, inliers_bv, inliers_box, tx, ty, theta.
 _RSP_HEAD = struct.Struct("<4sIBBBBii3d")
 
-_KIND_INDEXED = 0
+# Kind 0 (a retired dataset-index kind) stays unassigned: it decodes as
+# an unknown kind.
 _KIND_SCAN_PAIR = 1
 _KIND_SHM_PAIR = 2
 
@@ -119,12 +115,11 @@ class ShmPairRef:
 class ServiceRequest:
     """One decoded (or to-be-encoded) pose-recovery request.
 
-    Exactly one of ``index`` / ``(ego, other)`` / ``shm`` is populated.
+    Exactly one of ``(ego, other)`` / ``shm`` is populated.
 
     Attributes:
         request_id: caller-chosen correlation id (echoed in the
             response).
-        index: dataset pair index (indexed requests).
         ego / other: embedded tiered messages (scan-pair requests).
         shm: shared-memory descriptor of an encoded scan pair
             (same-host zero-copy requests); the transport resolves it
@@ -134,20 +129,17 @@ class ServiceRequest:
     """
 
     request_id: int
-    index: int | None = None
     ego: TieredMessage | None = None
     other: TieredMessage | None = None
     shm: ShmPairRef | None = None
     deadline_ms: int = 0
 
     def __post_init__(self) -> None:
-        indexed = self.index is not None
         scans = self.ego is not None or self.other is not None
-        forms = indexed + scans + (self.shm is not None)
-        if forms != 1:
-            raise ValueError("a request carries exactly one of: a "
-                             "dataset index, an ego+other scan pair, or "
-                             "a shared-memory pair descriptor")
+        if scans == (self.shm is not None):
+            raise ValueError("a request carries exactly one of: an "
+                             "ego+other scan pair, or a shared-memory "
+                             "pair descriptor")
         if scans and (self.ego is None or self.other is None):
             raise ValueError("a scan-pair request needs both ego and "
                              "other messages")
@@ -158,16 +150,11 @@ class ServiceRequest:
 
     @property
     def kind(self) -> str:
-        if self.index is not None:
-            return "indexed"
         return "shm-pair" if self.shm is not None else "scan-pair"
 
     def encode(self) -> bytes:
         """Serialize into the CRC32-framed ``SQ01`` envelope."""
-        if self.index is not None:
-            kind = _KIND_INDEXED
-            payload = _REQ_INDEX.pack(self.index)
-        elif self.shm is not None:
+        if self.shm is not None:
             kind = _KIND_SHM_PAIR
             name = self.shm.name.encode("ascii")
             payload = _REQ_SHM.pack(self.shm.ego_len, self.shm.other_len,
@@ -199,14 +186,6 @@ def decode_request(data: bytes) -> ServiceRequest:
     if magic != REQUEST_MAGIC:
         raise CodecError(f"not a service request (magic {magic!r})")
     payload = _verify_crc(bytes(data), _REQ_HEAD, "service request")
-    if kind == _KIND_INDEXED:
-        if len(payload) != _REQ_INDEX.size:
-            raise CodecError(
-                f"indexed request block is {len(payload)} bytes "
-                f"(expected {_REQ_INDEX.size})")
-        (index,) = _REQ_INDEX.unpack(payload)
-        return ServiceRequest(request_id=request_id, index=index,
-                              deadline_ms=deadline_ms)
     if kind == _KIND_SCAN_PAIR:
         try:
             ego_len, other_len = _REQ_SCANS.unpack_from(payload, 0)

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.baselines.vips import VipsConfig, vips_graph_matching
+from repro.comms.tiers import Tier, TieredMessage, build_message
 from repro.core.config import BBAlignConfig
 from repro.core.degradation import FailureReason
 from repro.core.pipeline import BBAlign
@@ -62,7 +63,8 @@ from repro.simulation.scenario import FramePair
 
 __all__ = ["PairOutcome", "PairErrorOutcome", "SweepSpec",
            "run_pose_recovery_sweep", "run_sweep_parallel", "sweep_pair",
-           "default_dataset", "detect_for_pair", "evaluate_pair"]
+           "default_dataset", "detect_for_pair", "evaluate_pair",
+           "scan_pair_messages"]
 
 
 @dataclass(frozen=True)
@@ -170,6 +172,32 @@ def detect_for_pair(pair: FramePair, detector: SimulatedDetector,
     other = detector.detect(pair.other_visible,
                             np.random.default_rng([seed, index, 1]))
     return ego, other
+
+
+def scan_pair_messages(count: int, data_seed: int = 2024,
+                       ) -> list[tuple[TieredMessage, TieredMessage]]:
+    """The (ego, other) full-scan messages of the first ``count`` pairs
+    of the dataset ``data_seed``: the payload a vehicle would ship to
+    the pose service.
+
+    Each message carries its vehicle's scan and the CoBEVT detector
+    boxes the default sweep (base seed 7) draws for that pair
+    (:func:`detect_for_pair`), so a service of seed 7 answering pair
+    ``i`` as request ``i`` recovers with the sweep's boxes and RANSAC
+    stream.
+    """
+    dataset = default_dataset(max(count, 1), data_seed)
+    detector = SimulatedDetector(COBEVT_PROFILE)
+    messages = []
+    for index in range(count):
+        pair = dataset[index].pair
+        ego_dets, other_dets = detect_for_pair(pair, detector, 7, index)
+        messages.append((
+            build_message(Tier.FULL_SCAN, [d.box for d in ego_dets],
+                          cloud=pair.ego_cloud),
+            build_message(Tier.FULL_SCAN, [d.box for d in other_dets],
+                          cloud=pair.other_cloud)))
+    return messages
 
 
 def _pair_priors(aligner: BBAlign, pair: FramePair):

@@ -1,9 +1,10 @@
-"""Process-level fault injection for the sweep engine.
+"""Process-level fault injection for the sweep engine and the service.
 
 The engine's fault tolerance (per-pair error capture, per-chunk retry,
 serial fallback) is only trustworthy if it can be *exercised*:
 :class:`WorkerFault` is a picklable, deterministic fault that travels to
-pool workers inside a chunk task and fires at configured pair indices.
+pool workers inside a task and fires at configured keys — pair indices
+in a sweep's chunk task, request ids in the pose service's match task.
 Three kinds cover the engine's failure surface:
 
 * ``"raise"`` — the pair evaluation throws (a pathological pair); caught
@@ -40,11 +41,15 @@ class InjectedFault(RuntimeError):
 
 @dataclass(frozen=True)
 class WorkerFault:
-    """A deterministic fault fired at configured pair indices.
+    """A deterministic fault fired at configured keys.
+
+    The sweep engine keys it by pair index; the pose service by request
+    id (the match task calls :meth:`maybe_fire` with its request's id).
 
     Attributes:
         kind: ``"raise"``, ``"kill"`` or ``"hang"``.
-        indices: pair indices at which the fault fires.
+        indices: pair indices (sweep) or request ids (service) at which
+            the fault fires.
         once_dir: directory for fire-once sentinel files; ``None`` makes
             the fault fire on every evaluation of a listed index (only
             sensible for ``"raise"``).

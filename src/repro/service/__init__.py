@@ -2,7 +2,10 @@
 
 BB-Align's deployment story is not a batch sweep — it is a vehicle (or
 edge node) answering pose-recovery requests continuously, under load,
-while workers crash and hang.  This package is that service:
+while workers crash and hang.  A request carries the sensing itself:
+the ego's full scan and the partner's message at any tier.  This
+package is that service, and it imports neither the simulator nor the
+experiment layer (those stay test and load harnesses):
 
 * :mod:`repro.service.core` — :class:`PoseService`: bounded admission
   (typed :class:`ServiceOverloaded` rejection), per-request dispatch
@@ -13,11 +16,10 @@ while workers crash and hang.  This package is that service:
   admitted request *always* gets a response.
 * :mod:`repro.service.config` — :class:`ServiceConfig` and the typed
   error surface.
-* :mod:`repro.service.worker` — worker-side task units; indexed
-  requests run the sweep engine's own chunk runner, so service answers
-  are byte-identical to sweep outcomes; scan-pair requests run as
-  extraction tasks and a match task.  :func:`configure_worker` warms
-  each worker's pipeline.
+* :mod:`repro.service.worker` — worker-side task units: a request
+  runs as extraction tasks and one match task, whose answer equals
+  ``BBAlign.recover`` on the same messages and stream.
+  :func:`configure_worker` warms each worker's pipeline.
 * :mod:`repro.service.scans` — the service's one stage-1 feature
   cache, keyed by scan content, so a scan several requests share is
   extracted once.

@@ -9,14 +9,11 @@ request's future, never as an unhandled exception.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.baselines.vips import VipsConfig
 from repro.core.config import BBAlignConfig
-from repro.detection.simulated import COBEVT_PROFILE, DetectorProfile
 from repro.runtime.faults import WorkerFault
 from repro.runtime.retry import SERVICE_DEFAULT, RetryPolicy
-from repro.simulation.dataset import DatasetConfig
 
 __all__ = [
     "ServiceClosed",
@@ -52,21 +49,16 @@ class ServiceUnsupported(ServiceError):
 class ServiceConfig:
     """Everything a :class:`~repro.service.core.PoseService` needs.
 
-    The pipeline half mirrors the sweep engine's knobs (so a service
-    answer for dataset pair ``i`` is *byte-identical* to the sweep's
-    outcome for pair ``i``); the robustness half sizes the admission
-    queue, the in-flight bound, deadlines and the supervision loop.
+    The pipeline half is the BB-Align configuration and the seed of
+    every request's RANSAC stream; the robustness half sizes the
+    admission queue, the in-flight bound, deadlines and the supervision
+    loop.
 
     Attributes:
-        dataset_config: the deterministic dataset indexed requests
-            resolve against.
         config: BB-Align configuration (``None`` = defaults).
-        detector_profile: simulated detector feeding stage 2.
-        include_vips: also run the graph-matching baseline per pair
-            (off by default — a service answers poses, not figures).
-        vips_config: baseline parameters.
-        seed: sweep base seed; requests for pair ``i`` draw the same
-            spawned streams the sweep draws.
+        seed: seeds each request's stream: request ``r`` recovers with
+            ``[seed, r, 2]``, so an answer depends only on the request,
+            never on which worker ran it or when.
         workers: pool size (``None``/``0`` = host CPU count).
         queue_limit: bounded admission queue; the ``queue_limit + 1``-th
             waiting request is refused with :class:`ServiceOverloaded`.
@@ -76,8 +68,8 @@ class ServiceConfig:
             in the queue, where ``queue_limit`` sheds it (the name
             predates per-request dispatch).
         batch_timeout: per-attempt wall bound on one pool task (an
-            indexed request's chunk, an extraction or a match);
-            exceeding it is treated as a hung worker (restart + retry).
+            extraction or a match); exceeding it is treated as a hung
+            worker (restart + retry).
         default_deadline: seconds granted to requests that declare no
             deadline of their own; ``None`` = no implicit deadline.
         heartbeat_interval: supervisor probe period (liveness check +
@@ -85,9 +77,9 @@ class ServiceConfig:
         retry: backoff schedule for pool tasks that crash or hang
             (:data:`~repro.runtime.retry.SERVICE_DEFAULT`: three
             attempts, jittered exponential backoff).
-        fault: deterministic fault injection forwarded to workers on
-            indexed requests (the chaos harness's lever; ``None`` in
-            production).
+        fault: deterministic fault injection carried by every match
+            task and keyed by request id (the chaos harness's lever;
+            ``None`` in production).
         use_shm: place scan-pair payloads in shared-memory segments and
             hand workers descriptors instead of pickled arrays
             (:mod:`repro.runtime.shm`).  Falls back to the pickle path
@@ -106,12 +98,7 @@ class ServiceConfig:
             evidence, off in production).
     """
 
-    dataset_config: DatasetConfig = field(
-        default_factory=lambda: DatasetConfig(num_pairs=40, seed=2024))
     config: BBAlignConfig | None = None
-    detector_profile: DetectorProfile = COBEVT_PROFILE
-    include_vips: bool = False
-    vips_config: VipsConfig | None = None
     seed: int = 7
     workers: int | None = 2
     queue_limit: int = 32

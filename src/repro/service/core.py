@@ -17,8 +17,7 @@ stages, each with an explicit failure story:
    A request counts against that bound until its task ends, so a busy
    pool's backlog waits in the queue, where ``queue_limit`` sheds it.
    The bound does not pick workers; stage 3 does.
-3. **Execution** runs pool tasks, each on one idle worker.  An indexed
-   request is one engine chunk task of one pair.  A scan-pair request
+3. **Execution** runs pool tasks, each on one idle worker.  A request
    is scan-keyed: one extraction task per distinct scan it carries (the
    ego cloud, and the partner's cloud or BV image), then one match task
    running ``BBAlign.recover`` on the features.  Extractions resolve through
@@ -124,22 +123,14 @@ class _Pending:
     start_unix: float = 0.0
 
 
-def _identity_response(request_id: int, status: str,
-                       reason: str) -> ServiceResponse:
-    """A non-``ok`` response: identity pose, flagged, typed."""
-    return ServiceResponse(
-        request_id=request_id, status=status, success=False,
-        failure_reason=reason, degradation=None, inliers_bv=0,
-        inliers_box=0, tx=0.0, ty=0.0, theta=0.0)
-
-
 #: Failure templates a task resolves every request it serves with (the
 #: request id is filled in per request).
-_EXHAUSTED = _identity_response(0, "exhausted", "retry-budget-exhausted")
+_EXHAUSTED = worker.identity_response(0, "exhausted",
+                                      "retry-budget-exhausted")
 #: What ``BBAlign.recover`` answers when stage-1 extraction raises and
 #: the aligner holds no last-good pose.
 _EXTRACTION_ERROR = dataclasses.replace(
-    _identity_response(0, "ok", FailureReason.EXTRACTION_ERROR.value),
+    worker.identity_response(0, "ok", FailureReason.EXTRACTION_ERROR.value),
     degradation=DegradationLevel.IDENTITY.value)
 
 
@@ -199,8 +190,8 @@ class PoseService:
 
         service = PoseService(ServiceConfig(...))
         await service.start()
-        response = await service.submit(ServiceRequest(request_id=1,
-                                                       index=12))
+        response = await service.submit(ServiceRequest(
+            request_id=1, ego=ego_message, other=partner_message))
         await service.stop()          # graceful drain; idempotent
 
     or ``async with PoseService(...) as service: ...``.
@@ -293,7 +284,7 @@ class PoseService:
             while self._queue:
                 pending = self._queue.popleft()
                 self.registry.counter("service/shed_on_shutdown").inc()
-                self._resolve(pending, _identity_response(
+                self._resolve(pending, worker.identity_response(
                     pending.request.request_id, "shed",
                     "service-shutdown"))
             self._gauge_queue()
@@ -341,8 +332,8 @@ class PoseService:
             ServiceClosed: the service is stopping or never started.
             ServiceOverloaded: the admission queue is full.
             ServiceUnsupported: the request shape cannot execute (an
-                indexed request beyond the dataset, or a scan-pair
-                request whose ego message carries no raw scan).
+                ego message that carries no raw scan, or a
+                shared-memory descriptor no transport resolved).
         """
         if self._closed or not self._started:
             self.registry.counter("service/rejected_closed").inc()
@@ -391,13 +382,6 @@ class PoseService:
             raise ServiceUnsupported(
                 "shared-memory request descriptors must be resolved by "
                 "the transport before admission")
-        if request.index is not None:
-            if request.index >= self.config.dataset_config.num_pairs:
-                self.registry.counter("service/rejected_unsupported").inc()
-                raise ServiceUnsupported(
-                    f"pair index {request.index} beyond the configured "
-                    f"dataset ({self.config.dataset_config.num_pairs})")
-            return
         if request.ego.tier is not Tier.FULL_SCAN \
                 or request.ego.cloud is None:
             self.registry.counter("service/rejected_unsupported").inc()
@@ -443,7 +427,7 @@ class PoseService:
         if pending.future.done():
             return
         self.registry.counter("service/deadline_expired").inc()
-        self._resolve(pending, _identity_response(
+        self._resolve(pending, worker.identity_response(
             pending.request.request_id, "deadline", "deadline-exceeded"))
 
     # ------------------------------------------------------------------
@@ -494,12 +478,9 @@ class PoseService:
                 pending.span_id, {"requests": 1, "kind": request.kind})
         trace_parent = span.span_id if span is not None else None
         try:
-            if request.index is not None:
-                await self._run_indexed(pending, trace_parent)
-            else:
-                await self._run_scan_pair(pending, trace_parent)
+            await self._run_scan_pair(pending, trace_parent)
         except Exception as error:
-            # Both paths resolve their request; an escape is a bug.
+            # The request path resolves its request; an escape is a bug.
             self.registry.counter("service/internal_errors").inc()
             warnings.warn(f"pose service request {request.request_id}: "
                           f"internal error {error!r}", RuntimeWarning,
@@ -508,7 +489,7 @@ class PoseService:
             if span is not None:
                 self._collector.emit(span.close_event())
             if not pending.future.done():  # never leave one hanging
-                self._resolve(pending, _identity_response(
+                self._resolve(pending, worker.identity_response(
                     request.request_id, "exhausted", "internal-error"))
 
     def _fail(self, pending: _Pending, template: ServiceResponse) -> None:
@@ -523,20 +504,6 @@ class PoseService:
                                   FailureReason.EXTRACTION_ERROR)
         self._resolve(pending, dataclasses.replace(
             template, request_id=pending.request.request_id))
-
-    async def _run_indexed(self, pending: _Pending,
-                           trace_parent: str | None) -> None:
-        """An indexed request: one engine chunk task of one pair."""
-        outcomes = await self._call(
-            pending.order, worker.run_chunk,
-            lambda attempt: worker.build_chunk_task(
-                pending.request.index, self.config, attempt=attempt,
-                trace_parent=trace_parent))
-        if outcomes is None:
-            self._fail(pending, _EXHAUSTED)
-        else:
-            self._resolve(pending, worker.response_for(
-                outcomes[0], pending.request.request_id))
 
     async def _run_scan_pair(self, pending: _Pending,
                              trace_parent: str | None) -> None:
@@ -583,7 +550,8 @@ class PoseService:
                         config=self.config.config, seed=self.config.seed,
                         request_id=request.request_id,
                         args=args if shared is None else shared,
-                        trace_parent=trace_parent))
+                        trace_parent=trace_parent,
+                        fault=self.config.fault))
         finally:
             for scan in scans:
                 self._scans.release(scan)

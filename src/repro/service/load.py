@@ -3,7 +3,7 @@
 The harness behind ``repro service-load`` and the chaos-soak benchmark:
 ``run_load`` drives a submit function (in-process service or TCP
 client, the caller chooses) with ``concurrency`` always-busy virtual
-clients cycling through the dataset's pair indices, and folds every
+clients sending the requests a factory builds, and folds every
 response into a :class:`LoadSummary` — admitted/refused counts, status
 breakdown, sustained RPS and latency percentiles.
 
@@ -17,10 +17,11 @@ where the rejection count is exact.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import time
 from dataclasses import dataclass, field
 
-from repro.comms.envelope import ServiceRequest, ServiceResponse
+from repro.comms.envelope import ServiceResponse
 from repro.service.config import ServiceError, ServiceOverloaded
 
 __all__ = ["LoadSummary", "percentile", "run_load"]
@@ -111,10 +112,9 @@ class LoadSummary:
                 f"p99 {self.p99_ms:.0f} ms; {statuses}")
 
 
-async def run_load(submit, *, requests: int, concurrency: int,
-                   num_pairs: int = 0, deadline_ms: int = 0,
-                   overload_backoff: float = 0.01, warmup: int = 0,
-                   make_request=None) -> LoadSummary:
+async def run_load(submit, *, make_request, requests: int,
+                   concurrency: int, overload_backoff: float = 0.01,
+                   warmup: int = 0) -> LoadSummary:
     """Drive ``submit`` with a closed-loop request stream.
 
     Args:
@@ -123,11 +123,11 @@ async def run_load(submit, *, requests: int, concurrency: int,
             (with a short backoff after :class:`ServiceOverloaded`);
             any other exception counts as ``errors`` — the failure the
             soak harness exists to catch.
+        make_request: ``(n: int) -> ServiceRequest`` factory of the
+            ``n``-th request.  It must assign its own (stable) request
+            ids; determinism of per-request RNG streams hangs off them.
         requests: total requests to attempt.
         concurrency: simultaneous virtual clients.
-        num_pairs: indexed requests cycle ``0..num_pairs-1`` (ignored
-            when ``make_request`` is given).
-        deadline_ms: per-request deadline to declare (0 = none).
         overload_backoff: seconds a client sleeps after an overload
             rejection before its next attempt.
         warmup: requests to run (serially, best-effort, uncounted)
@@ -136,31 +136,15 @@ async def run_load(submit, *, requests: int, concurrency: int,
             measures steady state.  Warmup ids live in a reserved high
             band (``0x7F000000 + n``) and never collide with the timed
             stream's.
-        make_request: optional ``(n: int) -> ServiceRequest`` factory
-            replacing the default indexed-request stream — how the
-            bench drives scan-pair and shm forms through the same
-            closed loop.  It must assign its own (stable) request ids;
-            determinism of per-request RNG streams hangs off them.
     """
     summary = LoadSummary()
     counter = iter(range(requests))
-    if make_request is None:
-        if num_pairs < 1:
-            raise ValueError("num_pairs must be >= 1 for indexed load")
-
-        def make_request(n: int) -> ServiceRequest:
-            return ServiceRequest(request_id=(n + 1) & 0xFFFFFFFF,
-                                  index=n % num_pairs,
-                                  deadline_ms=deadline_ms)
-
     for n in range(warmup):
-        warm = make_request(n)
-        kwargs = ({"index": warm.index} if warm.index is not None
-                  else {"ego": warm.ego, "other": warm.other}
-                  if warm.shm is None else {"shm": warm.shm})
+        warm = dataclasses.replace(
+            make_request(n), request_id=(0x7F000000 + n) & 0xFFFFFFFF,
+            deadline_ms=0)
         try:
-            await submit(ServiceRequest(
-                request_id=(0x7F000000 + n) & 0xFFFFFFFF, **kwargs))
+            await submit(warm)
         except Exception:
             pass  # warmup is best-effort; the timed loop counts errors
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import dataclasses
 import struct
 
 from repro.comms.codec import CodecError
@@ -253,14 +254,12 @@ class ServiceClient:
                         ConnectionError(f"connection lost: {error!r}"))
             self._waiting.clear()
 
-    async def request(self, request: ServiceRequest | None = None, *,
-                      index: int | None = None,
-                      deadline_ms: int = 0) -> ServiceResponse:
+    async def request(self, request: ServiceRequest) -> ServiceResponse:
         """Send one request and await its response.
 
-        Either pass a prebuilt :class:`ServiceRequest` (its
-        ``request_id`` is replaced with a connection-unique one) or
-        just ``index=`` for the common indexed form.
+        The request's ``request_id`` is replaced with a
+        connection-unique one (the first request on a connection gets
+        id 1).
 
         Raises:
             ConnectionError: the connection is gone — raised up front
@@ -269,24 +268,18 @@ class ServiceClient:
         """
         if self._pump.done():
             raise ConnectionError("connection closed")
-        request_id = self._next_id
+        request = dataclasses.replace(request, request_id=self._next_id)
         self._next_id = (self._next_id + 1) & 0xFFFFFFFF or 1
-        if request is None:
-            request = ServiceRequest(request_id=request_id, index=index,
-                                     deadline_ms=deadline_ms)
-        else:
-            kwargs = dict(request_id=request_id,
-                          deadline_ms=request.deadline_ms)
-            if request.index is not None:
-                kwargs["index"] = request.index
-            elif request.shm is not None:
-                kwargs["shm"] = request.shm
-            else:
-                kwargs.update(ego=request.ego, other=request.other)
-            request = ServiceRequest(**kwargs)
-        future = asyncio.get_running_loop().create_future()
+        # Encoding a full-scan pair compresses megabytes (~0.1 s, with
+        # the GIL released): off the loop, concurrent requests encode
+        # side by side and responses keep arriving meanwhile.
+        loop = asyncio.get_running_loop()
+        frame = await loop.run_in_executor(None, request.encode)
+        if self._pump.done():
+            raise ConnectionError("connection closed")
+        future = loop.create_future()
         self._waiting[request.request_id] = future
-        _write_frame(self._writer, request.encode())
+        _write_frame(self._writer, frame)
         await self._writer.drain()
         return await future
 

@@ -1,17 +1,7 @@
-"""Worker-side execution units and the outcome→response mapping.
+"""Worker-side execution units of the pose service.
 
-Three task shapes run on the service's pool:
+Two task shapes run on the service's pool:
 
-* **indexed** requests are the engine's one chunk task over the sweep's
-  own items: the service builds a :class:`repro.runtime.engine.\
-  _ChunkTask` mapping :func:`repro.experiments.common.sweep_pair` over
-  the one ``(SweepSpec, index)`` item of the requested pair and submits
-  the engine's chunk runner.  Same function, same seeds, same per-pair
-  error capture as :func:`~repro.experiments.common.run_sweep_parallel`
-  — which is what makes a service answer for pair ``i`` byte-identical
-  to the sweep's outcome for pair ``i`` (the clean-path parity
-  guarantee) and lets :class:`~repro.runtime.faults.WorkerFault`
-  injection work unchanged.
 * **extraction** tasks (:class:`ExtractTask`) run stage 1 on one scan —
   a full-scan cloud or a received BV image — and return its
   :class:`~repro.core.bv_matching.BVFeatures` to the parent, which
@@ -20,7 +10,10 @@ Three task shapes run on the service's pool:
 * **match** tasks (:class:`MatchTask`) run ``BBAlign.recover`` for one
   scan-pair request on the extracted features (or, for tiers that carry
   no scan to extract, on the message itself) with the request's
-  ``[seed, request_id, 2]`` stream, and return its response.
+  ``[seed, request_id, 2]`` stream, and return its response.  Every
+  request runs exactly one, cached features or not, so a
+  :class:`~repro.runtime.faults.WorkerFault` keyed by request id fires
+  on it.
 
 Scan payloads reach the worker through one of two data planes: the
 pickle path (the scan or features ride inside the task) or the
@@ -45,9 +38,11 @@ import numpy as np
 from repro.bev.projection import BVImage
 from repro.comms.envelope import ServiceResponse
 from repro.core.config import BBAlignConfig
+from repro.core.result import FailureReason
 from repro.obs.metrics import MetricsRegistry, counter, use_registry
 from repro.obs.spans import collect_spans
 from repro.pointcloud.cloud import PointCloud
+from repro.runtime.faults import WorkerFault
 from repro.runtime.shm import (
     SharedObjects,
     ShmBlockRef,
@@ -55,33 +50,20 @@ from repro.runtime.shm import (
     pack_objects,
 )
 from repro.runtime.timings import PAIRS_KEY, stage
-from repro.service.config import ServiceConfig
 
 __all__ = ["ExtractTask", "ExtractionFailed", "MatchTask",
-           "build_chunk_task", "configure_worker", "response_for",
-           "run_chunk", "run_extract", "run_match"]
+           "configure_worker", "identity_response", "run_extract",
+           "run_match"]
 
 
-def build_chunk_task(index: int, config: ServiceConfig,
-                     attempt: int = 0, trace_parent: str | None = None):
-    """The engine chunk task evaluating pair ``index`` for this
-    service."""
-    from repro.experiments.common import SweepSpec, sweep_pair
-    from repro.runtime.engine import _ChunkTask
-    spec = SweepSpec(
-        dataset_config=config.dataset_config, config=config.config,
-        detector_profile=config.detector_profile,
-        include_vips=config.include_vips, vips_config=config.vips_config,
-        seed=config.seed, fault=config.fault)
-    return _ChunkTask(indices=(index,), fn=sweep_pair,
-                      items=((spec, index),),
-                      trace_parent=trace_parent, attempt=attempt)
-
-
-def run_chunk(task):
-    """Alias for the engine's chunk runner (one picklable entry point)."""
-    from repro.runtime.engine import _run_chunk
-    return _run_chunk(task)
+def identity_response(request_id: int, status: str,
+                      reason: str) -> ServiceResponse:
+    """A response with no pipeline result: identity pose, flagged,
+    typed."""
+    return ServiceResponse(
+        request_id=request_id, status=status, success=False,
+        failure_reason=reason, degradation=None, inliers_bv=0,
+        inliers_box=0, tx=0.0, ty=0.0, theta=0.0)
 
 
 # Per-process warm pipeline, rebuilt only when the config changes.
@@ -207,7 +189,8 @@ class MatchTask:
     arguments ``BBAlign.recover`` takes — inline, or as a shared
     segment holding that tuple.  Extracted features inside it may
     themselves be descriptors of the segments the extraction tasks
-    wrote them into.
+    wrote them into.  ``fault`` fires at the request id, before
+    ``recover``.
     """
 
     config: BBAlignConfig | None
@@ -215,6 +198,7 @@ class MatchTask:
     request_id: int
     args: tuple | SharedObjects
     trace_parent: str | None = None
+    fault: WorkerFault | None = None
 
 
 def run_match(task: MatchTask) -> tuple[int, ServiceResponse, dict]:
@@ -226,7 +210,9 @@ def run_match(task: MatchTask) -> tuple[int, ServiceResponse, dict]:
     depends on which requests this worker answered before: it equals
     ``BBAlign.recover`` on a fresh aligner.  RANSAC randomness spawns
     from ``[seed, request_id, 2]``, so a retried task returns the same
-    pose.
+    pose.  Should ``recover`` raise all the same, the request answers
+    an identity pose tagged ``evaluation-error``: the worker is
+    healthy, so the pool is not restarted.
     """
     aligner = _aligner(task.config)
     closers: list = []
@@ -234,47 +220,36 @@ def run_match(task: MatchTask) -> tuple[int, ServiceResponse, dict]:
         ego, other, ego_boxes, other_boxes = _mapped(task.args, closers)
         ego, other = _mapped(ego, closers), _mapped(other, closers)
         with _recorded(task.trace_parent) as telemetry:
-            aligner.reset_temporal()
-            result = aligner.recover(
-                ego, other, ego_boxes=ego_boxes, other_boxes=other_boxes,
-                rng=np.random.default_rng([task.seed, task.request_id, 2]))
+            try:
+                if task.fault is not None:
+                    task.fault.maybe_fire(task.request_id)
+                aligner.reset_temporal()
+                result = aligner.recover(
+                    ego, other, ego_boxes=ego_boxes,
+                    other_boxes=other_boxes,
+                    rng=np.random.default_rng(
+                        [task.seed, task.request_id, 2]))
+            except Exception:
+                counter("service/evaluation_errors").inc()
+                response = identity_response(
+                    task.request_id, "ok",
+                    FailureReason.EVALUATION_ERROR.value)
+            else:
+                response = ServiceResponse(
+                    request_id=task.request_id, status="ok",
+                    success=result.success,
+                    failure_reason=(result.failure_reason.value
+                                    if result.failure_reason is not None
+                                    else None),
+                    degradation=result.degradation.value,
+                    inliers_bv=result.inliers_bv,
+                    inliers_box=result.inliers_box,
+                    tx=result.transform.tx, ty=result.transform.ty,
+                    theta=result.transform.theta)
             counter(PAIRS_KEY).inc()
-        response = ServiceResponse(
-            request_id=task.request_id, status="ok",
-            success=result.success,
-            failure_reason=(result.failure_reason.value
-                            if result.failure_reason is not None
-                            else None),
-            degradation=result.degradation.value,
-            inliers_bv=result.inliers_bv,
-            inliers_box=result.inliers_box,
-            tx=result.transform.tx, ty=result.transform.ty,
-            theta=result.transform.theta)
     finally:
         # Views over mapped segments die with the task.
         ego = other = ego_boxes = other_boxes = result = None  # noqa: F841
         for close in closers:
             close()
     return task.request_id, response, telemetry
-
-
-def response_for(outcome, request_id: int) -> ServiceResponse:
-    """Map a sweep outcome (``PairOutcome`` or ``PairErrorOutcome``)
-    onto the wire response for ``request_id``.
-
-    An evaluation that crashed inside the worker (the engine's per-pair
-    capture) still produces a response — identity pose, ``success``
-    false, the error's taxonomy tag — because a captured error is a
-    degraded data point, not a service failure.
-    """
-    degradation = getattr(outcome, "degradation", None)
-    return ServiceResponse(
-        request_id=request_id, status="ok",
-        success=bool(outcome.success),
-        failure_reason=getattr(outcome, "failure_reason", None),
-        degradation=degradation,
-        inliers_bv=int(getattr(outcome, "inliers_bv", 0)),
-        inliers_box=int(getattr(outcome, "inliers_box", 0)),
-        tx=float(getattr(outcome, "tx", 0.0)),
-        ty=float(getattr(outcome, "ty", 0.0)),
-        theta=float(getattr(outcome, "theta", 0.0)))

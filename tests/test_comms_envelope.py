@@ -26,12 +26,6 @@ def some_boxes(seed=0):
 
 
 class TestRequestRoundTrip:
-    def test_indexed(self):
-        request = ServiceRequest(request_id=41, index=17, deadline_ms=750)
-        decoded = decode_request(request.encode())
-        assert decoded == request
-        assert decoded.kind == "indexed"
-
     def test_scan_pair(self):
         scans = TieredMessage(Tier.BOXES_ONLY, some_boxes())
         request = ServiceRequest(request_id=5, ego=scans, other=scans)
@@ -46,8 +40,9 @@ class TestRequestRoundTrip:
             assert abs(a.yaw - b.yaw) < 1e-6
 
     def test_request_id_and_deadline_survive(self):
-        request = ServiceRequest(request_id=0xFFFFFFFF, index=0,
-                                 deadline_ms=0xFFFFFFFF)
+        scans = TieredMessage(Tier.BOXES_ONLY, [])
+        request = ServiceRequest(request_id=0xFFFFFFFF, ego=scans,
+                                 other=scans, deadline_ms=0xFFFFFFFF)
         decoded = decode_request(request.encode())
         assert decoded.request_id == 0xFFFFFFFF
         assert decoded.deadline_ms == 0xFFFFFFFF
@@ -57,19 +52,15 @@ class TestRequestRoundTrip:
         with pytest.raises(ValueError):
             ServiceRequest(request_id=1)
         with pytest.raises(ValueError):
-            ServiceRequest(request_id=1, index=0, ego=scans, other=scans)
-        with pytest.raises(ValueError):
             ServiceRequest(request_id=1, ego=scans)
 
     def test_unknown_kind_rejected(self):
-        header = _REQ_HEAD.pack(REQUEST_MAGIC, 1, 9, 0, 0)
-        with pytest.raises(CodecError, match="kind"):
-            decode_request(_frame(header, b"\x00\x00\x00\x00"))
-
-    def test_oversized_index_block_rejected(self):
-        header = _REQ_HEAD.pack(REQUEST_MAGIC, 1, 0, 0, 0)
-        with pytest.raises(CodecError):
-            decode_request(_frame(header, b"\x00" * 8))
+        # Kind 0 (a dataset index) is retired: it decodes like any
+        # kind the envelope never had.
+        for kind in (0, 9):
+            header = _REQ_HEAD.pack(REQUEST_MAGIC, 1, kind, 0, 0)
+            with pytest.raises(CodecError, match="unknown request kind"):
+                decode_request(_frame(header, b"\x00\x00\x00\x00"))
 
     def test_scan_pair_length_mismatch_rejected(self):
         """A scan-pair block whose promised lengths disagree with the
@@ -139,7 +130,9 @@ class TestResponseRoundTrip:
 
 class TestSniff:
     def test_sniff_envelope(self):
-        request = ServiceRequest(request_id=1, index=0).encode()
+        scans = TieredMessage(Tier.BOXES_ONLY, [])
+        request = ServiceRequest(request_id=1, ego=scans,
+                                 other=scans).encode()
         response = ServiceResponse(
             request_id=1, status="shed", success=False,
             failure_reason=None, degradation=None, inliers_bv=0,
@@ -152,7 +145,9 @@ class TestSniff:
     def test_service_magics_invisible_to_tier_sniffer(self):
         """The two namespaces stay disjoint: a service frame is not a
         tier, and a tier frame is not a service envelope."""
-        request = ServiceRequest(request_id=1, index=0).encode()
+        scans = TieredMessage(Tier.BOXES_ONLY, [])
+        request = ServiceRequest(request_id=1, ego=scans,
+                                 other=scans).encode()
         assert sniff_tier(request) is None
         with pytest.raises(CodecError):
             decode_response(request)

@@ -31,6 +31,7 @@ from repro.comms.codec import (
 from repro.comms.envelope import (
     ServiceRequest,
     ServiceResponse,
+    ShmPairRef,
     decode_request,
     decode_response,
 )
@@ -81,9 +82,11 @@ def tier_message(tier: Tier) -> bytes:
 
 def service_request(kind: str) -> bytes:
     """A small valid encoded service request of the requested kind."""
-    if kind == "indexed":
-        return ServiceRequest(request_id=7, index=3,
-                              deadline_ms=250).encode()
+    if kind == "shm-pair":
+        return ServiceRequest(
+            request_id=7, deadline_ms=250,
+            shm=ShmPairRef(name="psm_fuzz", ego_len=64,
+                           other_len=96)).encode()
     scans = TieredMessage(Tier.BOXES_ONLY, some_boxes())
     return ServiceRequest(request_id=8, ego=scans, other=scans).encode()
 
@@ -164,7 +167,7 @@ class TestEveryTruncationPoint:
             with pytest.raises(CodecError):
                 decode_message(data[:cut])
 
-    @pytest.mark.parametrize("kind", ["indexed", "scan-pair"])
+    @pytest.mark.parametrize("kind", ["scan-pair", "shm-pair"])
     def test_service_request_all_prefixes(self, kind):
         """The service's SQ01 envelope is total like every other codec
         — a truncated request must never crash a service worker."""
@@ -215,7 +218,7 @@ class TestByteFlips:
         with pytest.raises(CodecError):
             decode_message(bytes(data))
 
-    @pytest.mark.parametrize("kind", ["indexed", "scan-pair"])
+    @pytest.mark.parametrize("kind", ["scan-pair", "shm-pair"])
     @given(position_seed=st.integers(0, 10 ** 9),
            flip=st.integers(1, 255))
     @settings(max_examples=40, deadline=None)

@@ -564,9 +564,8 @@ class TestForkAndWorkers:
         ego_message = build_message(Tier.FULL_SCAN, ego_boxes, cloud=ego)
         other_message = build_message(Tier.FULL_SCAN, other_boxes,
                                       cloud=other_cloud)
-        config = ServiceConfig(
-            dataset_config=DatasetConfig(num_pairs=1, seed=DATA_SEED),
-            workers=1, batch_size=1, heartbeat_interval=0.05)
+        config = ServiceConfig(workers=1, batch_size=1,
+                               heartbeat_interval=0.05)
         request_id = 7
         expected = BBAlign().recover(
             ego, other_message, ego_message.boxes,

@@ -344,12 +344,15 @@ class TestShmEnvelope:
         assert decoded.shm == ref
         assert decoded.request_id == 7
         assert decoded.deadline_ms == 250
-        assert decoded.index is None and decoded.ego is None
+        assert decoded.ego is None and decoded.other is None
 
     def test_exactly_one_request_form(self):
         ref = ShmPairRef(name="x", ego_len=1, other_len=1)
+        scans = TieredMessage(Tier.BOXES_ONLY, [])
         with pytest.raises(ValueError):
-            ServiceRequest(request_id=1, index=0, shm=ref)
+            ServiceRequest(request_id=1, ego=scans, other=scans, shm=ref)
+        with pytest.raises(ValueError):
+            ServiceRequest(request_id=1)
 
     def test_ref_validation(self):
         with pytest.raises(ValueError):
@@ -377,20 +380,19 @@ class TestShmEnvelope:
             decode_request(bytes(broken))
 
 
-class TestShmTransport:
-    def scan_request_messages(self):
-        dataset = V2VDatasetSim(DATASET)
-        pair = dataset[0].pair
-        ego = build_message(Tier.FULL_SCAN, [], cloud=pair.ego_cloud)
-        other = build_message(Tier.FULL_SCAN, [], cloud=pair.other_cloud)
-        return ego, other
+def scan_request_messages(index: int = 0):
+    pair = V2VDatasetSim(DATASET)[index].pair
+    ego = build_message(Tier.FULL_SCAN, [], cloud=pair.ego_cloud)
+    other = build_message(Tier.FULL_SCAN, [], cloud=pair.other_cloud)
+    return ego, other
 
+
+class TestShmTransport:
     def test_request_shm_matches_wire_path(self):
-        ego, other = self.scan_request_messages()
+        ego, other = scan_request_messages()
 
         async def scenario():
-            config = ServiceConfig(dataset_config=DATASET, workers=2,
-                                   heartbeat_interval=0.05)
+            config = ServiceConfig(workers=2, heartbeat_interval=0.05)
             service = PoseService(config)
             await service.start()
             server = ServiceServer(service)
@@ -418,8 +420,7 @@ class TestShmTransport:
 
     def test_unresolvable_descriptor_gets_typed_response(self):
         async def scenario():
-            config = ServiceConfig(dataset_config=DATASET, workers=2,
-                                   heartbeat_interval=0.05)
+            config = ServiceConfig(workers=2, heartbeat_interval=0.05)
             service = PoseService(config)
             await service.start()
             server = ServiceServer(service)
@@ -448,7 +449,7 @@ class TestShmTransport:
         from repro.service import ServiceUnsupported
 
         async def scenario():
-            config = ServiceConfig(dataset_config=DATASET, workers=2)
+            config = ServiceConfig(workers=2)
             async with PoseService(config) as service:
                 with pytest.raises(ServiceUnsupported):
                     service.submit_nowait(ServiceRequest(
@@ -460,27 +461,25 @@ class TestShmTransport:
 
 class TestChaosLifecycle:
     def test_chaos_faults_leak_no_segments(self, tmp_path):
-        """Kill/hang/raise faults mid-run: every request answered,
-        workers restarted, zero segments left in /dev/shm."""
-        ego, other = TestShmTransport().scan_request_messages()
-        fault = WorkerFault(kind="kill", indices=(1,),
+        """A worker killed mid-match, with the request's feature
+        segments mapped: every request answered, workers restarted,
+        zero segments left in /dev/shm."""
+        pairs = [scan_request_messages(index) for index in range(2)]
+        # Request 2's match kills its worker once; the extractions
+        # before it wrote both scans' features into segments, which the
+        # match maps before the fault fires.
+        fault = WorkerFault(kind="kill", indices=(2,),
                             once_dir=str(tmp_path))
 
         async def scenario():
-            config = ServiceConfig(dataset_config=DATASET, workers=2,
-                                   batch_size=2, heartbeat_interval=0.05,
-                                   fault=fault)
+            config = ServiceConfig(workers=2, batch_size=2,
+                                   heartbeat_interval=0.05, fault=fault)
             service = PoseService(config)
             await service.start()
             try:
-                # Interleave indexed requests (fault carrier: index 1
-                # kills its worker once) with scan pairs riding the shm
-                # data plane.
                 futures = [service.submit_nowait(ServiceRequest(
-                    request_id=10 + n, ego=ego, other=other))
-                    for n in range(3)]
-                futures += [service.submit_nowait(ServiceRequest(
-                    request_id=n + 1, index=n % 2)) for n in range(4)]
+                    request_id=n + 1, ego=pairs[n % 2][0],
+                    other=pairs[n % 2][1])) for n in range(7)]
                 responses = await asyncio.gather(*futures)
             finally:
                 await service.stop()
@@ -497,11 +496,10 @@ class TestChaosLifecycle:
         assert not leaked_segments()
 
     def test_drain_releases_all_segments(self):
-        ego, other = TestShmTransport().scan_request_messages()
+        ego, other = scan_request_messages()
 
         async def scenario():
-            config = ServiceConfig(dataset_config=DATASET, workers=2,
-                                   heartbeat_interval=0.05)
+            config = ServiceConfig(workers=2, heartbeat_interval=0.05)
             service = PoseService(config)
             await service.start()
             futures = [service.submit_nowait(ServiceRequest(

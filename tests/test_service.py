@@ -4,15 +4,17 @@ Fast, deterministic versions of the chaos-soak contract
 (``benchmarks/test_service_soak.py`` runs the sustained version):
 
 * burst admission against a bounded queue sheds *exactly* the overflow;
-* clean-path parity — a service answer for dataset pair ``i`` is
+* clean-path parity — the service's answer to the scan pair of dataset
+  pair ``i``, sent with the sweep's boxes as request ``i``, is
   byte-identical to the sweep engine's outcome for pair ``i``;
 * an admitted request always gets a response: through worker kills,
-  hangs, per-pair raises, deadlines, and both shutdown modes;
+  hangs, raising matches, deadlines, and both shutdown modes;
 * dispatch is per request: a short queue spreads over idle workers, a
   burst keeps ``workers × batch_size`` requests in flight and the rest
   queued, and racing restarts of one pool generation collapse to one;
 * the TCP transport survives malformed frames and maps admission
-  rejections onto typed wire responses.
+  rejections onto typed wire responses;
+* the service imports neither the simulator nor the experiment layer.
 
 No pytest-asyncio in the toolchain: each test drives its own loop via
 ``asyncio.run`` with a hard timeout, so a regression hangs a test, not
@@ -22,18 +24,23 @@ the suite.
 from __future__ import annotations
 
 import asyncio
+import functools
 import signal
 import struct
 import subprocess
 import sys
+import textwrap
 import threading
 
 import pytest
 
 from repro.comms.envelope import ServiceRequest
 from repro.comms.tiers import Tier, build_message
-from repro.detection.simulated import COBEVT_PROFILE, SimulatedDetector
-from repro.experiments.common import detect_for_pair, run_pose_recovery_sweep
+from repro.experiments.common import (
+    default_dataset,
+    run_pose_recovery_sweep,
+    scan_pair_messages,
+)
 from repro.runtime.faults import WorkerFault
 from repro.service import (
     PoseService,
@@ -45,15 +52,12 @@ from repro.service import (
     ServiceUnsupported,
     run_load,
 )
-from repro.simulation.dataset import DatasetConfig, V2VDatasetSim
 
 PAIRS = 6
-DATASET = DatasetConfig(num_pairs=PAIRS, seed=2024)
 
 
 def service_config(**overrides) -> ServiceConfig:
-    base = dict(dataset_config=DATASET, workers=2, batch_size=4,
-                heartbeat_interval=0.05)
+    base = dict(workers=2, batch_size=4, heartbeat_interval=0.05)
     base.update(overrides)
     return ServiceConfig(**base)
 
@@ -62,10 +66,19 @@ def run(coro):
     return asyncio.run(asyncio.wait_for(coro, timeout=120))
 
 
-def indexed(index: int, *, request_id: int | None = None,
-            deadline_ms: int = 0) -> ServiceRequest:
-    return ServiceRequest(request_id=request_id or index + 1, index=index,
-                         deadline_ms=deadline_ms)
+@functools.cache
+def messages() -> list[tuple]:
+    return scan_pair_messages(PAIRS)
+
+
+def scan_pair(index: int, *, request_id: int | None = None,
+              deadline_ms: int = 0) -> ServiceRequest:
+    """Dataset pair ``index`` as a full-scan scan-pair request, sent as
+    request ``index`` unless ``request_id`` says otherwise."""
+    ego, other = messages()[index]
+    return ServiceRequest(
+        request_id=index if request_id is None else request_id,
+        ego=ego, other=other, deadline_ms=deadline_ms)
 
 
 def counters(service: PoseService) -> dict[str, int]:
@@ -84,7 +97,7 @@ class TestAdmission:
                 futures, rejected = [], 0
                 for i in range(10):
                     try:
-                        futures.append(svc.submit_nowait(indexed(
+                        futures.append(svc.submit_nowait(scan_pair(
                             i % PAIRS, request_id=i + 1)))
                     except ServiceOverloaded:
                         rejected += 1
@@ -101,18 +114,9 @@ class TestAdmission:
         async def scenario():
             svc = PoseService(service_config())
             with pytest.raises(ServiceClosed):
-                svc.submit_nowait(indexed(0))
+                svc.submit_nowait(scan_pair(0))
 
         run(scenario())
-
-    def test_out_of_range_index_rejected(self):
-        async def scenario():
-            async with PoseService(service_config()) as svc:
-                with pytest.raises(ServiceUnsupported):
-                    svc.submit_nowait(indexed(PAIRS))
-                return counters(svc)
-
-        assert run(scenario())["rejected_unsupported"] == 1
 
     def test_scan_pair_needs_full_scan_ego(self):
         async def scenario():
@@ -121,22 +125,25 @@ class TestAdmission:
                 with pytest.raises(ServiceUnsupported):
                     svc.submit_nowait(ServiceRequest(
                         request_id=1, ego=message, other=message))
+                return counters(svc)
 
-        run(scenario())
+        assert run(scenario())["rejected_unsupported"] == 1
 
 
 class TestParity:
     def test_clean_path_matches_sweep_exactly(self):
-        """The acceptance criterion in miniature: service poses are
-        byte-identical to the direct sweep (same chunk runner, same
-        seeds).  The benchmark runs the full 40-pair version."""
-        sweep = run_pose_recovery_sweep(
-            V2VDatasetSim(DATASET), include_vips=False, seed=7)
+        """The service adds transport, dispatch and supervision, never
+        arithmetic: its answer to pair ``i``'s scans, sent with the
+        sweep's boxes as request ``i``, is the sweep's outcome for pair
+        ``i`` byte for byte (same boxes, same ``[7, i, 2]`` stream).
+        The benchmark checks 40 pairs against in-process recovery."""
+        sweep = run_pose_recovery_sweep(default_dataset(PAIRS),
+                                        include_vips=False, seed=7)
 
         async def scenario():
             async with PoseService(service_config()) as svc:
                 return await asyncio.gather(*[
-                    svc.submit_nowait(indexed(i)) for i in range(PAIRS)])
+                    svc.submit_nowait(scan_pair(i)) for i in range(PAIRS)])
 
         responses = run(scenario())
         for outcome, response in zip(sweep, responses):
@@ -146,44 +153,9 @@ class TestParity:
             assert response.theta == outcome.theta
             assert response.success == outcome.success
             assert response.degradation == outcome.degradation
+            assert response.failure_reason == outcome.failure_reason
             assert response.inliers_bv == outcome.inliers_bv
             assert response.inliers_box == outcome.inliers_box
-
-    def test_scan_pair_recovers_same_pose_as_indexed(self):
-        """The message path (raw tier payloads in the request) lands on
-        the same pose the indexed path computes for that pair."""
-        dataset = V2VDatasetSim(DATASET)
-        pair = dataset[0].pair
-        detector = SimulatedDetector(COBEVT_PROFILE)
-        ego_dets, other_dets = detect_for_pair(pair, detector, 7, 0)
-        ego = build_message(Tier.FULL_SCAN, [d.box for d in ego_dets],
-                            cloud=pair.ego_cloud)
-        other = build_message(Tier.FULL_SCAN, [d.box for d in other_dets],
-                              cloud=pair.other_cloud)
-
-        async def scenario():
-            async with PoseService(service_config()) as svc:
-                return await asyncio.gather(
-                    svc.submit_nowait(indexed(0)),
-                    svc.submit_nowait(ServiceRequest(
-                        request_id=50, ego=ego, other=other)))
-
-        by_index, by_scan = run(scenario())
-        assert by_scan.status == "ok"
-        assert by_scan.success
-        # Different RANSAC stream than the sweep's (seeded per request
-        # id), so same pose up to convergence, not bit-equality.
-        assert abs(by_scan.tx - by_index.tx) < 0.5
-        assert abs(by_scan.ty - by_index.ty) < 0.5
-        assert abs(by_scan.theta - by_index.theta) < 0.05
-
-
-def scan_request(index: int, request_id: int) -> ServiceRequest:
-    pair = V2VDatasetSim(DATASET)[index].pair
-    return ServiceRequest(
-        request_id=request_id,
-        ego=build_message(Tier.FULL_SCAN, [], cloud=pair.ego_cloud),
-        other=build_message(Tier.FULL_SCAN, [], cloud=pair.other_cloud))
 
 
 class TestDispatch:
@@ -191,7 +163,8 @@ class TestDispatch:
         """Two scan pairs arriving together at an idle two-worker pool
         run side by side and answer byte for byte what one worker
         answers running them back to back."""
-        requests = [scan_request(0, 11), scan_request(1, 12)]
+        requests = [scan_pair(0, request_id=11),
+                    scan_pair(1, request_id=12)]
 
         async def leg(workers: int):
             async with PoseService(service_config(workers=workers)) as svc:
@@ -224,7 +197,7 @@ class TestDispatch:
         async def scenario():
             async with PoseService(config) as svc:
                 responses = await asyncio.gather(*[
-                    svc.submit_nowait(indexed(i % PAIRS, request_id=i + 1))
+                    svc.submit_nowait(scan_pair(i % PAIRS, request_id=i + 1))
                     for i in range(burst)])
                 gauges = {name: svc.registry.gauge(f"service/{name}")
                           for name in ("in_flight", "queue_depth")}
@@ -240,8 +213,8 @@ class TestDeadline:
     def test_expired_deadline_resolves_typed(self):
         async def scenario():
             async with PoseService(service_config()) as svc:
-                doomed = svc.submit_nowait(indexed(0, deadline_ms=1))
-                clean = svc.submit_nowait(indexed(1, request_id=9))
+                doomed = svc.submit_nowait(scan_pair(0, deadline_ms=1))
+                clean = svc.submit_nowait(scan_pair(1, request_id=9))
                 return await doomed, await clean, counters(svc)
 
         doomed, clean, stats = run(scenario())
@@ -261,7 +234,8 @@ class TestChaos:
         async def scenario():
             async with PoseService(service_config(fault=fault)) as svc:
                 responses = await asyncio.gather(*[
-                    svc.submit_nowait(indexed(i)) for i in range(PAIRS)])
+                    svc.submit_nowait(scan_pair(i, request_id=i + 1))
+                    for i in range(PAIRS)])
                 return responses, counters(svc)
 
         responses, stats = run(scenario())
@@ -307,7 +281,8 @@ class TestChaos:
             config = service_config(fault=fault, batch_timeout=1.5)
             async with PoseService(config) as svc:
                 responses = await asyncio.gather(*[
-                    svc.submit_nowait(indexed(i)) for i in range(4)])
+                    svc.submit_nowait(scan_pair(i, request_id=i + 1))
+                    for i in range(4)])
                 return responses, counters(svc)
 
         responses, stats = run(scenario())
@@ -316,16 +291,16 @@ class TestChaos:
         assert stats["worker_restarts"] == 1
 
     def test_raise_fault_degrades_one_pair_without_restart(self, tmp_path):
-        """A pair evaluation that throws is the engine's per-pair
-        capture, not a worker fault: one flagged answer, zero
-        restarts."""
-        fault = WorkerFault(kind="raise", indices=(2,),
+        """A match that throws is answered in the worker, not treated
+        as a worker fault: one flagged answer, zero restarts."""
+        fault = WorkerFault(kind="raise", indices=(3,),
                             once_dir=str(tmp_path))
 
         async def scenario():
             async with PoseService(service_config(fault=fault)) as svc:
                 responses = await asyncio.gather(*[
-                    svc.submit_nowait(indexed(i)) for i in range(4)])
+                    svc.submit_nowait(scan_pair(i, request_id=i + 1))
+                    for i in range(4)])
                 return responses, counters(svc)
 
         responses, stats = run(scenario())
@@ -347,7 +322,7 @@ class TestShutdown:
             await svc.stop()
             await svc.stop()
             with pytest.raises(ServiceClosed):
-                svc.submit_nowait(indexed(0))
+                svc.submit_nowait(scan_pair(0))
 
         run(scenario())
 
@@ -355,7 +330,7 @@ class TestShutdown:
         async def scenario():
             svc = PoseService(service_config())
             await svc.start()
-            future = svc.submit_nowait(indexed(0))
+            future = svc.submit_nowait(scan_pair(0))
             await asyncio.gather(svc.stop(), svc.stop())
             assert (await future).status == "ok"
 
@@ -366,7 +341,7 @@ class TestShutdown:
             config = service_config(batch_size=1, workers=1)
             svc = PoseService(config)
             await svc.start()
-            futures = [svc.submit_nowait(indexed(i, request_id=i + 1))
+            futures = [svc.submit_nowait(scan_pair(i, request_id=i + 1))
                        for i in range(5)]
             await svc.stop(drain=False)
             responses = await asyncio.gather(*futures)
@@ -399,7 +374,7 @@ class TestShutdown:
         drains it: exit 0, every admitted request responded."""
         process = subprocess.Popen(
             [sys.executable, "-u", "-m", "repro", "serve", "--port", "0",
-             "--pairs", "2", "--workers", "2"],
+             "--workers", "2"],
             stdout=subprocess.PIPE, text=True)
         try:
             line = process.stdout.readline()
@@ -410,7 +385,8 @@ class TestShutdown:
             async def drive():
                 client = await ServiceClient.connect("127.0.0.1", port)
                 responses = await asyncio.gather(
-                    client.request(index=0), client.request(index=1))
+                    client.request(scan_pair(0)),
+                    client.request(scan_pair(1)))
                 await client.close()
                 return responses
 
@@ -436,12 +412,12 @@ class TestServer:
                 await server.start()
                 client = await ServiceClient.connect("127.0.0.1",
                                                      server.port)
-                first = await client.request(index=0)
+                first = await client.request(scan_pair(0))
                 garbage = b"SQ01" + b"\x00" * 20
                 client._writer.write(
                     struct.pack("<I", len(garbage)) + garbage)
                 await client._writer.drain()
-                second = await client.request(index=1)
+                second = await client.request(scan_pair(1))
                 await client.close()
                 await server.stop()
                 return first, second, counters(svc)
@@ -458,8 +434,9 @@ class TestServer:
                 await server.start()
                 client = await ServiceClient.connect("127.0.0.1",
                                                      server.port)
-                response = await client.request(
-                    ServiceRequest(request_id=1, index=99))
+                boxes_only = build_message(Tier.BOXES_ONLY, [])
+                response = await client.request(ServiceRequest(
+                    request_id=1, ego=boxes_only, other=boxes_only))
                 await client.close()
                 await server.stop()
                 return response
@@ -478,7 +455,7 @@ class TestServer:
                                                      server.port)
                 await client.close()
                 with pytest.raises(ConnectionError):
-                    await client.request(index=0)
+                    await client.request(scan_pair(0))
                 await server.stop()
 
         run(scenario())
@@ -488,8 +465,10 @@ class TestLoad:
     def test_closed_loop_summary_accounts_for_everything(self):
         async def scenario():
             async with PoseService(service_config()) as svc:
-                return await run_load(svc.submit, requests=8,
-                                      concurrency=2, num_pairs=PAIRS)
+                return await run_load(
+                    svc.submit, requests=8, concurrency=2,
+                    make_request=lambda n: scan_pair(n % PAIRS,
+                                                     request_id=n + 1))
 
         summary = run(scenario())
         assert summary.attempted == 8
@@ -502,3 +481,22 @@ class TestLoad:
         assert payload["responded"] == 8
         assert payload["sustained_rps"] > 0
         assert payload["p99_ms"] >= payload["p50_ms"] > 0
+
+
+class TestImportBoundary:
+    def test_service_imports_no_harness(self):
+        """The service is the system; the simulator, the detector
+        model, the experiment layer and the baselines are harnesses.
+        A fresh interpreter importing the service loads none of
+        them."""
+        harness = ("repro.simulation", "repro.detection",
+                   "repro.experiments", "repro.baselines")
+        probe = textwrap.dedent(f"""
+            import sys
+            import repro.service, repro.service.worker
+            print(sorted(name for name in sys.modules
+                         if name.startswith({harness!r})))
+            """)
+        loaded = subprocess.run([sys.executable, "-c", probe],
+                                capture_output=True, text=True, check=True)
+        assert loaded.stdout.strip() == "[]"

@@ -138,8 +138,7 @@ class TestWarmCacheService:
         ego, other = scan_messages()
 
         async def scenario():
-            config = ServiceConfig(dataset_config=DATASET, workers=1,
-                                   heartbeat_interval=0.05)
+            config = ServiceConfig(workers=1, heartbeat_interval=0.05)
             async with PoseService(config) as service:
                 observed = []
                 for n in range(3):
@@ -177,8 +176,7 @@ class TestWarmCacheService:
         ]
 
         async def leg(cache_mb: float):
-            config = ServiceConfig(dataset_config=DATASET, workers=1,
-                                   worker_cache_mb=cache_mb,
+            config = ServiceConfig(workers=1, worker_cache_mb=cache_mb,
                                    heartbeat_interval=0.05)
             async with PoseService(config) as service:
                 return [await service.submit(request)
@@ -235,8 +233,7 @@ def serve_together(requests):
     """Submit ``requests`` in one event-loop tick to a 2-worker
     service; their responses and the service's counters."""
     async def scenario():
-        config = ServiceConfig(dataset_config=DATASET, workers=2,
-                               heartbeat_interval=0.05)
+        config = ServiceConfig(workers=2, heartbeat_interval=0.05)
         async with PoseService(config) as service:
             responses = await asyncio.gather(*[
                 service.submit_nowait(request) for request in requests])
@@ -277,3 +274,35 @@ class TestScanKeyedExtraction:
             "extraction-error"] * 2
         assert responses[2].failure_reason != "extraction-error"
         assert counters["pipeline/failure/extraction-error"] == 2
+
+    def test_match_error_answers_without_restart(self, monkeypatch):
+        """``BBAlign.recover`` raising in a worker is answered there,
+        as an identity pose tagged ``evaluation-error``: no worker is
+        restarted, no task retried, and the requests whose match does
+        not raise get the answers in-process recovery gives."""
+        from repro.comms.tiers import TieredMessage
+        from repro.core.pipeline import BBAlign
+
+        requests = shared_ego_requests()
+        seed = ServiceConfig().seed
+        expected = [in_process(r, seed) for r in requests[:2]]
+        recover = BBAlign.recover
+
+        def recover_or_raise(self, ego, other, *args, **kwargs):
+            # Only the boxes-only partner reaches recover as a message.
+            if isinstance(other, TieredMessage):
+                raise RuntimeError("match exploded (test)")
+            return recover(self, ego, other, *args, **kwargs)
+
+        # Class level, before the pool forks: the workers inherit it.
+        monkeypatch.setattr(BBAlign, "recover", recover_or_raise)
+        responses, counters = serve_together(requests)
+        assert responses[:2] == expected
+        hurt = responses[2]
+        assert (hurt.status, hurt.success, hurt.degradation) == (
+            "ok", False, None)
+        assert hurt.failure_reason == "evaluation-error"
+        assert (hurt.tx, hurt.ty, hurt.theta) == (0.0, 0.0, 0.0)
+        for name in ("worker_restarts", "batch_failures", "batch_retries"):
+            assert counters.get(f"service/{name}", 0) == 0
+        assert counters["service/evaluation_errors"] == 1

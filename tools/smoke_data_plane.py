@@ -69,8 +69,6 @@ def start_server(flag: str) -> tuple[subprocess.Popen, int]:
             "serve",
             "--port",
             "0",
-            "--pairs",
-            "2",
             "--workers",
             "2",
             flag,
