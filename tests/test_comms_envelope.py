@@ -55,12 +55,17 @@ class TestRequestRoundTrip:
             ServiceRequest(request_id=1, ego=scans)
 
     def test_unknown_kind_rejected(self):
-        # Kind 0 (a dataset index) is retired: it decodes like any
-        # kind the envelope never had.
-        for kind in (0, 9):
-            header = _REQ_HEAD.pack(REQUEST_MAGIC, 1, kind, 0, 0)
+        header = _REQ_HEAD.pack(REQUEST_MAGIC, 1, 9, 0, 0)
+        with pytest.raises(CodecError, match="unknown request kind"):
+            decode_request(_frame(header, b"\x00\x00\x00\x00"))
+
+    def test_oversized_index_block_rejected(self):
+        """Kind 0 (a dataset index) is retired: a frame carrying an
+        index block decodes like any kind the envelope never had."""
+        for block in (b"\x00" * 4, b"\x00" * 8):
+            header = _REQ_HEAD.pack(REQUEST_MAGIC, 1, 0, 0, 0)
             with pytest.raises(CodecError, match="unknown request kind"):
-                decode_request(_frame(header, b"\x00\x00\x00\x00"))
+                decode_request(_frame(header, block))
 
     def test_scan_pair_length_mismatch_rejected(self):
         """A scan-pair block whose promised lengths disagree with the
