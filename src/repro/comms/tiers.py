@@ -5,9 +5,10 @@ This module defines the four rungs a sender can choose from, ordered by
 fidelity (and, strictly, by encoded size):
 
 1. **full-scan** (``TF01``) — the raw point cloud, lossless (float64
-   xyz + zlib) plus lossless float64 boxes.  What early fusion would
-   transmit; the receiver re-runs the whole pipeline and must reproduce
-   a clean local run *byte-identically* (the control tier).
+   xyz in a stored, uncompressed zlib stream) plus lossless float64
+   boxes.  What early fusion would transmit; the receiver re-runs the
+   whole pipeline and must reproduce a clean local run
+   *byte-identically* (the control tier).
 2. **bv-image** (``TB01``) — the quantized, zero-RLE, zlib BV image of
    :mod:`repro.comms.codec` plus float32 boxes.  The paper's message.
 3. **keypoints** (``TK01``) — no image at all: the top-K FAST keypoints
@@ -46,6 +47,7 @@ from repro.comms import accounting
 from repro.comms.codec import (
     CodecError,
     _frame,
+    _inflate,
     _verify_crc,
     decode_boxes,
     decode_bv_image,
@@ -98,7 +100,8 @@ class TierCodecConfig:
             become ``(l/grid_pool) x (l/grid_pool)``.
         orientation_pool: adjacent orientation bins summed per pooled
             bin.
-        compress_level: zlib level for the full-scan and keypoint blobs.
+        compress_level: zlib level for the keypoint blob (the
+            full-scan tier stores its points uncompressed).
     """
 
     max_keypoints: int = 80
@@ -224,7 +227,8 @@ _MAGIC_BY_TIER = {
 }
 _TIER_BY_MAGIC = {magic: tier for tier, magic in _MAGIC_BY_TIER.items()}
 
-# Full-scan sense block: <I num_points> + zlib(float64 xyz rows).
+# Full-scan sense block: <I num_points> + zlib(float64 xyz rows),
+# written stored (level 0); older level-6 blocks decode the same way.
 _SCAN_HEAD = struct.Struct("<I")
 # Full-scan box block: <H count> + count * <5d> (lossless float64).
 _BOX64_HEAD = struct.Struct("<H")
@@ -236,10 +240,12 @@ _BOX64_RECORD = struct.Struct("<5d")
 _KP_HEAD = struct.Struct("<HddHBBBBf")
 
 
-def _encode_cloud(cloud: PointCloud, level: int) -> bytes:
+def _encode_cloud(cloud: PointCloud) -> bytes:
+    # A stored (level 0) zlib stream: raw float64 coordinates deflate by
+    # ~4 % at ~50 ms a scan, while storing them costs a memory copy.
+    # The block keeps its zlib framing, so every TF01 decoder reads it.
     points = np.ascontiguousarray(cloud.points, dtype=np.float64)
-    return (_SCAN_HEAD.pack(len(points))
-            + zlib.compress(points.tobytes(), level=level))
+    return _SCAN_HEAD.pack(len(points)) + zlib.compress(points, level=0)
 
 
 def _decode_cloud(block: bytes) -> PointCloud:
@@ -247,11 +253,8 @@ def _decode_cloud(block: bytes) -> PointCloud:
         (count,) = _SCAN_HEAD.unpack_from(block, 0)
     except struct.error as exc:
         raise CodecError(f"truncated full-scan block: {exc}") from exc
-    try:
-        raw = zlib.decompress(block[_SCAN_HEAD.size:])
-    except zlib.error as exc:
-        raise CodecError(f"corrupt full-scan payload: {exc}") from exc
     expected = count * 3 * 8
+    raw = _inflate(block[_SCAN_HEAD.size:], expected, "full-scan payload")
     if len(raw) != expected:
         raise CodecError(
             f"full-scan payload is {len(raw)} bytes for {count} points "
@@ -352,18 +355,16 @@ def _decode_keypoints(block: bytes) -> KeypointPayload:
             and np.isfinite(scale)) or cell <= 0 or lidar_range <= 0 \
             or scale <= 0:
         raise CodecError("keypoint header carries non-physical geometry")
-    try:
-        blob = zlib.decompress(block[_KP_HEAD.size:])
-    except zlib.error as exc:
-        raise CodecError(f"corrupt keypoint payload: {exc}") from exc
     dim = grid * grid * n_orient
     xy_bytes = n_kp * 2 * 2
     score_bytes = n_kp * 2
     packed_bytes = (n_kp * dim + 1) // 2 if bits == 4 else n_kp * dim
-    if len(blob) != xy_bytes + score_bytes + packed_bytes:
+    expected = xy_bytes + score_bytes + packed_bytes
+    blob = _inflate(block[_KP_HEAD.size:], expected, "keypoint payload")
+    if len(blob) != expected:
         raise CodecError(
             f"keypoint payload is {len(blob)} bytes for {n_kp} keypoints "
-            f"(expected {xy_bytes + score_bytes + packed_bytes})")
+            f"(expected {expected})")
     delta = np.frombuffer(blob, dtype=np.int16,
                           count=n_kp * 2).reshape(n_kp, 2)
     xy = np.cumsum(delta.astype(np.int64), axis=0)
@@ -407,8 +408,7 @@ TIER_CODECS: dict[Tier, _TierCodec] = {
     Tier.FULL_SCAN: _TierCodec(
         Tier.FULL_SCAN, _MAGIC_BY_TIER[Tier.FULL_SCAN],
         lambda m, c: _encode_cloud(
-            _require(m.cloud, Tier.FULL_SCAN, "a point cloud"),
-            c.compress_level),
+            _require(m.cloud, Tier.FULL_SCAN, "a point cloud")),
         lambda block: {"cloud": _decode_cloud(block)},
         _encode_boxes64, _decode_boxes64),
     Tier.BV_IMAGE: _TierCodec(

@@ -270,9 +270,10 @@ class ServiceClient:
             raise ConnectionError("connection closed")
         request = dataclasses.replace(request, request_id=self._next_id)
         self._next_id = (self._next_id + 1) & 0xFFFFFFFF or 1
-        # Encoding a full-scan pair compresses megabytes (~0.1 s, with
-        # the GIL released): off the loop, concurrent requests encode
-        # side by side and responses keep arriving meanwhile.
+        # Encoding a full-scan pair copies and checksums megabytes
+        # (~4 ms, mostly with the GIL released): off the loop,
+        # concurrent requests encode side by side and responses keep
+        # arriving meanwhile.
         loop = asyncio.get_running_loop()
         frame = await loop.run_in_executor(None, request.encode)
         if self._pump.done():

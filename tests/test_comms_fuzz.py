@@ -7,6 +7,9 @@ Exhaustive truncation (every prefix of a real message) plus seeded
 byte-flip fuzzing pin it down.
 """
 
+import tracemalloc
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +26,9 @@ from repro.comms import (
     encode_message,
 )
 from repro.comms.codec import (
+    _BV_HEAD,
+    MAX_BV_SIZE,
+    _frame,
     decode_boxes,
     decode_bv_image,
     encode_boxes,
@@ -35,7 +41,13 @@ from repro.comms.envelope import (
     decode_request,
     decode_response,
 )
-from repro.comms.tiers import KeypointPayload
+from repro.comms.tiers import (
+    _BOX64_HEAD,
+    _KP_HEAD,
+    _SCAN_HEAD,
+    _TIER_HEAD,
+    KeypointPayload,
+)
 from repro.pointcloud.cloud import PointCloud
 
 
@@ -277,3 +289,64 @@ class TestByteFlips:
         """Pre-hardening callers caught ValueError; that must keep
         working."""
         assert issubclass(CodecError, ValueError)
+
+
+#: 8 MiB of zeros deflated to ~8 KiB: far more than any test header
+#: below allows.
+ZLIB_BOMB = zlib.compress(bytes(8 << 20), 9)
+
+
+def peak_while_refused(decode, data: bytes, match: str) -> int:
+    """Peak traced allocation (bytes) while ``decode`` refuses ``data``."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(CodecError, match=match):
+            decode(data)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def tier_frame(magic: bytes, sense: bytes, boxes: bytes) -> bytes:
+    return _frame(_TIER_HEAD.pack(magic, len(sense), len(boxes)),
+                  sense + boxes)
+
+
+class TestDecoderBounds:
+    """CRC-valid headers cannot make a decoder allocate beyond what
+    they legitimately describe: each case raises CodecError before any
+    large allocation (traced peak under 1 MiB)."""
+
+    def test_oversized_bv_image_refused(self):
+        """A 65535-cell edge (a 32 GiB float64 image) with a 3-byte
+        payload: refused by the size limit, not a MemoryError."""
+        data = _frame(_BV_HEAD.pack(b"BV02", 0xFFFF, 0.4, 51.2, 1.0),
+                      b"\x00\xff\xff")
+        assert peak_while_refused(decode_bv_image, data,
+                                  "decoder limit") < 1 << 20
+
+    def test_uncovering_payload_refused_before_allocation(self):
+        """An edge within the limit (a 32 MiB image) that the payload
+        cannot cover is refused before the image exists."""
+        data = _frame(_BV_HEAD.pack(b"BV02", MAX_BV_SIZE, 0.4, 51.2, 1.0),
+                      b"\x00\xff\xff")
+        assert peak_while_refused(decode_bv_image, data,
+                                  "covers 65535 of") < 1 << 20
+
+    def test_compressed_bv_payload_inflation_bounded(self):
+        data = _frame(_BV_HEAD.pack(b"BVZ2", 16, 0.4, 3.2, 1.0), ZLIB_BOMB)
+        assert peak_while_refused(decode_bv_image, data,
+                                  "inflates past the 768 bytes") < 1 << 20
+
+    def test_full_scan_inflation_bounded(self):
+        data = tier_frame(b"TF01", _SCAN_HEAD.pack(1) + ZLIB_BOMB,
+                          _BOX64_HEAD.pack(0))
+        assert peak_while_refused(decode_message, data,
+                                  "inflates past the 24 bytes") < 1 << 20
+
+    def test_keypoint_inflation_bounded(self):
+        # One keypoint, a 1x1 grid of one 8-bit orientation: 7 bytes.
+        header = _KP_HEAD.pack(16, 0.4, 3.2, 1, 1, 1, 8, 0, 1.0)
+        data = tier_frame(b"TK01", header + ZLIB_BOMB, encode_boxes([]))
+        assert peak_while_refused(decode_message, data,
+                                  "inflates past the 7 bytes") < 1 << 20

@@ -1,5 +1,7 @@
 """Tiered codec: per-tier round trips, construction, and accounting."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,48 @@ class TestRoundTrips:
         assert len(set(sizes)) == len(sizes)  # strictly decreasing
 
 
+class TestFullScanStored:
+    """The full-scan block is ``<I count> + zlib(rows)`` written stored
+    (level 0); blocks deflated at the old level 6 still decode."""
+
+    @staticmethod
+    def frame(sense: bytes, boxes: list[Box2D]) -> bytes:
+        from repro.comms.codec import _frame
+        from repro.comms.tiers import _TIER_HEAD, _encode_boxes64
+        box_block = _encode_boxes64(boxes)
+        header = _TIER_HEAD.pack(b"TF01", len(sense), len(box_block))
+        return _frame(header, sense + box_block)
+
+    def test_level6_block_still_decodes(self):
+        from repro.comms.tiers import _SCAN_HEAD
+        cloud = small_cloud(n=300)
+        sense = (_SCAN_HEAD.pack(len(cloud))
+                 + zlib.compress(cloud.points.tobytes(), 6))
+        decoded = decode_message(self.frame(sense, some_boxes()))
+        assert decoded.cloud.points.tobytes() == cloud.points.tobytes()
+
+    def test_block_is_a_stored_zlib_stream(self):
+        from repro.comms.tiers import _encode_cloud
+        cloud = small_cloud(n=5000)
+        block = _encode_cloud(cloud)
+        assert int.from_bytes(block[:4], "little") == 5000
+        # What any TF01 decoder does with the block: inflate it.
+        raw = zlib.decompress(block[4:])
+        assert len(raw) == 5000 * 24
+        assert raw == cloud.points.tobytes()
+        # Stored, not deflated: the rows plus zlib's framing only.
+        assert len(raw) < len(block) - 4 <= len(raw) + len(raw) // 1000 + 16
+
+    def test_round_trip_bit_identical(self):
+        points = small_cloud(n=64).points.copy()
+        points[0] = [np.nan, np.inf, -np.inf]
+        points[1] = [-0.0, 5e-324, -1.7976931348623157e308]
+        cloud = PointCloud(points)
+        message = TieredMessage(Tier.FULL_SCAN, some_boxes(), cloud=cloud)
+        decoded = decode_message(encode_message(message, record=False))
+        assert decoded.cloud.points.tobytes() == points.tobytes()
+
+
 class TestEnvelope:
     def test_sniff_tier(self):
         data = encode_message(TieredMessage(Tier.BOXES_ONLY, []),
@@ -167,7 +211,7 @@ class TestEnvelope:
             _TIER_HEAD,
             _encode_cloud,
         )
-        sense = _encode_cloud(small_cloud(n=5), 6)
+        sense = _encode_cloud(small_cloud(n=5))
         boxes = _BOX64_HEAD.pack(1) + _BOX64_RECORD.pack(
             float("nan"), 0.0, 4.0, 2.0, 0.0)
         header = _TIER_HEAD.pack(b"TF01", len(sense), len(boxes))
