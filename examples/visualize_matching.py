@@ -14,6 +14,7 @@ Run:
 
 import pathlib
 
+from repro.bev import compute_mim
 from repro.core import BBAlignConfig, BVMatcher
 from repro.simulation import ScenarioConfig, make_frame_pair
 from repro.viz import (
@@ -32,15 +33,21 @@ def main() -> None:
 
     # The paper's Fig. 4 uses two cars 45 m apart.
     pair = make_frame_pair(ScenarioConfig(distance=45.0), rng=2)
-    matcher = BVMatcher(BBAlignConfig())
+    config = BBAlignConfig()
+    matcher = BVMatcher(config)
     ego = matcher.extract_from_cloud(pair.ego_cloud)
     other = matcher.extract_from_cloud(pair.other_cloud)
     match = matcher.match(other, ego)
 
     save_pgm(render_bv_image(ego.bv_image), out / "fig4_b_bv_ego.pgm")
     save_pgm(render_bv_image(other.bv_image), out / "fig4_e_bv_other.pgm")
-    save_pgm(render_mim_image(ego.mim), out / "fig4_c_mim_ego.pgm")
-    save_pgm(render_mim_image(other.mim), out / "fig4_f_mim_other.pgm")
+    # The features keep no MIM (it only feeds the descriptors); the
+    # panels recompute it from the same images and Log-Gabor bank.
+    save_pgm(render_mim_image(compute_mim(ego.bv_image, config.log_gabor)),
+             out / "fig4_c_mim_ego.pgm")
+    save_pgm(render_mim_image(compute_mim(other.bv_image,
+                                          config.log_gabor)),
+             out / "fig4_f_mim_other.pgm")
     save_pgm(render_match_image(other.bv_image, ego.bv_image,
                                 match.matches,
                                 inlier_mask=match.ransac.inlier_mask),

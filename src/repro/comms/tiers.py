@@ -24,7 +24,9 @@ Every tier shares the envelope of :mod:`repro.comms.codec`:
 detected, and decoding is *total*: any non-message raises
 :class:`~repro.comms.codec.CodecError`, never crashes, never returns
 silent garbage.  Unknown magics (including a tier this build does not
-know) are a :class:`CodecError` too.
+know) are a :class:`CodecError` too, and so is a sense block whose
+header claims more than :data:`MAX_INFLATION` times its zlib stream,
+so a frame cannot make the decoder allocate far beyond its own size.
 
 The module deliberately does not import :mod:`repro.core` — the
 pipeline imports *us* (locally), and :class:`TierCodecConfig` is
@@ -45,6 +47,7 @@ from repro.bev.projection import BVImage
 from repro.boxes.box import Box2D
 from repro.comms import accounting
 from repro.comms.codec import (
+    MAX_BV_SIZE,
     CodecError,
     _frame,
     _inflate,
@@ -62,6 +65,7 @@ __all__ = [
     "KeypointPayload",
     "TieredMessage",
     "TIER_CODECS",
+    "MAX_INFLATION",
     "build_message",
     "encode_message",
     "decode_message",
@@ -239,6 +243,25 @@ _BOX64_RECORD = struct.Struct("<5d")
 # quantization scale.
 _KP_HEAD = struct.Struct("<HddHBBBBf")
 
+#: A sense block's zlib stream may inflate to at most this many times
+#: its own size.  Stored full-scan rows never grow, level-6 float64
+#: clouds grow ~4 %, and keypoint blobs grew at most 4.6x over the
+#: standard dataset's encodings (8-bit, unpooled, level 9).  A header
+#: claiming more is refused before anything is inflated: deflate turns
+#: a run of zeros into ~1/1000 of its size, so the header's own count
+#: would let a 16 KB frame make the decoder produce 16 MB.
+MAX_INFLATION = 8
+
+
+def _inflate_block(stream: bytes, expected: int, what: str) -> bytes:
+    """Inflate a sense block's zlib ``stream`` to at most ``expected``
+    bytes, refusing a claim beyond :data:`MAX_INFLATION` first."""
+    if expected > MAX_INFLATION * len(stream):
+        raise CodecError(
+            f"{what} claims {expected} bytes from a {len(stream)}-byte "
+            f"stream (more than {MAX_INFLATION}x)")
+    return _inflate(stream, expected, what)
+
 
 def _encode_cloud(cloud: PointCloud) -> bytes:
     # A stored (level 0) zlib stream: raw float64 coordinates deflate by
@@ -254,7 +277,8 @@ def _decode_cloud(block: bytes) -> PointCloud:
     except struct.error as exc:
         raise CodecError(f"truncated full-scan block: {exc}") from exc
     expected = count * 3 * 8
-    raw = _inflate(block[_SCAN_HEAD.size:], expected, "full-scan payload")
+    raw = _inflate_block(block[_SCAN_HEAD.size:], expected,
+                         "full-scan payload")
     if len(raw) != expected:
         raise CodecError(
             f"full-scan payload is {len(raw)} bytes for {count} points "
@@ -351,6 +375,9 @@ def _decode_keypoints(block: bytes) -> KeypointPayload:
         raise CodecError(f"unsupported descriptor depth: {bits} bits")
     if grid < 1 or n_orient < 1 or size < 1:
         raise CodecError("keypoint header carries degenerate geometry")
+    if size > MAX_BV_SIZE:
+        raise CodecError(f"keypoint image size {size} exceeds the "
+                         f"decoder limit of {MAX_BV_SIZE}")
     if not (np.isfinite(cell) and np.isfinite(lidar_range)
             and np.isfinite(scale)) or cell <= 0 or lidar_range <= 0 \
             or scale <= 0:
@@ -360,7 +387,8 @@ def _decode_keypoints(block: bytes) -> KeypointPayload:
     score_bytes = n_kp * 2
     packed_bytes = (n_kp * dim + 1) // 2 if bits == 4 else n_kp * dim
     expected = xy_bytes + score_bytes + packed_bytes
-    blob = _inflate(block[_KP_HEAD.size:], expected, "keypoint payload")
+    blob = _inflate_block(block[_KP_HEAD.size:], expected,
+                          "keypoint payload")
     if len(blob) != expected:
         raise CodecError(
             f"keypoint payload is {len(blob)} bytes for {n_kp} keypoints "
@@ -550,9 +578,8 @@ def _keypoint_payload(features, config: TierCodecConfig) -> KeypointPayload:
     """Top-K pooled keypoints + descriptors from extracted features."""
     desc_set = features.descriptors
     bv = features.bv_image
-    n_orient = features.mim.num_orientations
-    dim = (desc_set.descriptors.shape[1] if len(desc_set)
-           else features.mim.num_orientations)
+    n_orient = features.num_orientations
+    dim = desc_set.descriptors.shape[1] if len(desc_set) else n_orient
     if len(desc_set) == 0:
         pooled_grid = 1
         pooled_orient = max(n_orient // config.orientation_pool, 1)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.bev.mim import MIMResult, compute_mim
+from repro.bev.mim import compute_mim
 from repro.bev.projection import BVImage, density_map, height_map
 from repro.bev.roi import RoiWindow, roi_window
 from repro.core.config import BBAlignConfig
@@ -32,50 +32,21 @@ __all__ = ["BVFeatures", "BVMatch", "BVMatcher"]
 
 @dataclass(frozen=True)
 class BVFeatures:
-    """Everything stage 1 extracts from one vehicle's scan.
+    """What stage 1 keeps of one vehicle's scan: what matching reads.
 
-    When overlap-ROI culling was applied, ``roi`` records the crop
-    window: ``mim`` then covers only that window of ``bv_image`` (its
-    arrays are ``(roi.size, roi.size)``), while keypoint and descriptor
-    coordinates are always expressed in the **full** image frame so the
+    The MIM is an intermediate of extraction (it feeds the descriptors
+    and nothing else), so only its orientation count stays.  When
+    overlap-ROI culling was applied, ``roi`` records the crop window
+    extraction ran on, while keypoint and descriptor coordinates are
+    always expressed in the **full** ``bv_image`` frame so the
     downstream matching/RANSAC/stage-2 geometry is unchanged.
     """
 
     bv_image: BVImage
-    mim: MIMResult
+    num_orientations: int
     keypoints: Keypoints
     descriptors: DescriptorSet
     roi: RoiWindow | None = None
-
-    def flipped(self) -> "BVFeatures":
-        """The same features under an exact 180-degree image rotation.
-
-        A 180-degree rotation permutes pixels without resampling, leaves
-        Log-Gabor amplitudes (and hence MIM values — orientations are
-        mod pi) in place, and maps a keypoint at (c, r) to
-        (H-1-c, H-1-r).  Descriptors are *not* carried over (the patch
-        content flips), so the returned object has an empty descriptor
-        set; callers re-extract.
-
-        The flipped arrays are reversed *views* of the originals (no
-        copies): consumers treat features as read-only, and the derived
-        flip-descriptor path never touches the flipped image or MIM.
-        """
-        image = self.bv_image
-        size = image.size
-        flipped_image = BVImage(image.image[::-1, ::-1],
-                                image.cell_size, image.lidar_range)
-        flipped_mim = MIMResult(
-            mim=self.mim.mim[::-1, ::-1],
-            max_amplitude=self.mim.max_amplitude[::-1, ::-1],
-            num_orientations=self.mim.num_orientations,
-        )
-        flipped_xy = (size - 1) - self.keypoints.xy
-        flipped_kp = Keypoints(flipped_xy, self.keypoints.scores)
-        empty = DescriptorSet.empty(
-            self.descriptors.descriptors.shape[1]
-            if len(self.descriptors) else 0)
-        return BVFeatures(flipped_image, flipped_mim, flipped_kp, empty)
 
 
 @dataclass(frozen=True)
@@ -150,9 +121,9 @@ class BVMatcher:
         """The overlap crop window for one image, or None (no culling).
 
         Culling requires the feature to be enabled, a prior, and the
-        FAST detector: FAST keypoints are integral, which keeps the
-        π-flip disambiguation on the exact permutation path that never
-        touches the (cropped) MIM of the flipped hypothesis.
+        FAST detector: the cropped path runs FAST on the window (the
+        combination the ROI sweep validates and pins); the other
+        detectors always see the full frame.
         """
         cfg = self.config
         if prior is None or not cfg.roi.enabled:
@@ -180,6 +151,11 @@ class BVMatcher:
         sensor in this image's frame (meters); with ROI culling enabled
         it crops extraction to the predicted overlap window (see
         :mod:`repro.bev.roi`).
+
+        Raises:
+            ValueError: the detector returned a non-integral keypoint;
+                the π-flip hypothesis permutes descriptor cells, which
+                is exact only at integral pixels.
         """
         timer = timer or ambient_stage
         window = self._roi_window(bv_image, prior)
@@ -192,6 +168,10 @@ class BVMatcher:
             else:
                 # _roi_window gates culling to the FAST detector.
                 keypoints = detect_fast(image, self.config.fast)
+        if not np.array_equal(keypoints.xy, np.rint(keypoints.xy)):
+            raise ValueError(
+                f"{self.config.keypoint_detector} detector returned "
+                "non-integral keypoints; stage 1 needs pixel positions")
         with timer("bv_extract/descriptors"):
             descriptors = self._extractor.compute(mim, keypoints)
         if window is not None:
@@ -204,7 +184,8 @@ class BVMatcher:
                 descriptors.keypoint_xy + offset,
                 descriptors.keypoint_indices,
                 descriptors.dominant_bins)
-        return BVFeatures(bv_image, mim, keypoints, descriptors, roi=window)
+        return BVFeatures(bv_image, mim.num_orientations, keypoints,
+                          descriptors, roi=window)
 
     def extract_from_cloud(self, cloud: PointCloud,
                            timer: StageTimer | None = None,
@@ -239,7 +220,7 @@ class BVMatcher:
             rng = np.random.default_rng(
                 self.config.random_seed if rng is None else rng)
 
-        direct = self._match_one(other, ego, rng, timer)
+        direct = self._match_one(other.descriptors, ego, rng, timer)
         if not cfg.disambiguate_pi:
             self._record_match(direct)
             return direct
@@ -247,11 +228,12 @@ class BVMatcher:
         # Second hypothesis: the other image rotated 180 degrees, which
         # folds relative yaws in (90, 270) back into the descriptor's
         # unambiguous range.  The winner is whichever consensus is larger.
+        # Keypoints are integral (extract checks), so the flipped
+        # descriptors are the originals' cells permuted, at mirrored
+        # keypoints p -> (H-1) - p.
         with timer("stage1_match/flip"):
-            flipped = other.flipped()
-            flipped = BVFeatures(flipped.bv_image, flipped.mim,
-                                 flipped.keypoints,
-                                 self._flipped_descriptors(other, flipped))
+            flipped = self._extractor.flipped_set(other.descriptors,
+                                                  other.bv_image.size)
         mirrored = self._match_one(flipped, ego, rng, timer)
         if mirrored.inliers_bv <= direct.inliers_bv:
             self._record_match(direct)
@@ -287,28 +269,15 @@ class BVMatcher:
         histogram("stage1/num_matches").observe(float(match.num_matches))
         histogram("stage1/inliers_bv").observe(float(match.inliers_bv))
 
-    def _flipped_descriptors(self, other: BVFeatures,
-                             flipped: BVFeatures) -> DescriptorSet:
-        """Descriptors for the 180-degree flip hypothesis.
-
-        Integral keypoints (FAST) let the flipped descriptors be derived
-        as an exact cell permutation of the originals; subpixel
-        detectors fall back to a full recompute on the flipped MIM.
-        """
-        xy = other.keypoints.xy
-        if np.array_equal(xy, np.rint(xy)):
-            return self._extractor.flipped_set(other.descriptors,
-                                               other.bv_image.size)
-        return self._extractor.compute(flipped.mim, flipped.keypoints)
-
-    def _match_one(self, other: BVFeatures, ego: BVFeatures,
+    def _match_one(self, other: DescriptorSet, ego: BVFeatures,
                    rng: np.random.Generator,
                    timer: StageTimer | None = None) -> BVMatch:
-        """Single-hypothesis matching (no pi disambiguation)."""
+        """Single-hypothesis matching (no pi disambiguation) of the other
+        car's descriptors against the ego car's features."""
         cfg = self.config.bv_ransac
         timer = timer or ambient_stage
         with timer("stage1_match/nn"):
-            matches = match_descriptors(other.descriptors, ego.descriptors,
+            matches = match_descriptors(other, ego.descriptors,
                                         ratio=cfg.ratio_test,
                                         mutual=cfg.mutual_check)
         if len(matches) < 2:

@@ -545,14 +545,13 @@ class BBAlign:
         stage 1 — π-flip disambiguation included, since the transmitted
         coordinates are integral pixels.
         """
-        from repro.bev.mim import MIMResult
         from repro.comms.tiers import Tier, pool_descriptors
         from repro.features.descriptors import DescriptorSet
         from repro.features.fast import Keypoints
 
         kp = message.keypoints
         tier = Tier.KEYPOINTS.value
-        base_orient = ego_features.mim.num_orientations
+        base_orient = ego_features.num_orientations
         ego_desc = ego_features.descriptors
         try:
             if len(ego_desc):
@@ -572,25 +571,22 @@ class BBAlign:
                 StageDiagnostics(stage1_error=repr(error), tier=tier),
                 message_bytes=num_bytes)
         ego_pooled = BVFeatures(
-            ego_features.bv_image, ego_features.mim,
+            ego_features.bv_image, kp.num_orientations,
             ego_features.keypoints,
             DescriptorSet(pooled, ego_desc.keypoint_xy,
                           ego_desc.keypoint_indices,
                           ego_desc.dominant_bins))
 
-        # The other side never rendered an image here; zero placeholders
-        # carry the geometry.  Matching only permutes these arrays (for
-        # the flip hypothesis) — with integral keypoints the flipped
-        # descriptors are derived by cell permutation, never recomputed.
+        # The other side never rendered an image here; a zero placeholder
+        # carries the geometry (its size mirrors the keypoints for the
+        # flip hypothesis).  A broadcast view: the size is the sender's
+        # header, and nothing reads the pixels.
         size = kp.image_size
-        zeros = np.zeros((size, size))
-        placeholder_bv = BVImage(zeros, kp.cell_size, kp.lidar_range)
-        placeholder_mim = MIMResult(
-            mim=zeros, max_amplitude=zeros,
-            num_orientations=kp.num_orientations)
+        placeholder_bv = BVImage(np.broadcast_to(0.0, (size, size)),
+                                 kp.cell_size, kp.lidar_range)
         xy = kp.xy.astype(float)
         other_features = BVFeatures(
-            placeholder_bv, placeholder_mim,
+            placeholder_bv, kp.num_orientations,
             Keypoints(xy, np.asarray(kp.scores, dtype=float)),
             DescriptorSet(kp.descriptors, xy,
                           np.arange(len(xy), dtype=int),

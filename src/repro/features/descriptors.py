@@ -359,10 +359,10 @@ class BvftDescriptorExtractor:
         descriptor is therefore the original with its cell blocks
         reversed, and the keep/drop decisions are identical.
 
-        Only valid when the keypoint coordinates are integral (true for
-        FAST): rounding commutes with the mirror ``p -> (H-1) - p`` for
-        integers, but not for exact .5 fractions.  Callers with subpixel
-        detectors must recompute instead.
+        Only valid when the keypoint coordinates are integral: rounding
+        commutes with the mirror ``p -> (H-1) - p`` for integers, but
+        not for exact .5 fractions.  ``BVMatcher.extract`` refuses
+        non-integral keypoints, so every feature set qualifies.
         """
         cells = self.config.grid_size ** 2
         d = descriptors.descriptors

@@ -18,8 +18,7 @@ Design notes:
   (indices, function, items, trace parent, attempt), run by one runner,
   :func:`_run_chunk`, on a pool worker or in-process.  ``workers=1``
   runs every chunk through the same runner in-process, so results and
-  telemetry are the same at every worker count.  The service's indexed
-  batches are chunk tasks over the sweep's own function too.
+  telemetry are the same at every worker count.
 * **Chunking** amortizes task overhead (a chunk re-uses the worker's
   per-process state) while still giving the pool ~4 chunks per worker
   to balance uneven item costs.

@@ -46,6 +46,7 @@ from repro.comms.tiers import (
     _KP_HEAD,
     _SCAN_HEAD,
     _TIER_HEAD,
+    MAX_INFLATION,
     KeypointPayload,
 )
 from repro.pointcloud.cloud import PointCloud
@@ -344,9 +345,51 @@ class TestDecoderBounds:
         assert peak_while_refused(decode_message, data,
                                   "inflates past the 24 bytes") < 1 << 20
 
+    def test_oversized_keypoint_image_refused(self):
+        """A keypoint header's image size obeys the BV image's limit."""
+        header = _KP_HEAD.pack(MAX_BV_SIZE + 1, 0.4, 3.2, 0, 1, 1, 8, 0,
+                               1.0)
+        data = tier_frame(b"TK01", header + zlib.compress(b""),
+                          encode_boxes([]))
+        with pytest.raises(CodecError, match="decoder limit"):
+            decode_message(data)
+
     def test_keypoint_inflation_bounded(self):
         # One keypoint, a 1x1 grid of one 8-bit orientation: 7 bytes.
         header = _KP_HEAD.pack(16, 0.4, 3.2, 1, 1, 1, 8, 0, 1.0)
         data = tier_frame(b"TK01", header + ZLIB_BOMB, encode_boxes([]))
         assert peak_while_refused(decode_message, data,
                                   "inflates past the 7 bytes") < 1 << 20
+
+
+class TestSenseBlockInflationBound:
+    """A tier header's own counts cannot license a zlib bomb: a sense
+    block claiming more than MAX_INFLATION times its stream is refused
+    before inflating, so the traced peak stays a small multiple of the
+    frame (about 3x here; it was ~2,900x when only the header bounded
+    the inflate)."""
+
+    @staticmethod
+    def assert_refused_small(data: bytes) -> None:
+        assert peak_while_refused(
+            decode_message, data,
+            f"more than {MAX_INFLATION}x") < 4 * len(data)
+
+    def test_full_scan_count_beyond_frame(self):
+        data = tier_frame(b"TF01", _SCAN_HEAD.pack(0xFFFFFFFF) + ZLIB_BOMB,
+                          _BOX64_HEAD.pack(0))
+        self.assert_refused_small(data)
+
+    def test_full_scan_consistent_bomb(self):
+        """Header and stream agree (349,525 zero points in ~8 KB), so
+        only the ratio bound refuses it."""
+        count = (8 << 20) // 24
+        data = tier_frame(
+            b"TF01", _SCAN_HEAD.pack(count)
+            + zlib.compress(bytes(count * 24), 9), _BOX64_HEAD.pack(0))
+        self.assert_refused_small(data)
+
+    def test_keypoints_count_beyond_frame(self):
+        header = _KP_HEAD.pack(16, 0.4, 3.2, 0xFFFF, 16, 16, 8, 0, 1.0)
+        data = tier_frame(b"TK01", header + ZLIB_BOMB, encode_boxes([]))
+        self.assert_refused_small(data)

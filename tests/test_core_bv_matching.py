@@ -1,10 +1,15 @@
 """Tests for repro.core.bv_matching (stage 1)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.core import bv_matching
 from repro.core.bv_matching import BVMatcher
 from repro.core.config import BBAlignConfig, BVMatchRansacConfig
+from repro.features.descriptors import BvftDescriptorExtractor
+from repro.features.fast import Keypoints
 from repro.geometry.se2 import SE2
 from repro.pointcloud.cloud import PointCloud
 
@@ -96,18 +101,62 @@ class TestStage1:
 
 
 class TestBVFeaturesFlip:
-    def test_flip_is_involution_on_positions(self, world_points):
-        matcher = BVMatcher(BBAlignConfig())
-        features = matcher.extract_from_cloud(PointCloud(world_points))
-        flipped = features.flipped()
-        twice = flipped.flipped()
-        np.testing.assert_allclose(twice.keypoints.xy, features.keypoints.xy)
-        np.testing.assert_array_equal(twice.mim.mim, features.mim.mim)
+    """The π-flip hypothesis is ``flipped_set`` of the other car's
+    descriptors: a cell permutation at mirrored keypoints."""
 
-    def test_flip_preserves_mim_values(self, world_points):
+    @pytest.fixture(scope="class")
+    def flip(self, world_points):
         matcher = BVMatcher(BBAlignConfig())
         features = matcher.extract_from_cloud(PointCloud(world_points))
-        flipped = features.flipped()
-        # Exact pixel permutation: same multiset of values.
-        assert (np.sort(flipped.mim.mim.ravel())
-                == np.sort(features.mim.mim.ravel())).all()
+        extractor = BvftDescriptorExtractor(matcher.config.descriptor)
+        size = features.bv_image.size
+        return features, extractor.flipped_set(features.descriptors,
+                                               size), extractor, size
+
+    def test_flip_is_involution_on_positions(self, flip):
+        """Flipping the descriptor set twice gives back the original bit
+        for bit: cells, mirrored positions, indices and dominant bins."""
+        features, flipped, extractor, size = flip
+        original = features.descriptors
+        assert len(original) > 0
+        assert np.array_equal(flipped.keypoint_xy,
+                              (size - 1) - original.keypoint_xy)
+        twice = extractor.flipped_set(flipped, size)
+        for name in ("descriptors", "keypoint_xy", "keypoint_indices",
+                     "dominant_bins"):
+            got, want = getattr(twice, name), getattr(original, name)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), name
+
+    def test_flip_preserves_mim_values(self, flip):
+        """A 180-degree rotation moves MIM pixels without changing their
+        values, so each flipped descriptor holds the same histogram
+        votes in permuted cells, under the same dominant orientation."""
+        features, flipped, _, _ = flip
+        original = features.descriptors
+        assert np.array_equal(flipped.dominant_bins, original.dominant_bins)
+        assert np.array_equal(np.sort(flipped.descriptors, axis=1),
+                              np.sort(original.descriptors, axis=1))
+        assert not np.array_equal(flipped.descriptors, original.descriptors)
+
+    def test_features_keep_no_mim(self, flip):
+        features = flip[0]
+        assert [f.name for f in dataclasses.fields(features)] == [
+            "bv_image", "num_orientations", "keypoints", "descriptors",
+            "roi"]
+        assert features.num_orientations == 12
+
+
+class TestIntegralKeypoints:
+    def test_subpixel_keypoint_refused(self, world_points, monkeypatch):
+        """The flip hypothesis permutes descriptor cells, which is exact
+        only at integral pixels: a detector that returns a .5
+        coordinate makes extraction raise."""
+        def half_pixel(image, config):
+            return Keypoints(np.array([[40.0, 41.0], [60.5, 70.0]]),
+                             np.ones(2))
+
+        monkeypatch.setattr(bv_matching, "detect_fast", half_pixel)
+        matcher = BVMatcher(BBAlignConfig())
+        with pytest.raises(ValueError, match="non-integral"):
+            matcher.extract_from_cloud(PointCloud(world_points))

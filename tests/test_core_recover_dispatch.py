@@ -5,10 +5,13 @@ messages) — these tests pin the dispatch rules and the tier-aware
 fallback ladder.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.comms import (
+    KeypointPayload,
     Tier,
     TieredMessage,
     V2VMessage,
@@ -16,6 +19,7 @@ from repro.comms import (
     encode_message,
 )
 from repro.comms.channel import Delivery
+from repro.comms.codec import MAX_BV_SIZE
 from repro.core import DegradationLevel, FailureReason
 from repro.core.pipeline import BBAlign
 from repro.detection.simulated import SimulatedDetector
@@ -197,6 +201,27 @@ class TestTierPaths:
 
 
 class TestKeypointTier:
+    def test_claimed_image_size_allocates_nothing(self, pair_features):
+        """The keypoint header's image size is the sender's word: a
+        73-byte message claiming the largest image a decoder accepts
+        recovers without allocating that image (this was 134 MB at a
+        claimed 4096 px)."""
+        payload = encode_message(TieredMessage(
+            Tier.KEYPOINTS, [], keypoints=KeypointPayload(
+                xy=np.array([[1, 2], [3, 4]]), scores=np.ones(2),
+                descriptors=np.full((2, 27), 0.2), image_size=MAX_BV_SIZE,
+                cell_size=0.8, lidar_range=76.8, grid_size=3,
+                num_orientations=3)), record=False)
+        tracemalloc.start()
+        try:
+            result = BBAlign().recover(pair_features[0], payload, [],
+                                       rng=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.diagnostics.tier == Tier.KEYPOINTS.value
+        assert peak < 1 << 20
+
     def test_keypoints_carry_enough_to_match(self, frame_pair,
                                              pair_features, pair_boxes):
         """On an easy pair the 1.5 KB keypoint message still recovers a

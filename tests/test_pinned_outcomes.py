@@ -9,9 +9,10 @@ Deterministic facts of two fixed inputs, held exactly:
 - one 320 x 320 stage-1 pair (cell 0.48 m, first record of the same
   dataset, RANSAC seed 7): point, keypoint, match and inlier counts,
   and the ROI window the ground-truth prior crops to;
-- the bits of stage 1: SHA-256 digests of the MIM, winning-amplitude
-  map, keypoints, descriptors and dominant bins of that pair and of one
-  default 192 x 192 scan, and of the pair's match index arrays.  A
+- the bits of stage 1: SHA-256 digests of the MIM and winning-amplitude
+  map (``compute_mim`` on the extracted BV image), keypoints,
+  descriptors and dominant bins of that pair and of one default
+  192 x 192 scan, and of the pair's match index arrays.  A
   kernel rework that claims bit-identical outputs must leave these
   unchanged.  They hold for one numpy/SciPy build on one SIMD level;
   on another platform, re-record them at a commit known to be good
@@ -26,6 +27,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.bev.mim import compute_mim
 from repro.bev.roi import RoiCullConfig
 from repro.core.bv_matching import BVMatcher
 from repro.core.config import BBAlignConfig, BVImageConfig
@@ -157,13 +159,15 @@ def _digest(array) -> str:
     return h.hexdigest()
 
 
-def stage1_digests(features) -> dict:
-    """Digests of the MIM, keypoint and descriptor arrays of a
-    :class:`BVFeatures`."""
+def stage1_digests(features, log_gabor) -> dict:
+    """Digests of the MIM (recomputed from the features' BV image with
+    the ``log_gabor`` bank they were extracted with), keypoint and
+    descriptor arrays of a :class:`BVFeatures`."""
     desc = features.descriptors
+    mim = compute_mim(features.bv_image, log_gabor)
     return {
-        "mim": _digest(features.mim.mim),
-        "max_amplitude": _digest(features.mim.max_amplitude),
+        "mim": _digest(mim.mim),
+        "max_amplitude": _digest(mim.max_amplitude),
         "keypoints": _digest(np.concatenate(
             [features.keypoints.xy.ravel(), features.keypoints.scores])),
         "descriptors": _digest(desc.descriptors),
@@ -230,12 +234,12 @@ class TestStage1Bits:
             matcher.make_bv_image(record.pair.other_cloud))
         ego = matcher.extract(matcher.make_bv_image(record.pair.ego_cloud))
         result = matcher.match(other, ego, rng=np.random.default_rng(7))
-        return other, ego, result
+        return other, ego, result, matcher.config.log_gabor
 
     def test_pair_features(self, pair):
-        other, ego, _ = pair
-        assert stage1_digests(other) == PAIR_OTHER_DIGESTS
-        assert stage1_digests(ego) == PAIR_EGO_DIGESTS
+        other, ego, _, log_gabor = pair
+        assert stage1_digests(other, log_gabor) == PAIR_OTHER_DIGESTS
+        assert stage1_digests(ego, log_gabor) == PAIR_EGO_DIGESTS
 
     def test_pair_match_indices(self, pair):
         matches = pair[2].matches
@@ -247,4 +251,5 @@ class TestStage1Bits:
         record = default_dataset(1, DATA_SEED)[0]
         bv = matcher.make_bv_image(record.pair.ego_cloud)
         assert bv.size == 192
-        assert stage1_digests(matcher.extract(bv)) == SCAN_192_DIGESTS
+        assert stage1_digests(matcher.extract(bv), matcher.config.log_gabor
+                              ) == SCAN_192_DIGESTS

@@ -28,7 +28,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.bev import log_gabor
+from repro.bev import compute_mim, log_gabor
 from repro.bev.log_gabor import LogGaborBank
 from repro.comms import Tier, TieredMessage, encode_message
 from repro.comms.envelope import ServiceRequest
@@ -118,11 +118,19 @@ def bv_pairs(wire_pairs):
             for _, ego, other, *_ in wire_pairs]
 
 
-def features_digest(features) -> str:
-    """SHA-256 of a BVFeatures' MIM maps, keypoints and descriptors."""
+def extract_with_mim(matcher, bv) -> tuple:
+    """``matcher.extract(bv)`` and, beside it on the same thread, the
+    MIM it was described from (features keep no MIM maps)."""
+    return matcher.extract(bv), compute_mim(bv, matcher.config.log_gabor)
+
+
+def features_digest(extracted: tuple) -> str:
+    """SHA-256 of an :func:`extract_with_mim` result: the MIM maps,
+    keypoints and descriptors."""
+    features, mim = extracted
     descriptors = features.descriptors
     digest = hashlib.sha256()
-    for array in (features.mim.mim, features.mim.max_amplitude,
+    for array in (mim.mim, mim.max_amplitude,
                   features.keypoints.xy, descriptors.descriptors,
                   descriptors.keypoint_xy, descriptors.keypoint_indices,
                   descriptors.dominant_bins):
@@ -315,13 +323,14 @@ class TestExtractionParallelEqualsSerial:
         pooled workspaces carry nothing from one call to the next."""
         matcher = BBAlign().bv_matcher
         cpus(1)
-        serial = [[features_digest(matcher.extract(bv)) for bv in pair]
-                  for pair in bv_pairs]
+        serial = [[features_digest(extract_with_mim(matcher, bv))
+                   for bv in pair] for pair in bv_pairs]
         cpus(2)
+        extract = functools.partial(extract_with_mim, matcher)
         for _ in range(3):
             for pair, expected in zip(bv_pairs, serial):
-                assert [features_digest(features) for features in
-                        fan_out(matcher.extract, pair)] == expected
+                assert [features_digest(extracted) for extracted in
+                        fan_out(extract, pair)] == expected
 
 
 # ----------------------------------------------------------------------
@@ -510,7 +519,7 @@ class TestForkAndWorkers:
         thread, finds the lock free and extracts the same features."""
         matcher = BBAlign().bv_matcher
         bv = bv_pairs[0][0]
-        expected = features_digest(matcher.extract(bv))
+        expected = features_digest(extract_with_mim(matcher, bv))
         held, release = threading.Event(), threading.Event()
 
         def holder() -> None:
@@ -531,7 +540,7 @@ class TestForkAndWorkers:
                 signal.signal(signal.SIGALRM, signal.SIG_DFL)
                 signal.alarm(30)  # a lock inherited held hangs here
                 code = 0 if features_digest(
-                    matcher.extract(bv)) == expected else 2
+                    extract_with_mim(matcher, bv)) == expected else 2
             finally:
                 os._exit(code)
         timer.join(timeout=60)
