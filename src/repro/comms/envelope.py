@@ -8,18 +8,11 @@ never crashes a worker, never yields silent garbage), and unknown
 magics are rejected.  Two magics:
 
 * ``SQ01`` — :class:`ServiceRequest`: one scan-pair pose-recovery
-  request.  Two kinds share the envelope:
-
-  - **scan-pair** (``kind=1``): carries the sensing itself as two
-    embedded :mod:`repro.comms.tiers` messages (ego + other), so a
-    client can submit any tier combination the pipeline accepts.
-  - **shm-pair** (``kind=2``): a same-host zero-copy variant — the
-    envelope carries only a :class:`ShmPairRef` descriptor (shared
-    segment name + the two encoded-message lengths) and the payloads
-    stay in a POSIX shared-memory segment the *client* owns.  The
-    server resolves the descriptor into an ordinary scan-pair request
-    before admission (see ``repro.service.server``); the client unlinks
-    its segment once the response arrives.
+  request (``kind=1``).  It carries the sensing itself as two embedded
+  :mod:`repro.comms.tiers` messages (ego + other), so a client can
+  submit any tier combination the pipeline accepts.  Every other kind
+  byte (the retired dataset-index kind 0 and shared-memory kind 2
+  included) decodes as an unknown kind.
 
 * ``SP01`` — :class:`ServiceResponse`: the recovered planar pose plus
   the degradation verdict (``status``, ``failure_reason``,
@@ -48,7 +41,6 @@ __all__ = [
     "RESPONSE_MAGIC",
     "ServiceRequest",
     "ServiceResponse",
-    "ShmPairRef",
     "decode_request",
     "decode_response",
     "sniff_envelope",
@@ -61,17 +53,13 @@ RESPONSE_MAGIC = b"SP01"
 _REQ_HEAD = struct.Struct("<4sIBBI")
 # Scan-pair request block header: ego/other embedded message lengths.
 _REQ_SCANS = struct.Struct("<II")
-# Shm-pair request block header: ego/other encoded lengths inside the
-# shared segment, then the segment-name length (the name follows).
-_REQ_SHM = struct.Struct("<IIB")
 # Response: magic, request_id, status, degradation-code, reason length,
 # success flag, inliers_bv, inliers_box, tx, ty, theta.
 _RSP_HEAD = struct.Struct("<4sIBBBBii3d")
 
-# Kind 0 (a retired dataset-index kind) stays unassigned: it decodes as
-# an unknown kind.
+# Kinds 0 (a dataset index) and 2 (a shared-memory descriptor) are
+# retired and stay unassigned: they decode as unknown kinds.
 _KIND_SCAN_PAIR = 1
-_KIND_SHM_PAIR = 2
 
 #: Response status codes (the service's admission/executive verdicts).
 STATUS_OK = 0            # the pipeline ran; see failure_reason for rung
@@ -90,82 +78,35 @@ _NO_RESULT = 0xFF
 
 
 @dataclass(frozen=True)
-class ShmPairRef:
-    """Descriptor of a scan pair parked in a shared-memory segment.
-
-    The segment holds the two *encoded* tier messages back to back
-    (``ego`` bytes, then ``other`` bytes); the ref carries the segment
-    name and the split.  Ownership is the client's: it creates the
-    segment, sends the ref, and unlinks after the response — the server
-    only attaches, copies out, and closes.
-    """
-
-    name: str
-    ego_len: int
-    other_len: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= len(self.name.encode("ascii", "strict")) <= 0xFF:
-            raise ValueError("segment name must be 1..255 ASCII bytes")
-        if self.ego_len < 0 or self.other_len < 0:
-            raise ValueError("message lengths must be >= 0")
-
-
-@dataclass(frozen=True)
 class ServiceRequest:
     """One decoded (or to-be-encoded) pose-recovery request.
-
-    Exactly one of ``(ego, other)`` / ``shm`` is populated.
 
     Attributes:
         request_id: caller-chosen correlation id (echoed in the
             response).
-        ego / other: embedded tiered messages (scan-pair requests).
-        shm: shared-memory descriptor of an encoded scan pair
-            (same-host zero-copy requests); the transport resolves it
-            into ``ego``/``other`` before admission.
+        ego / other: the embedded tiered messages of the scan pair.
         deadline_ms: client-declared deadline budget in milliseconds
             (0 = none); the service clamps it against its own config.
     """
 
     request_id: int
-    ego: TieredMessage | None = None
-    other: TieredMessage | None = None
-    shm: ShmPairRef | None = None
+    ego: TieredMessage
+    other: TieredMessage
     deadline_ms: int = 0
 
     def __post_init__(self) -> None:
-        scans = self.ego is not None or self.other is not None
-        if scans == (self.shm is not None):
-            raise ValueError("a request carries exactly one of: an "
-                             "ego+other scan pair, or a shared-memory "
-                             "pair descriptor")
-        if scans and (self.ego is None or self.other is None):
-            raise ValueError("a scan-pair request needs both ego and "
-                             "other messages")
         if not 0 <= self.request_id <= 0xFFFFFFFF:
             raise ValueError("request_id must fit in uint32")
         if not 0 <= self.deadline_ms <= 0xFFFFFFFF:
             raise ValueError("deadline_ms must fit in uint32")
 
-    @property
-    def kind(self) -> str:
-        return "shm-pair" if self.shm is not None else "scan-pair"
-
     def encode(self) -> bytes:
         """Serialize into the CRC32-framed ``SQ01`` envelope."""
-        if self.shm is not None:
-            kind = _KIND_SHM_PAIR
-            name = self.shm.name.encode("ascii")
-            payload = _REQ_SHM.pack(self.shm.ego_len, self.shm.other_len,
-                                    len(name)) + name
-        else:
-            kind = _KIND_SCAN_PAIR
-            ego = encode_message(self.ego, record=False)
-            other = encode_message(self.other, record=False)
-            payload = _REQ_SCANS.pack(len(ego), len(other)) + ego + other
-        header = _REQ_HEAD.pack(REQUEST_MAGIC, self.request_id, kind, 0,
-                                self.deadline_ms)
+        ego = encode_message(self.ego, record=False)
+        other = encode_message(self.other, record=False)
+        payload = _REQ_SCANS.pack(len(ego), len(other)) + ego + other
+        header = _REQ_HEAD.pack(REQUEST_MAGIC, self.request_id,
+                                _KIND_SCAN_PAIR, 0, self.deadline_ms)
         return _frame(header, payload)
 
 
@@ -186,39 +127,22 @@ def decode_request(data: bytes) -> ServiceRequest:
     if magic != REQUEST_MAGIC:
         raise CodecError(f"not a service request (magic {magic!r})")
     payload = _verify_crc(bytes(data), _REQ_HEAD, "service request")
-    if kind == _KIND_SCAN_PAIR:
-        try:
-            ego_len, other_len = _REQ_SCANS.unpack_from(payload, 0)
-        except struct.error as exc:
-            raise CodecError(f"truncated scan-pair block: {exc}") from exc
-        expected = _REQ_SCANS.size + ego_len + other_len
-        if len(payload) != expected:
-            raise CodecError(
-                f"scan-pair block is {len(payload)} bytes, header "
-                f"promises {expected}")
-        ego = decode_message(payload[_REQ_SCANS.size:
-                                     _REQ_SCANS.size + ego_len])
-        other = decode_message(payload[_REQ_SCANS.size + ego_len:])
-        return ServiceRequest(request_id=request_id, ego=ego, other=other,
-                              deadline_ms=deadline_ms)
-    if kind == _KIND_SHM_PAIR:
-        try:
-            ego_len, other_len, name_len = _REQ_SHM.unpack_from(payload, 0)
-        except struct.error as exc:
-            raise CodecError(f"truncated shm-pair block: {exc}") from exc
-        if len(payload) != _REQ_SHM.size + name_len:
-            raise CodecError(
-                f"shm-pair block is {len(payload)} bytes, header "
-                f"promises {_REQ_SHM.size + name_len}")
-        try:
-            name = payload[_REQ_SHM.size:].decode("ascii")
-            ref = ShmPairRef(name=name, ego_len=ego_len,
-                             other_len=other_len)
-        except (UnicodeDecodeError, ValueError) as exc:
-            raise CodecError(f"malformed shm-pair ref: {exc}") from exc
-        return ServiceRequest(request_id=request_id, shm=ref,
-                              deadline_ms=deadline_ms)
-    raise CodecError(f"unknown request kind {kind}")
+    if kind != _KIND_SCAN_PAIR:
+        raise CodecError(f"unknown request kind {kind}")
+    try:
+        ego_len, other_len = _REQ_SCANS.unpack_from(payload, 0)
+    except struct.error as exc:
+        raise CodecError(f"truncated scan-pair block: {exc}") from exc
+    expected = _REQ_SCANS.size + ego_len + other_len
+    if len(payload) != expected:
+        raise CodecError(
+            f"scan-pair block is {len(payload)} bytes, header "
+            f"promises {expected}")
+    ego = decode_message(payload[_REQ_SCANS.size:
+                                 _REQ_SCANS.size + ego_len])
+    other = decode_message(payload[_REQ_SCANS.size + ego_len:])
+    return ServiceRequest(request_id=request_id, ego=ego, other=other,
+                          deadline_ms=deadline_ms)
 
 
 @dataclass(frozen=True)

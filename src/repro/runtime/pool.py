@@ -147,10 +147,6 @@ class WorkerPool:
         processes = getattr(self._executor, "_processes", None)
         return list(processes.values()) if processes else []
 
-    def live_workers(self) -> int:
-        """Spawned worker processes currently alive."""
-        return sum(1 for p in self._processes() if p.is_alive())
-
     def dead_workers(self) -> int:
         """Spawned worker processes that have exited (crash or kill)."""
         return sum(1 for p in self._processes() if not p.is_alive())

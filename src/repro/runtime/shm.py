@@ -72,11 +72,9 @@ __all__ = [
     "attach_block",
     "load_objects",
     "pack_objects",
-    "read_segment",
     "share_objects",
     "shm_available",
     "shm_free_bytes",
-    "write_segment",
 ]
 
 #: Segment offsets are aligned so every array view starts on a cache
@@ -283,43 +281,6 @@ class ShmArena:
             except FileNotFoundError:
                 pass
         segments.clear()
-
-
-def write_segment(payload: bytes) -> shared_memory.SharedMemory:
-    """Create a fresh segment holding ``payload`` (caller owns it).
-
-    The TCP client's side of the shm-pair transport: the returned
-    segment's ``name`` travels in the request descriptor and the caller
-    unlinks after the response arrives.  Raises
-    :class:`ShmUnavailableError` when the segment cannot be created.
-    """
-    try:
-        segment = shared_memory.SharedMemory(create=True,
-                                             size=max(len(payload), 1))
-    except Exception as error:
-        raise ShmUnavailableError(
-            f"cannot create shared segment: {error}") from error
-    segment.buf[:len(payload)] = payload
-    return segment
-
-
-def read_segment(name: str, length: int) -> bytes:
-    """Copy ``length`` bytes out of a foreign segment and detach.
-
-    The server's side of the shm-pair transport: the segment belongs to
-    the client, so this attaches untracked, copies, and closes — never
-    unlinks.  Raises ``ValueError`` when the segment is shorter than
-    promised, ``FileNotFoundError`` when the name does not resolve.
-    """
-    segment = _attach(name)
-    try:
-        if segment.size < length:
-            raise ValueError(
-                f"segment {name!r} holds {segment.size} bytes, "
-                f"descriptor promises {length}")
-        return bytes(segment.buf[:length])
-    finally:
-        segment.close()
 
 
 def attach_block(ref: ShmBlockRef,

@@ -25,8 +25,8 @@ experiment layer (those stay test and load harnesses):
   extracted once.
 * :mod:`repro.service.server` — the length-prefixed TCP transport
   (:class:`ServiceServer` / :class:`ServiceClient`) speaking
-  :mod:`repro.comms.envelope` frames, including the shared-memory
-  scan-pair fast path (:meth:`ServiceClient.request_shm`).
+  :mod:`repro.comms.envelope` frames: scan pairs travel over the wire
+  only.
 * :mod:`repro.service.load` — the closed-loop load generator behind
   ``repro service-load`` and the chaos-soak benchmark.
 
@@ -43,11 +43,7 @@ from repro.service.config import (
 )
 from repro.service.core import PoseService
 from repro.service.load import LoadSummary, run_load
-from repro.service.server import (
-    ServiceClient,
-    ServiceServer,
-    resolve_shm_request,
-)
+from repro.service.server import ServiceClient, ServiceServer
 from repro.service.worker import configure_worker
 
 __all__ = [
@@ -61,6 +57,5 @@ __all__ = [
     "ServiceServer",
     "ServiceUnsupported",
     "configure_worker",
-    "resolve_shm_request",
     "run_load",
 ]

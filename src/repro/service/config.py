@@ -42,7 +42,8 @@ class ServiceClosed(ServiceError):
 
 class ServiceUnsupported(ServiceError):
     """Admission refused: the request shape cannot be executed
-    (e.g. a scan-pair request whose ego message carries no raw scan)."""
+    (a scan-pair request whose ego message carries no raw scan, or
+    whose partner BV image or keypoints use another BV geometry)."""
 
 
 @dataclass(frozen=True)

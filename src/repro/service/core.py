@@ -77,6 +77,7 @@ import numpy as np
 
 from repro.comms.envelope import ServiceRequest, ServiceResponse
 from repro.comms.tiers import Tier
+from repro.core.config import BBAlignConfig
 from repro.core.degradation import record_transition
 from repro.core.result import DegradationLevel, FailureReason
 from repro.obs.metrics import use_registry
@@ -209,6 +210,10 @@ class PoseService:
         self.timings = SweepTimings()
         self.registry = self.timings.registry
         self._workers = _Workers(self.pool.workers)
+        #: The BV geometry stage 1 runs at (size, cell, range): a
+        #: partner's BV image or keypoints must share it.
+        bv = (self.config.config or BBAlignConfig()).bv_image
+        self._bv_geometry = (bv.image_size, bv.cell_size, bv.lidar_range)
         #: The service's one stage-1 feature cache.
         self._scans = ScanTable(self.config.config,
                                 self.config.worker_cache_mb, self.registry,
@@ -332,8 +337,9 @@ class PoseService:
             ServiceClosed: the service is stopping or never started.
             ServiceOverloaded: the admission queue is full.
             ServiceUnsupported: the request shape cannot execute (an
-                ego message that carries no raw scan, or a
-                shared-memory descriptor no transport resolved).
+                ego message that carries no raw scan, or a partner BV
+                image or keypoint message whose geometry is not the
+                service's).
         """
         if self._closed or not self._started:
             self.registry.counter("service/rejected_closed").inc()
@@ -373,15 +379,6 @@ class PoseService:
         return await self.submit_nowait(request)
 
     def _validate(self, request: ServiceRequest) -> None:
-        if request.shm is not None:
-            # Shm descriptors are a *transport* form: the TCP server
-            # resolves them into ordinary scan pairs before admission.
-            # One reaching here means no transport resolved it, and the
-            # service must not guess at a foreign segment's layout.
-            self.registry.counter("service/rejected_unsupported").inc()
-            raise ServiceUnsupported(
-                "shared-memory request descriptors must be resolved by "
-                "the transport before admission")
         if request.ego.tier is not Tier.FULL_SCAN \
                 or request.ego.cloud is None:
             self.registry.counter("service/rejected_unsupported").inc()
@@ -390,6 +387,24 @@ class PoseService:
                 f"full-scan tier with its scan, got "
                 f"{request.ego.tier.value!r} (the other side may use any "
                 "tier)")
+        other = request.other
+        if other.tier is Tier.BV_IMAGE:
+            bv = other.bv_image
+            geometry = (bv.size, bv.cell_size, bv.lidar_range)
+        elif other.tier is Tier.KEYPOINTS:
+            kp = other.keypoints
+            geometry = (kp.image_size, kp.cell_size, kp.lidar_range)
+        else:
+            return
+        if geometry != self._bv_geometry:
+            # Stage 1 assumes the receiver's BV geometry: another one
+            # would be extracted at the sender's size (a Log-Gabor bank
+            # of that size) and answered in the wrong metric scale.
+            self.registry.counter("service/rejected_unsupported").inc()
+            raise ServiceUnsupported(
+                f"partner {other.tier.value} geometry (size, cell, "
+                f"range) {geometry} is not the service's "
+                f"{self._bv_geometry}")
 
     # ------------------------------------------------------------------
     # Resolution
@@ -419,7 +434,6 @@ class PoseService:
                 "start_unix": round(pending.start_unix, 6),
                 "wall_s": round(latency, 9), "cpu_s": 0.0,
                 "attrs": {"request_id": pending.request.request_id,
-                          "kind": pending.request.kind,
                           "status": response.status},
             })
 
@@ -475,7 +489,7 @@ class PoseService:
             # another task happens to have open.
             span = SpanHandle(
                 "service/batch", self._collector.next_span_id(),
-                pending.span_id, {"requests": 1, "kind": request.kind})
+                pending.span_id, {"requests": 1})
         trace_parent = span.span_id if span is not None else None
         try:
             await self._run_scan_pair(pending, trace_parent)

@@ -13,17 +13,6 @@ stays in sync, so one corrupt envelope cannot poison the connection),
 admission rejections become typed ``"shed"`` responses on the wire, and
 a client that disconnects mid-request simply stops receiving — the
 service still resolves the request internally.
-
-Same-host clients can skip the wire for the heavy half of a scan-pair
-request: :meth:`ServiceClient.request_shm` writes the two encoded tier
-messages into a client-owned shared-memory segment and sends only a
-:class:`~repro.comms.envelope.ShmPairRef` descriptor; the server
-resolves the descriptor (attach → copy → close, never unlink) into an
-ordinary scan-pair request *before* admission, so everything past the
-transport — validation, dispatch, the worker data plane — is identical
-for both forms and so are the responses.  A descriptor that does not
-resolve (unknown name, short segment, corrupt payload) gets a typed
-``"shed"`` response, keeping the answered-or-refused contract.
 """
 
 from __future__ import annotations
@@ -37,17 +26,13 @@ from repro.comms.codec import CodecError
 from repro.comms.envelope import (
     ServiceRequest,
     ServiceResponse,
-    ShmPairRef,
     decode_request,
     decode_response,
 )
-from repro.comms.tiers import TieredMessage, decode_message, encode_message
-from repro.runtime.shm import read_segment, write_segment
 from repro.service.config import ServiceError
 from repro.service.core import PoseService
 
-__all__ = ["MAX_FRAME_BYTES", "ServiceClient", "ServiceServer",
-           "resolve_shm_request"]
+__all__ = ["MAX_FRAME_BYTES", "ServiceClient", "ServiceServer"]
 
 _LEN = struct.Struct("<I")
 #: Upper bound on one frame — far above any real envelope (a full-scan
@@ -67,33 +52,6 @@ async def _read_frame(reader: asyncio.StreamReader) -> bytes:
 
 def _write_frame(writer: asyncio.StreamWriter, payload: bytes) -> None:
     writer.write(_LEN.pack(len(payload)) + payload)
-
-
-def resolve_shm_request(request: ServiceRequest) -> ServiceRequest:
-    """Materialize a shm-pair request into an ordinary scan pair.
-
-    Attaches the client-owned segment named by the descriptor, copies
-    out the two encoded tier messages, decodes them, and rebuilds the
-    request — the segment itself is closed immediately (and never
-    unlinked: it is the client's to reclaim).
-
-    Raises:
-        CodecError: the segment does not resolve (unknown name, shorter
-            than the descriptor promises, or holding malformed
-            messages).
-    """
-    ref = request.shm
-    assert ref is not None
-    try:
-        payload = read_segment(ref.name, ref.ego_len + ref.other_len)
-    except (FileNotFoundError, ValueError, OSError) as error:
-        raise CodecError(
-            f"shm descriptor {ref.name!r} does not resolve: "
-            f"{error}") from error
-    ego = decode_message(payload[:ref.ego_len])
-    other = decode_message(payload[ref.ego_len:])
-    return ServiceRequest(request_id=request.request_id, ego=ego,
-                          other=other, deadline_ms=request.deadline_ms)
 
 
 class ServiceServer:
@@ -136,6 +94,7 @@ class ServiceServer:
         registry = self.service.registry
         registry.counter("service/connections").inc()
         write_lock = asyncio.Lock()
+        loop = asyncio.get_running_loop()
         responders: set[asyncio.Task] = set()
         me = asyncio.current_task()
         if me is not None:
@@ -164,33 +123,21 @@ class ServiceServer:
                     break  # length prefix itself untrusted: resync is
                     # impossible, drop the connection
                 try:
-                    request = decode_request(frame)
+                    # Decoding a full-scan pair takes milliseconds: off
+                    # the loop, admission, deadline timers and the
+                    # supervisor keep running for every other
+                    # connection meanwhile.  This connection reads its
+                    # next frame only after, so its requests keep
+                    # their order.
+                    request = await loop.run_in_executor(
+                        None, decode_request, frame)
+                except asyncio.CancelledError:
+                    break
                 except CodecError:
                     # The framing layer is still in sync — skip the
                     # corrupt envelope, keep the connection.
                     registry.counter("service/bad_frames").inc()
                     continue
-                if request.shm is not None:
-                    try:
-                        request = resolve_shm_request(request)
-                        registry.counter("service/shm/requests").inc()
-                    except CodecError:
-                        # The descriptor is well-framed but the segment
-                        # is not there (or lies): answer typed, like an
-                        # admission rejection — the client is waiting.
-                        registry.counter("service/shm/resolve_failures"
-                                         ).inc()
-                        async with write_lock:
-                            _write_frame(writer, ServiceResponse(
-                                request_id=request.request_id,
-                                status="shed", success=False,
-                                failure_reason="ShmResolveError",
-                                degradation=None, inliers_bv=0,
-                                inliers_box=0, tx=0.0, ty=0.0,
-                                theta=0.0).encode())
-                            with contextlib.suppress(ConnectionError):
-                                await writer.drain()
-                        continue
                 try:
                     future = self.service.submit_nowait(request)
                 except ServiceError as error:
@@ -283,34 +230,6 @@ class ServiceClient:
         _write_frame(self._writer, frame)
         await self._writer.drain()
         return await future
-
-    async def request_shm(self, ego: TieredMessage, other: TieredMessage,
-                          *, deadline_ms: int = 0) -> ServiceResponse:
-        """Send one scan pair through a shared-memory segment.
-
-        Same-host fast path: the encoded messages land in a
-        client-owned segment and only a ~30-byte descriptor crosses the
-        socket.  The segment lives until the response (the server
-        copies it out before admission, so unlinking afterwards is
-        always safe) and is reclaimed on every exit path.
-
-        Raises:
-            ShmUnavailableError: no shared memory here — callers fall
-                back to :meth:`request` with the same messages.
-            ConnectionError: as :meth:`request`.
-        """
-        ego_bytes = encode_message(ego)
-        other_bytes = encode_message(other)
-        segment = write_segment(ego_bytes + other_bytes)
-        try:
-            ref = ShmPairRef(name=segment.name, ego_len=len(ego_bytes),
-                             other_len=len(other_bytes))
-            return await self.request(ServiceRequest(
-                request_id=1, shm=ref, deadline_ms=deadline_ms))
-        finally:
-            segment.close()
-            with contextlib.suppress(FileNotFoundError):
-                segment.unlink()
 
     async def close(self) -> None:
         self._pump.cancel()

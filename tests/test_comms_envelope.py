@@ -1,5 +1,7 @@
 """Service envelope (SQ01/SP01) round trips and validation."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -30,7 +32,6 @@ class TestRequestRoundTrip:
         scans = TieredMessage(Tier.BOXES_ONLY, some_boxes())
         request = ServiceRequest(request_id=5, ego=scans, other=scans)
         decoded = decode_request(request.encode())
-        assert decoded.kind == "scan-pair"
         assert decoded.request_id == 5
         assert decoded.ego.tier is Tier.BOXES_ONLY
         assert len(decoded.ego.boxes) == len(scans.boxes)
@@ -48,10 +49,12 @@ class TestRequestRoundTrip:
         assert decoded.deadline_ms == 0xFFFFFFFF
 
     def test_exactly_one_body_enforced(self):
+        """The scan pair is the one request body: both messages are
+        required fields."""
         scans = TieredMessage(Tier.BOXES_ONLY, [])
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             ServiceRequest(request_id=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             ServiceRequest(request_id=1, ego=scans)
 
     def test_unknown_kind_rejected(self):
@@ -60,10 +63,14 @@ class TestRequestRoundTrip:
             decode_request(_frame(header, b"\x00\x00\x00\x00"))
 
     def test_oversized_index_block_rejected(self):
-        """Kind 0 (a dataset index) is retired: a frame carrying an
-        index block decodes like any kind the envelope never had."""
-        for block in (b"\x00" * 4, b"\x00" * 8):
-            header = _REQ_HEAD.pack(REQUEST_MAGIC, 1, 0, 0, 0)
+        """Kinds 0 (a dataset index) and 2 (a shared-memory pair
+        descriptor) are retired: a frame carrying either's block decodes
+        like any kind the envelope never had."""
+        name = b"psm_abc123"
+        for kind, block in ((0, b"\x00" * 4), (0, b"\x00" * 8),
+                            (2, struct.pack("<IIB", 1024, 2048, len(name))
+                             + name)):
+            header = _REQ_HEAD.pack(REQUEST_MAGIC, 1, kind, 0, 0)
             with pytest.raises(CodecError, match="unknown request kind"):
                 decode_request(_frame(header, block))
 

@@ -37,7 +37,6 @@ from repro.comms.codec import (
 from repro.comms.envelope import (
     ServiceRequest,
     ServiceResponse,
-    ShmPairRef,
     decode_request,
     decode_response,
 )
@@ -93,13 +92,8 @@ def tier_message(tier: Tier) -> bytes:
     return encode_message(message, record=False)
 
 
-def service_request(kind: str) -> bytes:
-    """A small valid encoded service request of the requested kind."""
-    if kind == "shm-pair":
-        return ServiceRequest(
-            request_id=7, deadline_ms=250,
-            shm=ShmPairRef(name="psm_fuzz", ego_len=64,
-                           other_len=96)).encode()
+def service_request() -> bytes:
+    """A small valid encoded scan-pair service request."""
     scans = TieredMessage(Tier.BOXES_ONLY, some_boxes())
     return ServiceRequest(request_id=8, ego=scans, other=scans).encode()
 
@@ -180,11 +174,11 @@ class TestEveryTruncationPoint:
             with pytest.raises(CodecError):
                 decode_message(data[:cut])
 
-    @pytest.mark.parametrize("kind", ["scan-pair", "shm-pair"])
+    @pytest.mark.parametrize("kind", ["scan-pair"])
     def test_service_request_all_prefixes(self, kind):
         """The service's SQ01 envelope is total like every other codec
         — a truncated request must never crash a service worker."""
-        data = service_request(kind)
+        data = service_request()
         for cut in range(len(data)):
             with pytest.raises(CodecError):
                 decode_request(data[:cut])
@@ -231,13 +225,13 @@ class TestByteFlips:
         with pytest.raises(CodecError):
             decode_message(bytes(data))
 
-    @pytest.mark.parametrize("kind", ["scan-pair", "shm-pair"])
+    @pytest.mark.parametrize("kind", ["scan-pair"])
     @given(position_seed=st.integers(0, 10 ** 9),
            flip=st.integers(1, 255))
     @settings(max_examples=40, deadline=None)
     def test_service_request_single_flip_detected(self, kind,
                                                   position_seed, flip):
-        data = bytearray(service_request(kind))
+        data = bytearray(service_request())
         data[position_seed % len(data)] ^= flip
         with pytest.raises(CodecError):
             decode_request(bytes(data))

@@ -3,10 +3,8 @@
 The lifecycle contract under test: the parent owns every segment
 (workers attach and close, never unlink), packing fidelity is exact
 for every tier-message shape and for extracted features, mapped arrays
-are read-only, the shm-pair envelope kind survives encode/decode and
-malformed input, the TCP shared-memory fast path returns the same
-responses as the wire path, and — the crash-cleanup protocol — chaos
-faults leave zero segments in ``/dev/shm``.
+are read-only, and — the crash-cleanup protocol — chaos faults leave
+zero segments in ``/dev/shm``.
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ import asyncio
 import dataclasses
 import gc
 import glob
-import struct
 import subprocess
 import sys
 import textwrap
@@ -25,12 +22,7 @@ import pytest
 
 from repro.boxes.box import Box2D
 from repro.bev.projection import BVImage
-from repro.comms.codec import CodecError
-from repro.comms.envelope import (
-    ServiceRequest,
-    ShmPairRef,
-    decode_request,
-)
+from repro.comms.envelope import ServiceRequest
 from repro.comms.tiers import (
     KeypointPayload,
     Tier,
@@ -46,17 +38,10 @@ from repro.runtime.shm import (
     attach_block,
     load_objects,
     pack_objects,
-    read_segment,
     share_objects,
     shm_available,
-    write_segment,
 )
-from repro.service import (
-    PoseService,
-    ServiceClient,
-    ServiceConfig,
-    ServiceServer,
-)
+from repro.service import PoseService, ServiceConfig
 from repro.service.core import _FEATURE_SEGMENT_BYTES
 from repro.service.worker import ExtractTask, run_extract
 from repro.simulation.dataset import DatasetConfig, V2VDatasetSim
@@ -173,18 +158,6 @@ class TestArena:
         with pytest.raises(ShmUnavailableError):
             arena.place([np.arange(4.0)])
         arena.release(ref)
-
-    def test_raw_segment_roundtrip(self):
-        segment = write_segment(b"hello shm")
-        try:
-            assert read_segment(segment.name, 9) == b"hello shm"
-            with pytest.raises(ValueError):
-                read_segment(segment.name, segment.size + 1)
-        finally:
-            segment.close()
-            segment.unlink()
-        with pytest.raises(FileNotFoundError):
-            read_segment(segment.name, 1)
 
 
 def assert_same(got, want):
@@ -335,128 +308,11 @@ class TestRunExtract:
         assert not leaked_segments()
 
 
-class TestShmEnvelope:
-    def test_shm_pair_roundtrip(self):
-        ref = ShmPairRef(name="psm_abc123", ego_len=1024, other_len=2048)
-        request = ServiceRequest(request_id=7, shm=ref, deadline_ms=250)
-        assert request.kind == "shm-pair"
-        decoded = decode_request(request.encode())
-        assert decoded.shm == ref
-        assert decoded.request_id == 7
-        assert decoded.deadline_ms == 250
-        assert decoded.ego is None and decoded.other is None
-
-    def test_exactly_one_request_form(self):
-        ref = ShmPairRef(name="x", ego_len=1, other_len=1)
-        scans = TieredMessage(Tier.BOXES_ONLY, [])
-        with pytest.raises(ValueError):
-            ServiceRequest(request_id=1, ego=scans, other=scans, shm=ref)
-        with pytest.raises(ValueError):
-            ServiceRequest(request_id=1)
-
-    def test_ref_validation(self):
-        with pytest.raises(ValueError):
-            ShmPairRef(name="", ego_len=1, other_len=1)
-        with pytest.raises(ValueError):
-            ShmPairRef(name="x" * 256, ego_len=1, other_len=1)
-        with pytest.raises(ValueError):
-            ShmPairRef(name="ség", ego_len=1, other_len=1)
-        with pytest.raises(ValueError):
-            ShmPairRef(name="x", ego_len=-1, other_len=1)
-
-    def test_truncated_payload_is_codec_error(self):
-        encoded = ServiceRequest(
-            request_id=1, shm=ShmPairRef(name="abcdef", ego_len=4,
-                                         other_len=4)).encode()
-        # Chop one byte off the segment name; the CRC framing catches
-        # byte flips, so rebuild a shorter frame instead: flip the name
-        # length to promise more than the payload holds.
-        broken = bytearray(encoded)
-        # name-length byte sits after the 14-byte request head and the
-        # two u32 lengths of the shm block.
-        offset = struct.calcsize("<4sIBBI") + 8
-        broken[offset] = 250
-        with pytest.raises(CodecError):
-            decode_request(bytes(broken))
-
-
 def scan_request_messages(index: int = 0):
     pair = V2VDatasetSim(DATASET)[index].pair
     ego = build_message(Tier.FULL_SCAN, [], cloud=pair.ego_cloud)
     other = build_message(Tier.FULL_SCAN, [], cloud=pair.other_cloud)
     return ego, other
-
-
-class TestShmTransport:
-    def test_request_shm_matches_wire_path(self):
-        ego, other = scan_request_messages()
-
-        async def scenario():
-            config = ServiceConfig(workers=2, heartbeat_interval=0.05)
-            service = PoseService(config)
-            await service.start()
-            server = ServiceServer(service)
-            await server.start()
-            client = await ServiceClient.connect(server.host, server.port)
-            try:
-                via_shm = await client.request_shm(ego, other)
-                via_wire = await client.request(ServiceRequest(
-                    request_id=1, ego=ego, other=other))
-                counters = service.registry.counter_values("service/shm/")
-            finally:
-                await client.close()
-                await server.stop()
-                await service.stop()
-            return via_shm, via_wire, counters
-
-        via_shm, via_wire, counters = run(scenario())
-        assert via_shm.status == "ok"
-        # The client reallocates ids per request, so compare payloads.
-        for field in ("status", "success", "degradation", "tx", "ty",
-                      "theta", "inliers_bv", "inliers_box"):
-            assert getattr(via_shm, field) == getattr(via_wire, field)
-        assert counters["service/shm/requests"] == 1
-        assert not leaked_segments()
-
-    def test_unresolvable_descriptor_gets_typed_response(self):
-        async def scenario():
-            config = ServiceConfig(workers=2, heartbeat_interval=0.05)
-            service = PoseService(config)
-            await service.start()
-            server = ServiceServer(service)
-            await server.start()
-            client = await ServiceClient.connect(server.host, server.port)
-            try:
-                response = await client.request(ServiceRequest(
-                    request_id=1,
-                    shm=ShmPairRef(name="no-such-segment",
-                                   ego_len=64, other_len=64)))
-                counters = service.registry.counter_values("service/shm/")
-            finally:
-                await client.close()
-                await server.stop()
-                await service.stop()
-            return response, counters
-
-        response, counters = run(scenario())
-        assert response.status == "shed"
-        assert response.failure_reason == "ShmResolveError"
-        assert counters["service/shm/resolve_failures"] == 1
-
-    def test_unresolved_descriptor_refused_at_admission(self):
-        # Defense in depth: a descriptor that somehow bypasses the
-        # transport must be refused, not guessed at.
-        from repro.service import ServiceUnsupported
-
-        async def scenario():
-            config = ServiceConfig(workers=2)
-            async with PoseService(config) as service:
-                with pytest.raises(ServiceUnsupported):
-                    service.submit_nowait(ServiceRequest(
-                        request_id=1,
-                        shm=ShmPairRef(name="x", ego_len=1, other_len=1)))
-
-        run(scenario())
 
 
 class TestChaosLifecycle:

@@ -3,7 +3,9 @@
 Fast, deterministic versions of the chaos-soak contract
 (``benchmarks/test_service_soak.py`` runs the sustained version):
 
-* burst admission against a bounded queue sheds *exactly* the overflow;
+* burst admission against a bounded queue sheds *exactly* the overflow,
+  and a partner BV image or keypoint message at a geometry other than
+  the service's is refused at the door;
 * clean-path parity — the service's answer to the scan pair of dataset
   pair ``i``, sent with the sweep's boxes as request ``i``, is
   byte-identical to the sweep engine's outcome for pair ``i``;
@@ -12,8 +14,9 @@ Fast, deterministic versions of the chaos-soak contract
 * dispatch is per request: a short queue spreads over idle workers, a
   burst keeps ``workers × batch_size`` requests in flight and the rest
   queued, and racing restarts of one pool generation collapse to one;
-* the TCP transport survives malformed frames and maps admission
-  rejections onto typed wire responses;
+* the TCP transport survives malformed frames, maps admission
+  rejections onto typed wire responses, and decodes envelopes off the
+  event loop, so one connection's decode never holds up another;
 * the service imports neither the simulator nor the experiment layer.
 
 No pytest-asyncio in the toolchain: each test drives its own loop via
@@ -24,7 +27,10 @@ the suite.
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import dataclasses
 import functools
+import itertools
 import signal
 import struct
 import subprocess
@@ -32,10 +38,13 @@ import sys
 import textwrap
 import threading
 
+import numpy as np
 import pytest
 
+from repro.bev.projection import BVImage
 from repro.comms.envelope import ServiceRequest
-from repro.comms.tiers import Tier, build_message
+from repro.comms.tiers import Tier, TieredMessage, build_message
+from repro.core.pipeline import BBAlign
 from repro.experiments.common import (
     default_dataset,
     run_pose_recovery_sweep,
@@ -128,6 +137,54 @@ class TestAdmission:
                 return counters(svc)
 
         assert run(scenario())["rejected_unsupported"] == 1
+
+    def test_partner_geometry_must_match_the_service(self):
+        """A BV-image or keypoint partner at another BV geometry than
+        the service's is refused before any of its scans is acquired, so
+        no extraction (and no Log-Gabor bank at the partner's size)
+        starts; default-geometry partners are still answered."""
+        ego, other = messages()[0]
+        features = BBAlign().extract_features(other.cloud)
+        native = [build_message(tier, other.boxes, features=features)
+                  for tier in (Tier.BV_IMAGE, Tier.KEYPOINTS)]
+        foreign = [
+            TieredMessage(Tier.BV_IMAGE, [], bv_image=BVImage(
+                np.zeros((size, size)), 153.6 / size, 76.8))
+            for size in (96, 384, 2048)
+        ] + [TieredMessage(Tier.KEYPOINTS, [], keypoints=dataclasses.replace(
+            native[1].keypoints, image_size=96, cell_size=1.6))]
+
+        async def scenario():
+            svc = PoseService(service_config())
+            await svc.start()
+            acquired = []
+            acquire = svc._scans.acquire
+            svc._scans.acquire = lambda scan: (acquired.append(scan)
+                                               or acquire(scan))
+            try:
+                admitted = []
+                for n, partner in enumerate(foreign):
+                    with contextlib.suppress(ServiceUnsupported):
+                        svc.submit_nowait(ServiceRequest(
+                            request_id=n + 1, ego=ego, other=partner))
+                        admitted.append(n)
+                refused = counters(svc), len(acquired)
+                if admitted:  # shed unrun when the service stops
+                    return admitted, refused, []
+                return admitted, refused, [
+                    await svc.submit(ServiceRequest(
+                        request_id=n + 11, ego=ego, other=partner))
+                    for n, partner in enumerate(native)]
+            finally:
+                await svc.stop(drain=False)
+
+        admitted, (stats, acquired), responses = run(scenario())
+        assert admitted == []
+        assert stats["rejected_unsupported"] == len(foreign)
+        assert "admitted" not in stats
+        assert "worker_cache/misses" not in stats
+        assert acquired == 0
+        assert [r.status for r in responses] == ["ok", "ok"]
 
 
 class TestParity:
@@ -445,6 +502,54 @@ class TestServer:
         assert response.status == "shed"
         assert response.failure_reason == "ServiceUnsupported"
         assert not response.success
+
+    def test_decode_runs_off_the_event_loop(self, monkeypatch):
+        """While connection A's envelope decode is blocked, connection
+        B's request is still decoded, refused and answered."""
+        from repro.service import server as server_module
+
+        decode = server_module.decode_request
+        entered, release, finished = (threading.Event() for _ in range(3))
+        calls = itertools.count()
+
+        def slow_first_decode(frame):
+            if next(calls) == 0:
+                entered.set()
+                release.wait(timeout=3.0)
+                finished.set()
+            return decode(frame)
+
+        monkeypatch.setattr(server_module, "decode_request",
+                            slow_first_decode)
+        boxes_only = build_message(Tier.BOXES_ONLY, [])
+        request = ServiceRequest(request_id=1, ego=boxes_only,
+                                 other=boxes_only)
+
+        async def scenario():
+            async with PoseService(service_config(workers=1)) as svc:
+                server = ServiceServer(svc)
+                await server.start()
+                a = await ServiceClient.connect("127.0.0.1", server.port)
+                b = await ServiceClient.connect("127.0.0.1", server.port)
+                try:
+                    first = asyncio.create_task(a.request(request))
+                    while not entered.is_set():
+                        await asyncio.sleep(0.005)
+                    second = await b.request(request)
+                    blocked = not finished.is_set()
+                    release.set()
+                    return blocked, second, await first
+                finally:
+                    release.set()
+                    await a.close()
+                    await b.close()
+                    await server.stop()
+
+        blocked, second, first = run(scenario())
+        assert blocked, "B was answered only after A's decode finished"
+        for response in (second, first):
+            assert response.status == "shed"
+            assert response.failure_reason == "ServiceUnsupported"
 
     def test_request_after_close_fails_fast(self):
         async def scenario():

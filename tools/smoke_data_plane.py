@@ -5,16 +5,13 @@ without shared memory.
 Spawns two real ``repro serve`` processes — one with ``--shm``, one
 with ``--no-shm`` — and sends the same two scan pairs (the ego's full
 scan with the partner's full scan, and with the partner's BV image —
-the tier whose arrays workers map straight out of a segment) through
-every path:
+the tier whose arrays workers map straight out of a segment) over the
+wire to each: the ``--no-shm`` server dispatches through pickles, the
+``--shm`` server through shared-memory segments.
 
-* plain wire request to the ``--no-shm`` server (pickle data plane),
-* plain wire request to the ``--shm`` server (zero-copy dispatch),
-* shared-memory descriptor request to the ``--shm`` server
-  (zero-copy end to end, when the host has ``/dev/shm``).
-
-All responses must be field-identical, both servers must drain cleanly
-on SIGTERM, and ``/dev/shm`` must hold no new segments afterwards.
+Both servers' responses must be field-identical, both servers must
+drain cleanly on SIGTERM, and ``/dev/shm`` must hold no new segments
+afterwards.
 Exit 0 on success; any assertion failure is a smoke failure.
 """
 
@@ -31,7 +28,6 @@ from repro.comms.tiers import Tier, TieredMessage, build_message
 from repro.core.pipeline import BBAlign
 from repro.detection.simulated import COBEVT_PROFILE, SimulatedDetector
 from repro.experiments.common import detect_for_pair
-from repro.runtime.shm import shm_available
 from repro.service import ServiceClient
 from repro.simulation.dataset import DatasetConfig, V2VDatasetSim
 
@@ -83,14 +79,12 @@ def start_server(flag: str) -> tuple[subprocess.Popen, int]:
     return process, port
 
 
-async def one_request(port: int, ego, other, *, via_shm: bool):
+async def one_request(port: int, ego, other):
     # One request per connection: the client assigns connection-unique
     # request ids starting at 1, and the per-request RNG stream hangs
     # off the id — identical ids are what make responses comparable.
     client = await ServiceClient.connect("127.0.0.1", port)
     try:
-        if via_shm:
-            return await client.request_shm(ego, other)
         return await client.request(
             ServiceRequest(request_id=1, ego=ego, other=other)
         )
@@ -98,11 +92,9 @@ async def one_request(port: int, ego, other, *, via_shm: bool):
         await client.close()
 
 
-def drive(port: int, ego, other, *, via_shm: bool):
+def drive(port: int, ego, other):
     return asyncio.run(
-        asyncio.wait_for(
-            one_request(port, ego, other, via_shm=via_shm), timeout=120
-        )
+        asyncio.wait_for(one_request(port, ego, other), timeout=120)
     )
 
 
@@ -115,15 +107,9 @@ def main() -> int:
         by_flag[flag] = {}
         try:
             for tier, other in partners.items():
-                wire = drive(port, ego, other, via_shm=False)
-                assert wire.status == "ok", (tier, wire)
-                by_flag[flag][tier] = wire
-                if flag == "--shm" and shm_available():
-                    descriptor = drive(port, ego, other, via_shm=True)
-                    assert descriptor == wire, (
-                        f"{tier.value}: shm descriptor response diverged:"
-                        f"\n{descriptor}\n!=\n{wire}"
-                    )
+                response = drive(port, ego, other)
+                assert response.status == "ok", (tier, response)
+                by_flag[flag][tier] = response
             process.send_signal(signal.SIGTERM)
             out, _err = process.communicate(timeout=60)
         finally:
@@ -140,8 +126,7 @@ def main() -> int:
     assert not leaked, f"leaked shared-memory segments: {leaked}"
     print(
         "service data-plane smoke (full-scan and BV-image partners): "
-        "wire == shm descriptor, --shm server == --no-shm server, "
-        "zero leaked segments"
+        "--shm server == --no-shm server, zero leaked segments"
     )
     return 0
 
