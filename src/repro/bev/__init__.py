@@ -16,7 +16,6 @@ from repro.bev.projection import (
     density_map,
     height_map,
 )
-from repro.bev.roi import RoiCullConfig, RoiWindow, roi_window
 
 __all__ = [
     "BVImage",
@@ -24,11 +23,8 @@ __all__ = [
     "LogGaborConfig",
     "MIMResult",
     "PhaseCongruencyResult",
-    "RoiCullConfig",
-    "RoiWindow",
     "compute_mim",
     "compute_phase_congruency",
     "density_map",
     "height_map",
-    "roi_window",
 ]

@@ -69,11 +69,6 @@ class BVImage:
         xy = np.atleast_2d(np.asarray(xy, dtype=float))
         return (xy + self.lidar_range) / self.cell_size - 0.5
 
-    def pixel_to_world(self, colrow: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`world_to_pixel` (pixel centers to meters)."""
-        colrow = np.atleast_2d(np.asarray(colrow, dtype=float))
-        return (colrow + 0.5) * self.cell_size - self.lidar_range
-
     def pixel_transform_to_world(self, pixel_transform: SE2) -> SE2:
         """Convert a rigid transform between two same-config BV images
         (in (col, row) pixel coordinates) into a world-frame transform.
@@ -92,20 +87,7 @@ class BVImage:
         t_world = self.cell_size * (rot @ o - o + t_pix)
         return SE2(theta, float(t_world[0]), float(t_world[1]))
 
-    def world_transform_to_pixel(self, world_transform: SE2) -> SE2:
-        """Inverse of :meth:`pixel_transform_to_world`."""
-        theta = world_transform.theta
-        offset = self.lidar_range / self.cell_size - 0.5
-        o = np.array([offset, offset])
-        rot = world_transform.rotation
-        t_pix = o - rot @ o + world_transform.translation / self.cell_size
-        return SE2(theta, float(t_pix[0]), float(t_pix[1]))
-
     # ------------------------------------------------------------------
-    def occupancy(self, threshold: float = 0.0) -> np.ndarray:
-        """Boolean map of cells whose intensity exceeds ``threshold``."""
-        return self.image > threshold
-
     def sparsity(self) -> float:
         """Fraction of empty pixels — the paper's central difficulty."""
         return float(np.mean(self.image == 0))

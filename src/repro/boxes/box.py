@@ -118,10 +118,6 @@ class Box3D:
     def center(self) -> np.ndarray:
         return np.array([self.center_x, self.center_y, self.center_z])
 
-    @property
-    def volume(self) -> float:
-        return self.length * self.width * self.height
-
     def to_bev(self) -> Box2D:
         """Project to the BEV rotated rectangle (paper Algorithm 1, l.2)."""
         return Box2D(self.center_x, self.center_y, self.length, self.width,

@@ -33,7 +33,6 @@ from repro.comms.envelope import (
     ServiceResponse,
     decode_request,
     decode_response,
-    sniff_envelope,
 )
 from repro.comms.message import V2VMessage
 from repro.comms.policy import TIER_LADDER, AdaptiveTierPolicy
@@ -73,6 +72,5 @@ __all__ = [
     "encode_message",
     "record_received",
     "record_sent",
-    "sniff_envelope",
     "sniff_tier",
 ]

@@ -57,7 +57,14 @@ MAX_BV_SIZE = 2048
 
 class CodecError(ValueError):
     """A buffer is not a valid wire message (malformed, truncated or
-    failing its integrity check)."""
+    failing its integrity check).
+
+    ``request_id`` is set when a service request's header and checksum
+    verified but its body did not decode: the id is then the sender's,
+    so the request can still be answered.
+    """
+
+    request_id: int | None = None
 
 
 def _check_magic(magic: bytes, expected: tuple[bytes, ...],

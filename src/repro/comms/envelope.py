@@ -43,7 +43,6 @@ __all__ = [
     "ServiceResponse",
     "decode_request",
     "decode_response",
-    "sniff_envelope",
 ]
 
 REQUEST_MAGIC = b"SQ01"
@@ -117,7 +116,9 @@ def decode_request(data: bytes) -> ServiceRequest:
     Raises:
         CodecError: ``data`` is not a well-formed request envelope —
             wrong magic, truncation, checksum damage, unknown kind, or
-            malformed embedded tier messages.
+            malformed embedded tier messages.  Once the header and
+            checksum verified, the error carries the header's
+            ``request_id``.
     """
     try:
         magic, request_id, kind, _flags, deadline_ms = \
@@ -127,6 +128,18 @@ def decode_request(data: bytes) -> ServiceRequest:
     if magic != REQUEST_MAGIC:
         raise CodecError(f"not a service request (magic {magic!r})")
     payload = _verify_crc(bytes(data), _REQ_HEAD, "service request")
+    try:
+        ego, other = _decode_scan_pair(kind, payload)
+    except CodecError as exc:
+        exc.request_id = request_id  # verified: the sender's own id
+        raise
+    return ServiceRequest(request_id=request_id, ego=ego, other=other,
+                          deadline_ms=deadline_ms)
+
+
+def _decode_scan_pair(kind: int,
+                      payload: bytes) -> tuple[TieredMessage, TieredMessage]:
+    """The (ego, other) messages of a CRC-verified request payload."""
     if kind != _KIND_SCAN_PAIR:
         raise CodecError(f"unknown request kind {kind}")
     try:
@@ -141,8 +154,7 @@ def decode_request(data: bytes) -> ServiceRequest:
     ego = decode_message(payload[_REQ_SCANS.size:
                                  _REQ_SCANS.size + ego_len])
     other = decode_message(payload[_REQ_SCANS.size + ego_len:])
-    return ServiceRequest(request_id=request_id, ego=ego, other=other,
-                          deadline_ms=deadline_ms)
+    return ego, other
 
 
 @dataclass(frozen=True)
@@ -236,15 +248,3 @@ def decode_response(data: bytes) -> ServiceResponse:
         inliers_bv=inliers_bv, inliers_box=inliers_box,
         tx=tx, ty=ty, theta=theta)
 
-
-def sniff_envelope(data: bytes) -> str | None:
-    """``"request"`` / ``"response"`` by magic, else ``None``.
-
-    A dispatch hint only — the claim is verified by the decoders.
-    """
-    magic = bytes(data[:4])
-    if magic == REQUEST_MAGIC:
-        return "request"
-    if magic == RESPONSE_MAGIC:
-        return "response"
-    return None

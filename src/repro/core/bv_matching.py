@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.bev.mim import compute_mim
 from repro.bev.projection import BVImage, density_map, height_map
-from repro.bev.roi import RoiWindow, roi_window
 from repro.core.config import BBAlignConfig
 from repro.features.descriptors import BvftDescriptorExtractor, DescriptorSet
 from repro.features.fast import Keypoints, detect_fast
@@ -35,18 +34,14 @@ class BVFeatures:
     """What stage 1 keeps of one vehicle's scan: what matching reads.
 
     The MIM is an intermediate of extraction (it feeds the descriptors
-    and nothing else), so only its orientation count stays.  When
-    overlap-ROI culling was applied, ``roi`` records the crop window
-    extraction ran on, while keypoint and descriptor coordinates are
-    always expressed in the **full** ``bv_image`` frame so the
-    downstream matching/RANSAC/stage-2 geometry is unchanged.
+    and nothing else), so only its orientation count stays.  Keypoint
+    and descriptor coordinates are pixels of ``bv_image``.
     """
 
     bv_image: BVImage
     num_orientations: int
     keypoints: Keypoints
     descriptors: DescriptorSet
-    roi: RoiWindow | None = None
 
 
 @dataclass(frozen=True)
@@ -117,40 +112,9 @@ class BVMatcher:
                 PcKeypointConfig(log_gabor=self.config.log_gabor))
         return detect_fast(bv_image.image, self.config.fast)
 
-    def _roi_window(self, bv_image: BVImage, prior) -> RoiWindow | None:
-        """The overlap crop window for one image, or None (no culling).
-
-        Culling requires the feature to be enabled, a prior, and the
-        FAST detector: the cropped path runs FAST on the window (the
-        combination the ROI sweep validates and pins); the other
-        detectors always see the full frame.
-        """
-        cfg = self.config
-        if prior is None or not cfg.roi.enabled:
-            return None
-        if cfg.keypoint_detector != "fast":
-            return None
-        return roi_window(prior, cell_size=bv_image.cell_size,
-                          lidar_range=bv_image.lidar_range,
-                          image_size=bv_image.size, config=cfg.roi)
-
-    @staticmethod
-    def _roi_crop(bv_image: BVImage, window: RoiWindow | None) -> np.ndarray:
-        """The (contiguous) image region extraction runs on."""
-        if window is None:
-            return bv_image.image
-        r0, c0, s = window.row0, window.col0, window.size
-        return np.ascontiguousarray(bv_image.image[r0:r0 + s, c0:c0 + s])
-
     def extract(self, bv_image: BVImage,
-                timer: StageTimer | None = None,
-                prior=None) -> BVFeatures:
+                timer: StageTimer | None = None) -> BVFeatures:
         """Compute MIM, keypoints and descriptors for one BV image.
-
-        ``prior`` is an optional coarse (x, y) translation of the other
-        sensor in this image's frame (meters); with ROI culling enabled
-        it crops extraction to the predicted overlap window (see
-        :mod:`repro.bev.roi`).
 
         Raises:
             ValueError: the detector returned a non-integral keypoint;
@@ -158,41 +122,23 @@ class BVMatcher:
                 is exact only at integral pixels.
         """
         timer = timer or ambient_stage
-        window = self._roi_window(bv_image, prior)
-        image = self._roi_crop(bv_image, window)
         with timer("bv_extract/mim"):
-            mim = compute_mim(image, self.config.log_gabor)
+            mim = compute_mim(bv_image.image, self.config.log_gabor)
         with timer("bv_extract/keypoints"):
-            if window is None:
-                keypoints = self._detect_keypoints(bv_image)
-            else:
-                # _roi_window gates culling to the FAST detector.
-                keypoints = detect_fast(image, self.config.fast)
+            keypoints = self._detect_keypoints(bv_image)
         if not np.array_equal(keypoints.xy, np.rint(keypoints.xy)):
             raise ValueError(
                 f"{self.config.keypoint_detector} detector returned "
                 "non-integral keypoints; stage 1 needs pixel positions")
         with timer("bv_extract/descriptors"):
             descriptors = self._extractor.compute(mim, keypoints)
-        if window is not None:
-            # Map window-local coordinates back to the full image frame;
-            # downstream matching/RANSAC/stage-2 never see the crop.
-            offset = window.offset_xy
-            keypoints = Keypoints(keypoints.xy + offset, keypoints.scores)
-            descriptors = DescriptorSet(
-                descriptors.descriptors,
-                descriptors.keypoint_xy + offset,
-                descriptors.keypoint_indices,
-                descriptors.dominant_bins)
         return BVFeatures(bv_image, mim.num_orientations, keypoints,
-                          descriptors, roi=window)
+                          descriptors)
 
     def extract_from_cloud(self, cloud: PointCloud,
-                           timer: StageTimer | None = None,
-                           prior=None) -> BVFeatures:
+                           timer: StageTimer | None = None) -> BVFeatures:
         """Convenience: projection + extraction in one call."""
-        return self.extract(self.make_bv_image(cloud), timer=timer,
-                            prior=prior)
+        return self.extract(self.make_bv_image(cloud), timer=timer)
 
     # ------------------------------------------------------------------
     # Cross-vehicle matching

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.bev.log_gabor import LogGaborConfig
-from repro.bev.roi import RoiCullConfig
 from repro.comms.tiers import TierCodecConfig
 from repro.features.descriptors import BvftConfig
 from repro.features.fast import FastConfig
@@ -125,11 +124,6 @@ class BBAlignConfig:
     ``keypoint_detector`` selects the stage-1 detector: "fast" (the
     paper's choice), "harris", or "phase_congruency" (the RIFT-style
     minimum-moment detector) — compared in the ablation study.
-
-    ``roi`` configures overlap-ROI culling (crop each BV image to the
-    overlap window predicted by a coarse translation prior before the
-    filter bank — see :mod:`repro.bev.roi`); off by default, and only
-    active when a prior is actually supplied to extraction.
     """
 
     bv_image: BVImageConfig = field(default_factory=BVImageConfig)
@@ -143,7 +137,6 @@ class BBAlignConfig:
     # extraction fingerprint: changing how features are *transmitted*
     # never invalidates cached features.
     comms: TierCodecConfig = field(default_factory=TierCodecConfig)
-    roi: RoiCullConfig = field(default_factory=RoiCullConfig)
     enable_box_alignment: bool = True
     keypoint_detector: str = "fast"
     random_seed: int | None = 0

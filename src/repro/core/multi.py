@@ -96,10 +96,6 @@ PoseGraphSolution` (component gauges; feed it back for incremental
         default_factory=dict)
     solution: PoseGraphSolution | None = None
 
-    @property
-    def num_resolved(self) -> int:
-        return sum(p is not None for p in self.poses)
-
 
 class MultiVehicleAligner:
     """Pairwise BB-Align + cycle-gated robust pose-graph fusion.
@@ -117,11 +113,6 @@ class MultiVehicleAligner:
         self._previous: PoseGraphSolution | None = None
 
     # ------------------------------------------------------------------
-    @property
-    def previous_solution(self) -> PoseGraphSolution | None:
-        """The last fused graph (incremental-mode warm-start memory)."""
-        return self._previous
-
     def reset(self) -> None:
         """Forget the previous graph (e.g. when the fleet changes)."""
         self._previous = None

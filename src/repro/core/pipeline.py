@@ -107,11 +107,6 @@ class BBAlign:
         self._last_good: SE2 | None = None
 
     # ------------------------------------------------------------------
-    @property
-    def last_good_transform(self) -> SE2 | None:
-        """The most recent successful recovery (temporal-fallback memory)."""
-        return self._last_good
-
     def reset_temporal(self) -> None:
         """Forget the last-good pose (e.g. when the partner changes)."""
         self._last_good = None
@@ -162,22 +157,17 @@ class BBAlign:
 
     # ------------------------------------------------------------------
     def extract_features(self, cloud: PointCloud,
-                         timer: StageTimer | None = None,
-                         prior=None) -> BVFeatures:
+                         timer: StageTimer | None = None) -> BVFeatures:
         """Stage-1 feature extraction for one scan.
 
         This is the memoization boundary the runtime layer caches:
-        extraction is a pure function of (cloud, configuration, prior),
+        extraction is a pure function of (cloud, configuration),
         consumes no randomness, and dominates per-pair cost.  Pass the
         result to :meth:`recover` to reuse features across sweeps.
         ``timer`` records the per-kernel ``bv_extract/*`` detail stages
-        (default :func:`~repro.runtime.timings.ambient_stage`); the
-        optional ``prior`` (coarse (x, y) translation of the partner
-        sensor, meters) enables overlap-ROI culling when
-        ``config.roi.enabled``.
+        (default :func:`~repro.runtime.timings.ambient_stage`).
         """
-        return self.bv_matcher.extract_from_cloud(cloud, timer=timer,
-                                                  prior=prior)
+        return self.bv_matcher.extract_from_cloud(cloud, timer=timer)
 
     def recover(self, ego, other=None, ego_boxes=None, other_boxes=None,
                 rng: np.random.Generator | int | None = None,

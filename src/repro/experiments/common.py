@@ -200,34 +200,18 @@ def scan_pair_messages(count: int, data_seed: int = 2024,
     return messages
 
 
-def _pair_priors(aligner: BBAlign, pair: FramePair):
-    """Coarse (ego, other) translation priors for overlap-ROI culling.
-
-    Only produced when culling is enabled.  The simulated sweeps use the
-    pair's ground-truth translation as the stand-in for the coarse prior
-    a deployment would get from GPS/tracking.  The prior is part of the
-    feature-cache key (:func:`~repro.runtime.cache.scan_key`), so a
-    scan cropped for one prior never serves another.
-    """
-    if not aligner.config.roi.enabled:
-        return (None, None)
-    gt = pair.gt_relative  # SE2 other -> ego
-    return (gt.translation, gt.inverse().translation)
-
-
-def _features_for(aligner: BBAlign, cloud, cache: FeatureCache | None,
-                  prior=None):
+def _features_for(aligner: BBAlign, cloud, cache: FeatureCache | None):
     """Stage-1 features for one scan, via the cache when given."""
     key = None
     if cache is not None:
-        key = scan_key(cloud, extraction_fingerprint(aligner.config), prior)
+        key = scan_key(cloud, extraction_fingerprint(aligner.config))
         features = cache.get(key)
         if features is not None:
             counter(CACHE_HITS_KEY).inc()
             return features
         counter(CACHE_MISSES_KEY).inc()
     with stage(None, "bv_extract"):
-        features = aligner.extract_features(cloud, prior=prior)
+        features = aligner.extract_features(cloud)
     if key is not None:
         cache.put(key, features)
     return features
@@ -260,10 +244,8 @@ def evaluate_pair(record, aligner: BBAlign, detector: SimulatedDetector,
     with stage(None, "detection"):
         ego_dets, other_dets = detect_for_pair(pair, detector, seed,
                                                record.index)
-    ego_prior, other_prior = _pair_priors(aligner, pair)
-    ego_features = _features_for(aligner, pair.ego_cloud, cache, ego_prior)
-    other_features = _features_for(aligner, pair.other_cloud, cache,
-                                   other_prior)
+    ego_features = _features_for(aligner, pair.ego_cloud, cache)
+    other_features = _features_for(aligner, pair.other_cloud, cache)
     result = aligner.recover(
         ego_features, other_features,
         [d.box for d in ego_dets], [d.box for d in other_dets],

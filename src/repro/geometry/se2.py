@@ -54,20 +54,6 @@ class SE2:
         return SE2(0.0, 0.0, 0.0)
 
     @staticmethod
-    def from_matrix(matrix: np.ndarray) -> "SE2":
-        """Build from a 3x3 homogeneous matrix (or the top 2x3 block).
-
-        The rotation block must be orthonormal with determinant +1; a small
-        amount of numerical drift is tolerated and re-orthogonalized via
-        ``atan2``.
-        """
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.shape not in {(3, 3), (2, 3)}:
-            raise ValueError(f"expected 3x3 or 2x3 matrix, got {matrix.shape}")
-        theta = float(np.arctan2(matrix[1, 0], matrix[0, 0]))
-        return SE2(theta, float(matrix[0, 2]), float(matrix[1, 2]))
-
-    @staticmethod
     def from_rotation_translation(rotation: np.ndarray, translation: np.ndarray) -> "SE2":
         """Build from a 2x2 rotation matrix and a length-2 translation."""
         rotation = np.asarray(rotation, dtype=float)

@@ -104,10 +104,6 @@ class SE3:
         """Extract the yaw angle (alpha) from the rotation block."""
         return float(np.arctan2(self.matrix[1, 0], self.matrix[0, 0]))
 
-    def to_se2(self) -> SE2:
-        """Project onto the ground plane, discarding pitch/roll/z."""
-        return SE2(self.yaw, float(self.matrix[0, 3]), float(self.matrix[1, 3]))
-
     # ------------------------------------------------------------------
     # Algebra
     # ------------------------------------------------------------------

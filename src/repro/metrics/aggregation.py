@@ -50,14 +50,6 @@ class Cdf:
         idx = int(np.searchsorted(self.fractions, fraction, side="left"))
         return float(self.values[min(idx, len(self.values) - 1)])
 
-    def sample_at(self, grid) -> np.ndarray:
-        """CDF evaluated on a grid of thresholds (for plotting/series)."""
-        grid = np.asarray(grid, dtype=float)
-        if self.values.size == 0:
-            return np.full(grid.shape, np.nan)
-        return np.searchsorted(self.values, grid,
-                               side="right") / len(self.values)
-
 
 def percentile_summary(samples, percentiles=(10, 25, 50, 75, 90)) -> dict[int, float]:
     """Named percentiles of a sample (NaN-filled when empty)."""

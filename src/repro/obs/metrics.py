@@ -127,9 +127,6 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self.set(self.value + amount)
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.set(self.value - amount)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Gauge({self.name!r}, {self.value}, "
                 f"high_water={self.high_water})")

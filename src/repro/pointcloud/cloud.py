@@ -102,10 +102,6 @@ class PointCloud:
         new_points = transform.apply(self.points)
         return PointCloud(new_points, self.timestamps, self.labels)
 
-    def with_labels(self, labels: np.ndarray) -> "PointCloud":
-        """Return a copy carrying the given labels."""
-        return PointCloud(self.points, self.timestamps, labels)
-
     @staticmethod
     def empty() -> "PointCloud":
         return PointCloud(np.empty((0, 3)))

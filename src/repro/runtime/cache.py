@@ -2,9 +2,9 @@
 
 The dominant cost of every experiment sweep is stage-1 feature
 extraction (Log-Gabor bank -> MIM -> FAST -> descriptors).  Extraction
-is a pure function of (scan, ROI prior, extraction configuration), so
-:func:`scan_key` — a digest of what extraction reads of the scan, the
-prior, and :func:`extraction_fingerprint` — identifies a scan's
+is a pure function of (scan, extraction configuration), so
+:func:`scan_key` — a digest of what extraction reads of the scan plus
+:func:`extraction_fingerprint` — identifies a scan's
 features exactly, whoever computed them: a sweep, a fleet frame's
 ``MultiVehicleAligner.align`` or the pose service.  It is the one
 feature-cache key.  Sweeps that revisit the same frames under
@@ -144,21 +144,18 @@ def extraction_fingerprint(config: BBAlignConfig) -> tuple:
     """Identity of everything that influences extracted BV features.
 
     Stage-1 extraction reads the projection, Log-Gabor, keypoint and
-    descriptor settings and the ROI-culling parameters (the crop's
-    prior is the other part of :func:`scan_key`); RANSAC, stage-2
-    and success parameters do not affect the features, so configurations
+    descriptor settings; RANSAC, stage-2 and success parameters do not affect the features, so configurations
     differing only there share a fingerprint (and hence cache entries).
     Frozen-dataclass ``repr`` is deterministic and covers every field.
     """
     return (repr(config.bv_image), repr(config.log_gabor),
             config.keypoint_detector, repr(config.fast),
-            repr(config.descriptor), repr(config.roi))
+            repr(config.descriptor))
 
 
-def scan_key(scan: PointCloud | BVImage, fingerprint: tuple,
-             prior=None) -> tuple:
+def scan_key(scan: PointCloud | BVImage, fingerprint: tuple) -> tuple:
     """The feature-cache key of ``scan`` extracted under ``fingerprint``
-    (:func:`extraction_fingerprint`) with ROI ``prior``.
+    (:func:`extraction_fingerprint`).
 
     It covers only what extraction reads: a cloud's ``points`` (not its
     timestamps or labels); a BV image's pixels, ``cell_size``,
@@ -177,9 +174,7 @@ def scan_key(scan: PointCloud | BVImage, fingerprint: tuple,
         kind = ("cloud",)
     digest = hashlib.sha256(str((array.shape, array.dtype.str)).encode())
     digest.update(array)
-    if prior is not None:
-        prior = tuple(float(v) for v in np.ravel(prior))
-    return (*kind, digest.hexdigest(), prior, fingerprint)
+    return (*kind, digest.hexdigest(), fingerprint)
 
 
 # ----------------------------------------------------------------------

@@ -2,9 +2,8 @@
 
 The sweep engine's original fault ladder was hard-coded: one retry on a
 fresh pool, then a serial fallback.  :class:`RetryPolicy` generalizes
-the *scheduling* half of that ladder — how many attempts, how long to
-wait between them, and when an approaching deadline makes another
-attempt pointless — without touching the *mechanism* (pool restart,
+the *scheduling* half of that ladder — how many attempts and how long
+to wait between them — without touching the *mechanism* (pool restart,
 serial fallback), which stays with the caller.
 
 Backoff is jittered-exponential: retry ``i`` (0-based) waits
@@ -15,19 +14,12 @@ makes the whole schedule deterministic — the property
 ``tests/test_runtime_retry.py`` pins down.  With no rng the midpoint
 (no jitter) is used, which keeps the engine's default path
 reproducible without threading randomness through it.
-
-Deadline awareness is a *budget check*, not a timer: ``schedule``
-stops yielding as soon as the next sleep would land past the deadline,
-so a caller that still holds work when the schedule dries up knows the
-remaining time belongs to its final fallback (the engine's serial
-rung, the service's flagged-degraded response).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -89,22 +81,6 @@ class RetryPolicy:
         """The sleeps before each of the ``attempts - 1`` retries."""
         for index in range(self.attempts - 1):
             yield self.delay(index, rng)
-
-    def schedule(self, rng: np.random.Generator | None = None, *,
-                 deadline: float | None = None,
-                 clock: Callable[[], float] = time.monotonic,
-                 ) -> Iterator[float]:
-        """Deadline-aware retry delays.
-
-        Yields the same delays as :meth:`delays` but stops early when
-        ``clock() + delay`` would overrun ``deadline`` (a ``clock``
-        timestamp) — a retry that cannot finish waiting inside the
-        budget is never offered.  ``deadline=None`` never truncates.
-        """
-        for delay in self.delays(rng):
-            if deadline is not None and clock() + delay > deadline:
-                return
-            yield delay
 
 
 #: The engine's historical ladder: one immediate retry, then the

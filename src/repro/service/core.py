@@ -559,8 +559,7 @@ class PoseService:
                 else self._placed(args))
             with placed as shared:
                 response = await self._call(
-                    pending.order, worker.run_match,
-                    lambda attempt: worker.MatchTask(
+                    pending.order, worker.run_match, worker.MatchTask(
                         config=self.config.config, seed=self.config.seed,
                         request_id=request.request_id,
                         args=args if shared is None else shared,
@@ -594,8 +593,7 @@ class PoseService:
         try:
             with self._placed(data) as shared:
                 payload = await self._call(
-                    order, worker.run_extract,
-                    lambda attempt: worker.ExtractTask(
+                    order, worker.run_extract, worker.ExtractTask(
                         config=self.config.config,
                         scan=data if shared is None else shared,
                         out=out, trace_parent=trace_parent))
@@ -659,10 +657,10 @@ class PoseService:
             if shared is not None:
                 self.arena.release(shared.block)
 
-    async def _call(self, order: int, fn: Callable, make_task: Callable):
+    async def _call(self, order: int, fn: Callable, task):
         """Run one pool task through the retry ladder on an idle worker.
 
-        ``make_task(attempt)`` builds the task ``fn`` runs.  Returns the
+        Every attempt submits the same ``task`` to ``fn``.  Returns the
         task's payload, with its telemetry folded in task-keyed (a
         retried task never double-counts), or ``None`` when the retry
         budget is spent — the caller flags every request it serves.
@@ -680,7 +678,6 @@ class PoseService:
                 restart = False  # whether this attempt broke the pool
                 pool_future = None
                 try:
-                    task = make_task(attempt)
                     if self.config.account_payload_bytes and attempt == 0:
                         # What actually crosses the pool's call pipe: a
                         # few hundred descriptor bytes on the shm path,

@@ -9,10 +9,12 @@ requests into the service, each dispatched on its own.
 
 Server-side robustness mirrors the service's contract: a frame that is
 not a well-formed request is *counted and skipped* (the framing layer
-stays in sync, so one corrupt envelope cannot poison the connection),
-admission rejections become typed ``"shed"`` responses on the wire, and
-a client that disconnects mid-request simply stops receiving — the
-service still resolves the request internally.
+stays in sync, so one corrupt envelope cannot poison the connection).
+When its header and checksum verified, its ``request_id`` is the
+sender's, so it is also answered: a typed ``"shed"`` response with
+``failure_reason="CodecError"``, the same shape admission rejections
+take on the wire.  A client that disconnects mid-request simply stops
+receiving — the service still resolves the request internally.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from repro.comms.envelope import (
 )
 from repro.service.config import ServiceError
 from repro.service.core import PoseService
+from repro.service.worker import identity_response
 
 __all__ = ["MAX_FRAME_BYTES", "ServiceClient", "ServiceServer"]
 
@@ -100,12 +103,14 @@ class ServiceServer:
         if me is not None:
             self._connections.add(me)
 
-        async def respond(future: asyncio.Future) -> None:
-            response: ServiceResponse = await future
+        async def send(response: ServiceResponse) -> None:
             async with write_lock:
                 _write_frame(writer, response.encode())
                 with contextlib.suppress(ConnectionError):
                     await writer.drain()
+
+        async def respond(future: asyncio.Future) -> None:
+            await send(await future)
 
         try:
             while True:
@@ -133,24 +138,22 @@ class ServiceServer:
                         None, decode_request, frame)
                 except asyncio.CancelledError:
                     break
-                except CodecError:
+                except CodecError as error:
                     # The framing layer is still in sync — skip the
-                    # corrupt envelope, keep the connection.
+                    # corrupt envelope, keep the connection.  A verified
+                    # id is answered, so its sender does not wait
+                    # forever; an unverified one is not trusted.
                     registry.counter("service/bad_frames").inc()
+                    if error.request_id is not None:
+                        await send(identity_response(
+                            error.request_id, "shed", "CodecError"))
                     continue
                 try:
                     future = self.service.submit_nowait(request)
                 except ServiceError as error:
                     # Typed rejection → typed wire response.
-                    async with write_lock:
-                        _write_frame(writer, ServiceResponse(
-                            request_id=request.request_id, status="shed",
-                            success=False,
-                            failure_reason=type(error).__name__,
-                            degradation=None, inliers_bv=0, inliers_box=0,
-                            tx=0.0, ty=0.0, theta=0.0).encode())
-                        with contextlib.suppress(ConnectionError):
-                            await writer.drain()
+                    await send(identity_response(
+                        request.request_id, "shed", type(error).__name__))
                     continue
                 task = asyncio.create_task(respond(future))
                 responders.add(task)

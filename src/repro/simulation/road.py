@@ -63,10 +63,6 @@ class RoadModel:
         nx, ny = -np.sin(h), np.cos(h)  # left normal
         return SE2(h, x + lateral * nx, y + lateral * ny)
 
-    def point_at(self, s: float, lateral: float = 0.0) -> np.ndarray:
-        pose = self.pose_at(s, lateral)
-        return np.array([pose.tx, pose.ty])
-
     def frames_at(self, s: np.ndarray, lateral: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Batched :meth:`pose_at`: ``(tx, ty, theta)`` arrays.

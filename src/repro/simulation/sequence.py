@@ -146,14 +146,3 @@ class DriveSequence:
         self._frame_index += 1
         return frame
 
-    # ------------------------------------------------------------------
-    def ego_odometry_step(self) -> SE2:
-        """The ego vehicle's pose increment per frame, in its own frame
-        (what onboard odometry would report)."""
-        dt = self.config.frame_dt
-        return MotionState(velocity_x=self._ego_speed).pose_at(dt)
-
-    def other_odometry_step(self) -> SE2:
-        """The other vehicle's per-frame pose increment, its own frame."""
-        dt = self.config.frame_dt
-        return MotionState(velocity_x=self._other_speed).pose_at(dt)

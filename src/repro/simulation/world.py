@@ -234,9 +234,6 @@ class WorldModel:
     extent: float
     road: "RoadModel | None" = None
 
-    def vehicle_boxes(self) -> list[Box3D]:
-        return [v.box for v in self.vehicles]
-
     def _geometry_cell(self) -> _GeometryCacheCell:
         cell = self.__dict__.get("_static_geometry_cell")
         if cell is None:

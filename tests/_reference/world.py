@@ -22,6 +22,11 @@ from repro.simulation.world import (
 )
 
 
+def _point_at(road, s: float, lateral: float) -> np.ndarray:
+    pose = road.pose_at(s, lateral)
+    return np.array([pose.tx, pose.ty])
+
+
 def reference_generate_world(config: WorldConfig | None = None,
                              rng: np.random.Generator | int | None = None
                              ) -> WorldModel:
@@ -97,8 +102,8 @@ def reference_generate_world(config: WorldConfig | None = None,
         s_pos = rng.uniform(-half, half)
         if rng.random() > min(block_density[block_of(s_pos)], 1.6):
             continue
-        pt = road.point_at(s_pos, side * (config.road_half_width
-                                          + rng.uniform(2.0, 12.0)))
+        pt = _point_at(road, s_pos, side * (config.road_half_width
+                                            + rng.uniform(2.0, 12.0)))
         trees.append(Tree(x=float(pt[0]), y=float(pt[1]),
                           trunk_radius=rng.uniform(0.15, 0.35),
                           crown_radius=rng.uniform(1.2, 3.0),
@@ -107,9 +112,9 @@ def reference_generate_world(config: WorldConfig | None = None,
     n_bushes = rng.poisson(config.tree_density * scale * 0.8)
     for _ in range(n_bushes):
         side = rng.choice([-1.0, 1.0])
-        pt = road.point_at(rng.uniform(-half, half),
-                           side * (config.road_half_width
-                                   + rng.uniform(0.8, 6.0)))
+        pt = _point_at(road, rng.uniform(-half, half),
+                       side * (config.road_half_width
+                               + rng.uniform(0.8, 6.0)))
         trees.append(Tree(x=float(pt[0]), y=float(pt[1]),
                           trunk_radius=0.1,
                           crown_radius=rng.uniform(0.5, 1.4),
@@ -120,9 +125,9 @@ def reference_generate_world(config: WorldConfig | None = None,
     n_poles = rng.poisson(config.pole_density * scale)
     for _ in range(n_poles):
         side = rng.choice([-1.0, 1.0])
-        pt = road.point_at(rng.uniform(-half, half),
-                           side * (config.road_half_width
-                                   + rng.uniform(0.5, 2.0)))
+        pt = _point_at(road, rng.uniform(-half, half),
+                       side * (config.road_half_width
+                               + rng.uniform(0.5, 2.0)))
         poles.append(Pole(x=float(pt[0]), y=float(pt[1]),
                           radius=rng.uniform(0.1, 0.2),
                           height=rng.uniform(6.0, 10.0)))

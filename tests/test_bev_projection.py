@@ -77,22 +77,10 @@ class TestBVImage:
         with pytest.raises(ValueError):
             BVImage(np.zeros((4, 5)), 1.0, 2.0)
 
-    def test_world_pixel_roundtrip(self):
-        bv = BVImage(np.zeros((64, 64)), 0.5, 16.0)
-        xy = np.array([[3.3, -7.1], [0.0, 0.0]])
-        back = bv.pixel_to_world(bv.world_to_pixel(xy))
-        np.testing.assert_allclose(back, xy, atol=1e-9)
-
     def test_sparsity(self):
         img = np.zeros((10, 10))
         img[0, 0] = 1.0
         assert BVImage(img, 1.0, 5.0).sparsity() == pytest.approx(0.99)
-
-    def test_occupancy(self):
-        img = np.zeros((4, 4))
-        img[1, 2] = 2.0
-        occ = BVImage(img, 1.0, 2.0).occupancy()
-        assert occ.sum() == 1 and occ[1, 2]
 
     def test_message_size(self):
         bv = BVImage(np.zeros((192, 192)), 0.8, 76.8)
@@ -101,23 +89,13 @@ class TestBVImage:
     @given(st.floats(-3, 3), st.floats(-30, 30), st.floats(-30, 30))
     @settings(max_examples=40, deadline=None)
     def test_pixel_world_transform_conjugation(self, theta, tx, ty):
-        """The pixel<->world transform conversion must commute with the
+        """The pixel->world transform conversion must commute with the
         coordinate mapping: world_to_pixel(T_world(p)) ==
         T_pix(world_to_pixel(p))."""
         bv = BVImage(np.zeros((128, 128)), 0.4, 25.6)
-        t_world = SE2(theta, tx, ty)
-        t_pix = bv.world_transform_to_pixel(t_world)
+        t_pix = SE2(theta, tx, ty)
+        t_world = bv.pixel_transform_to_world(t_pix)
         pts = np.array([[1.0, 2.0], [-5.0, 7.0], [0.0, 0.0]])
         lhs = bv.world_to_pixel(t_world.apply(pts))
         rhs = t_pix.apply(bv.world_to_pixel(pts))
         np.testing.assert_allclose(lhs, rhs, atol=1e-6)
-
-    @given(st.floats(-3, 3), st.floats(-30, 30), st.floats(-30, 30))
-    @settings(max_examples=40, deadline=None)
-    def test_transform_conversion_roundtrip(self, theta, tx, ty):
-        bv = BVImage(np.zeros((128, 128)), 0.4, 25.6)
-        t_world = SE2(theta, tx, ty)
-        back = bv.pixel_transform_to_world(
-            bv.world_transform_to_pixel(t_world))
-        assert back.is_close(t_world, atol_translation=1e-6,
-                             atol_rotation=1e-9)

@@ -94,9 +94,6 @@ class TestBox3D:
         assert box.contains(np.array([[0.0, 0.0, 1.0]]))[0]
         assert not box.contains(np.array([[0.0, 0.0, 2.5]]))[0]
 
-    def test_volume(self):
-        assert Box3D(0, 0, 1, 2.0, 3.0, 4.0, 0).volume == pytest.approx(24.0)
-
     def test_with_center(self):
         box = Box3D(0, 0, 1, 2.0, 3.0, 4.0, 0.5)
         moved = box.with_center(7.0, 8.0)

@@ -14,7 +14,6 @@ from repro.comms import (
     TieredMessage,
     decode_request,
     decode_response,
-    sniff_envelope,
     sniff_tier,
 )
 from repro.comms.codec import _frame
@@ -141,19 +140,6 @@ class TestResponseRoundTrip:
 
 
 class TestSniff:
-    def test_sniff_envelope(self):
-        scans = TieredMessage(Tier.BOXES_ONLY, [])
-        request = ServiceRequest(request_id=1, ego=scans,
-                                 other=scans).encode()
-        response = ServiceResponse(
-            request_id=1, status="shed", success=False,
-            failure_reason=None, degradation=None, inliers_bv=0,
-            inliers_box=0, tx=0.0, ty=0.0, theta=0.0).encode()
-        assert sniff_envelope(request) == "request"
-        assert sniff_envelope(response) == "response"
-        assert sniff_envelope(b"TB01whatever") is None
-        assert sniff_envelope(b"") is None
-
     def test_service_magics_invisible_to_tier_sniffer(self):
         """The two namespaces stay disjoint: a service frame is not a
         tier, and a tier frame is not a service envelope."""

@@ -142,8 +142,7 @@ class TestBVFeaturesFlip:
     def test_features_keep_no_mim(self, flip):
         features = flip[0]
         assert [f.name for f in dataclasses.fields(features)] == [
-            "bv_image", "num_orientations", "keypoints", "descriptors",
-            "roi"]
+            "bv_image", "num_orientations", "keypoints", "descriptors"]
         assert features.num_orientations == 12
 
 

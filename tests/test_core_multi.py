@@ -103,8 +103,10 @@ class TestFusion:
         assert again == first
         assert solution.reused_components == 1
         assert solution.iterations == 0
+        # After reset() there is nothing to reuse: a full solve.
         aligner.reset()
-        assert aligner.previous_solution is None
+        _, _, fresh = aligner.fuse(3, edges, incremental=True)
+        assert fresh.reused_components == 0
 
 
 class TestCycleResiduals:
@@ -167,7 +169,7 @@ class TestEndToEndMulti:
     def test_alignment_resolves_vehicles(self, multi_frame, boxes):
         aligner = MultiVehicleAligner()
         result = aligner.align(list(multi_frame.clouds), boxes, rng=0)
-        assert result.num_resolved >= 2
+        assert sum(pose is not None for pose in result.poses) >= 2
         for index, pose in enumerate(result.poses):
             if pose is None or index == 0:
                 continue

@@ -37,8 +37,10 @@ class TestRecovery:
 
     def test_3d_lift_consistent(self, recovered):
         _, result = recovered
-        planar = result.transform_3d.to_se2()
-        assert planar.is_close(result.transform, atol_translation=1e-9)
+        lifted = result.transform_3d
+        assert lifted.yaw == pytest.approx(result.transform.theta)
+        np.testing.assert_allclose(lifted.translation[:2],
+                                   result.transform.translation, atol=1e-9)
 
     def test_diagnostics_populated(self, recovered):
         _, result = recovered

@@ -103,7 +103,7 @@ class TestRotationInvariance:
         assert len(d0) > 3 and len(d1) > 3
 
         # Map rotated keypoints back to the original frame and pair them.
-        world1 = bv1.pixel_to_world(d1.keypoint_xy)
+        world1 = (d1.keypoint_xy + 0.5) * bv1.cell_size - bv1.lidar_range
         world1_in_0 = rotation.inverse().apply(world1)
         pix_in_0 = bv0.world_to_pixel(world1_in_0)
         from scipy.spatial import cKDTree

@@ -51,15 +51,6 @@ class TestSE2Basics:
         with pytest.raises(ValueError):
             SE2.identity().apply(np.zeros((4, 3)))
 
-    def test_matrix_roundtrip(self):
-        t = SE2(0.7, -3.0, 4.5)
-        again = SE2.from_matrix(t.matrix)
-        assert t.is_close(again)
-
-    def test_from_matrix_rejects_bad_shape(self):
-        with pytest.raises(ValueError):
-            SE2.from_matrix(np.eye(4))
-
     def test_apply_angle(self):
         t = SE2(np.pi / 4, 0, 0)
         assert t.apply_angle(np.pi / 4) == pytest.approx(np.pi / 2)

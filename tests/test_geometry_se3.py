@@ -56,10 +56,6 @@ class TestSE3:
         assert lifted.yaw == pytest.approx(0.5)
         np.testing.assert_allclose(lifted.translation, [2.0, -1.0, 1.5])
 
-    def test_lift_then_project_roundtrip(self):
-        planar = SE2(-1.2, 5.0, 3.0)
-        assert SE3.from_se2(planar).to_se2().is_close(planar)
-
     def test_apply_matches_eq3_homogeneous_form(self):
         t = SE3.from_euler(0.4, 0.1, -0.2, (1.0, 2.0, 3.0))
         point = np.array([4.0, -5.0, 6.0])

@@ -41,17 +41,12 @@ class TestCdf:
         assert np.isnan(cdf.fraction_below(1.0))
         assert np.isnan(cdf.value_at(0.5))
 
-    def test_sample_at_grid(self):
-        cdf = Cdf.from_samples([1.0, 2.0, 3.0, 4.0])
-        np.testing.assert_allclose(cdf.sample_at([0.0, 2.0, 5.0]),
-                                   [0.0, 0.5, 1.0])
-
     @given(SAMPLES)
     @settings(max_examples=40, deadline=None)
     def test_monotone_nondecreasing(self, samples):
         cdf = Cdf.from_samples(samples)
         grid = np.linspace(min(samples) - 1, max(samples) + 1, 20)
-        values = cdf.sample_at(grid)
+        values = [cdf.fraction_below(threshold) for threshold in grid]
         assert np.all(np.diff(values) >= 0)
 
     @given(SAMPLES)

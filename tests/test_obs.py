@@ -128,7 +128,7 @@ class TestGauge:
         g = Gauge("depth")
         g.set(3)
         g.inc(2)
-        g.dec(4)
+        g.inc(-4)
         assert g.value == 1.0
         assert g.high_water == 5.0
         g.set(0)

@@ -88,12 +88,6 @@ class TestTransform:
 
 
 class TestLabels:
-    def test_with_labels(self, rng):
-        cloud = PointCloud(rng.normal(0, 1, (3, 3)))
-        labeled = cloud.with_labels(np.array([1, 2, 3]))
-        assert labeled.labels is not None
-        assert cloud.labels is None
-
     def test_point_label_enum_values_distinct(self):
         values = [label.value for label in PointLabel]
         assert len(values) == len(set(values))

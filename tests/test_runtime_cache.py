@@ -6,9 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.bev.mim import compute_mim
 from repro.bev.projection import BVImage
-from repro.bev.roi import RoiCullConfig
 from repro.core.config import BBAlignConfig
 from repro.core.multi import MultiVehicleAligner
 from repro.core.pipeline import BBAlign
@@ -150,11 +148,6 @@ class TestScanKey:
 
     def test_prior_and_fingerprint_count(self):
         cloud = self.cloud()
-        assert scan_key(cloud, FP) != scan_key(cloud, FP, (1.0, 2.0))
-        assert scan_key(cloud, FP, (1.0, 2.0)) \
-            == scan_key(cloud, FP, np.array([1.0, 2.0]))
-        assert scan_key(cloud, FP, (1.0, 2.0)) \
-            != scan_key(cloud, FP, (1.0, 2.5))
         harris = extraction_fingerprint(
             BBAlignConfig(keypoint_detector="harris"))
         assert scan_key(cloud, FP) != scan_key(cloud, harris)
@@ -212,13 +205,6 @@ class TestCachedSweep:
                                 cache=False, timings=timings)
         assert timings.cache_hits == 0
         assert timings.cache_misses == 0
-
-
-def _roi_crop(features):
-    """The window of the features' BV image extraction ran on."""
-    roi = features.roi
-    return np.ascontiguousarray(features.bv_image.image[
-        roi.row0:roi.row0 + roi.size, roi.col0:roi.col0 + roi.size])
 
 
 def _same_features(a, b):
@@ -314,55 +300,3 @@ class TestPairBatchedCache:
         uncached = run_pose_recovery_sweep(dataset, include_vips=False,
                                            cache=False)
         assert bounded == uncached
-
-
-class TestRoiSweepExtraction:
-    def test_both_roles_extract_with_their_priors(self):
-        """With ROI culling on, a sweep extracts each role with its own
-        prior: both roles' features are cropped, and they equal a direct
-        `extract_features(cloud, prior=...)` bit for bit."""
-        config = BBAlignConfig(roi=RoiCullConfig(enabled=True))
-        dataset = default_dataset(2, seed=33)
-        cache = FeatureCache(max_entries=16)
-        run_pose_recovery_sweep(dataset, config=config, include_vips=False,
-                                workers=1, cache=cache)
-        aligner = BBAlign(config)
-        fingerprint = extraction_fingerprint(config)
-        for record in dataset:
-            gt = record.pair.gt_relative  # other -> ego
-            for cloud, prior in (
-                    (record.pair.ego_cloud, gt.translation),
-                    (record.pair.other_cloud, gt.inverse().translation)):
-                got = cache.get(scan_key(cloud, fingerprint, prior))
-                assert got is not None
-                assert got.roi is not None
-                want = aligner.extract_features(cloud, prior=prior)
-                assert got.roi == want.roi
-                assert _same_features(got, want)
-                # Features keep no MIM: the one the cached entry was
-                # described from is recomputed on its ROI crop.
-                got_mim, want_mim = (
-                    compute_mim(_roi_crop(f), config.log_gabor)
-                    for f in (got, want))
-                assert np.array_equal(got_mim.mim, want_mim.mim)
-                assert np.array_equal(got_mim.max_amplitude,
-                                      want_mim.max_amplitude)
-
-    def test_one_cloud_two_priors_two_entries(self):
-        """Under ROI culling the prior picks the crop, so one cloud
-        extracted for two priors is two entries, each equal to its own
-        direct extraction."""
-        config = BBAlignConfig(roi=RoiCullConfig(enabled=True))
-        aligner = BBAlign(config)
-        cloud = next(iter(default_dataset(1, seed=34))).pair.ego_cloud
-        cache = FeatureCache(max_entries=16)
-        priors = ((20.0, 0.0), (-20.0, 5.0))
-        got = [_features_for(aligner, cloud, cache, prior)
-               for prior in priors]
-        assert len(cache) == 2 and cache.misses == 2
-        assert got[0].roi != got[1].roi
-        for features, prior in zip(got, priors):
-            assert _features_for(aligner, cloud, cache, prior) is features
-            assert _same_features(
-                features, aligner.extract_features(cloud, prior=prior))
-        assert cache.hits == 2

@@ -347,7 +347,7 @@ class TestAlignParallelEqualsSerial:
                     clouds, boxes, rng=np.random.default_rng(
                         [DATA_SEED, index, 99]),
                     pairs=pairs, cache=cache))
-        return outputs, multi.aligner.last_good_transform, registry
+        return outputs, multi.aligner._last_good, registry
 
     @staticmethod
     def _key(alignment) -> tuple:
@@ -422,15 +422,14 @@ class TestAlignParallelEqualsSerial:
                 loop.recover(features[i], features[j], broken[i],
                              broken[j], rng=np.random.default_rng(
                                  [root, i, j]))
-        assert loop.last_good_transform is not None
+        assert loop._last_good is not None
 
         cpus(2)
         multi = MultiVehicleAligner()
         with pytest.raises(TypeError, match="Box2D or Box3D"):
             multi.align(clouds, broken, rng=np.random.default_rng(
                 [DATA_SEED, index, 99]), pairs=pairs)
-        assert multi.aligner.last_good_transform == \
-            loop.last_good_transform
+        assert multi.aligner._last_good == loop._last_good
 
 
 class TestRecoverParallelEqualsSerial:

@@ -75,31 +75,6 @@ class TestSchedule:
         assert rng.random() == np.random.default_rng(3).random()
 
 
-class TestDeadlineAwareness:
-    def test_schedule_truncates_at_the_deadline(self):
-        policy = RetryPolicy(attempts=4, base_delay=1.0, multiplier=2.0,
-                             max_delay=10.0, jitter=0.0)
-        clock_now = 100.0
-        # Budget covers the first two sleeps (1 s + 2 s) but not the
-        # third (4 s): exactly two retries are offered.
-        delays = list(policy.schedule(deadline=103.5,
-                                      clock=lambda: clock_now))
-        assert delays == pytest.approx([1.0, 2.0])
-
-    def test_no_deadline_never_truncates(self):
-        policy = RetryPolicy(attempts=4, base_delay=1.0, jitter=0.0,
-                             max_delay=10.0)
-        assert len(list(policy.schedule())) == 3
-
-    def test_elapsed_time_consumes_the_budget(self):
-        policy = RetryPolicy(attempts=3, base_delay=1.0, multiplier=1.0,
-                             max_delay=1.0, jitter=0.0)
-        clock = iter([0.0, 1.9]).__next__
-        # First check at t=0 fits (deadline 2.0); by the second check
-        # the clock reads 1.9 and another 1 s sleep would overrun.
-        assert list(policy.schedule(deadline=2.0, clock=clock)) == [1.0]
-
-
 class TestDefaults:
     def test_engine_default_is_the_historical_ladder(self):
         assert ENGINE_DEFAULT.attempts == 2

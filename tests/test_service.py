@@ -15,8 +15,9 @@ Fast, deterministic versions of the chaos-soak contract
   burst keeps ``workers × batch_size`` requests in flight and the rest
   queued, and racing restarts of one pool generation collapse to one;
 * the TCP transport survives malformed frames, maps admission
-  rejections onto typed wire responses, and decodes envelopes off the
-  event loop, so one connection's decode never holds up another;
+  rejections and verified-but-undecodable requests onto typed wire
+  responses, and decodes envelopes off the event loop, so one
+  connection's decode never holds up another;
 * the service imports neither the simulator nor the experiment layer.
 
 No pytest-asyncio in the toolchain: each test drives its own loop via
@@ -42,7 +43,13 @@ import numpy as np
 import pytest
 
 from repro.bev.projection import BVImage
-from repro.comms.envelope import ServiceRequest
+from repro.comms.codec import _frame
+from repro.comms.envelope import (
+    _REQ_HEAD,
+    REQUEST_MAGIC,
+    ServiceRequest,
+    decode_response,
+)
 from repro.comms.tiers import Tier, TieredMessage, build_message
 from repro.core.pipeline import BBAlign
 from repro.experiments.common import (
@@ -51,6 +58,7 @@ from repro.experiments.common import (
     scan_pair_messages,
 )
 from repro.runtime.faults import WorkerFault
+from repro.service import server as server_module
 from repro.service import (
     PoseService,
     ServiceClient,
@@ -484,6 +492,42 @@ class TestServer:
         assert second.status == "ok"
         assert stats["bad_frames"] == 1
 
+    def test_verified_undecodable_frame_gets_codec_shed(self):
+        """A CRC-valid frame of the retired kind 2 is answered with a
+        typed shed under its own id, and the connection still serves
+        the next request."""
+        header = _REQ_HEAD.pack(REQUEST_MAGIC, 41, 2, 0, 0)
+        frame = _frame(header, b"\x00" * 8)
+
+        async def scenario():
+            async with PoseService(service_config()) as svc:
+                server = ServiceServer(svc)
+                await server.start()
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port)
+                try:
+                    answers = []
+                    for payload in (frame, scan_pair(0, request_id=42)
+                                    .encode()):
+                        writer.write(struct.pack("<I", len(payload))
+                                     + payload)
+                        await writer.drain()
+                        answers.append(decode_response(
+                            await asyncio.wait_for(
+                                server_module._read_frame(reader), 30)))
+                    return answers, counters(svc)
+                finally:
+                    writer.close()
+                    await server.stop()
+
+        (rejected, answered), stats = run(scenario())
+        assert rejected.status == "shed"
+        assert rejected.failure_reason == "CodecError"
+        assert rejected.request_id == 41
+        assert answered.request_id == 42
+        assert answered.status == "ok"
+        assert stats["bad_frames"] == 1
+
     def test_admission_rejection_becomes_wire_shed(self):
         async def scenario():
             async with PoseService(service_config()) as svc:
@@ -506,8 +550,6 @@ class TestServer:
     def test_decode_runs_off_the_event_loop(self, monkeypatch):
         """While connection A's envelope decode is blocked, connection
         B's request is still decoded, refused and answered."""
-        from repro.service import server as server_module
-
         decode = server_module.decode_request
         entered, release, finished = (threading.Event() for _ in range(3))
         calls = itertools.count()

@@ -79,9 +79,3 @@ class TestDriveSequence:
         b = list(DriveSequence(config, rng=7))
         for fa, fb in zip(a, b):
             assert fa.gt_relative.is_close(fb.gt_relative)
-
-    def test_odometry_steps_match_speeds(self):
-        config = SequenceConfig(num_frames=2, frame_dt=0.25)
-        seq = DriveSequence(config, rng=2)
-        step = seq.ego_odometry_step()
-        assert 3.0 * 0.25 <= step.tx <= 14.0 * 0.25 + 1e-9
