@@ -8,18 +8,20 @@ concrete — and measurable — along three axes:
   zero-run-length-encoded BV image plus fixed-point boxes, each framed
   with a CRC32 integrity field; :mod:`repro.comms.tiers` generalizes it
   to four fidelity rungs (full scan > BV image > keypoints > boxes-only)
-  behind one :class:`Tier` enum and codec registry.
+  behind one :class:`Tier` enum and codec registry.  The paper's
+  message (Algorithm 1, line 3: the BV image and the boxes) is the
+  BV-image tier, ``build_message(Tier.BV_IMAGE, boxes, features=...)``.
 * **Accounting** — :mod:`repro.comms.accounting` counts encoded vs dense
-  payload bytes per tier, into the ambient metrics registry (so
-  ``--timings`` reports KB per pair) and into standalone
-  :class:`CommLedger` objects for the bandwidth grid.
+  payload bytes per tier into the ambient metrics registry (so
+  ``--timings`` reports KB per pair, and the comms grid reads one
+  registry per cell).
 * **Faults and adaptation** — :mod:`repro.comms.channel` is the seeded
   :class:`LossyChannel` that drops, truncates, corrupts and delays
   messages; :mod:`repro.comms.policy` is the hysteresis controller that
   steps the tier ladder in response.
 """
 
-from repro.comms.accounting import CommLedger, record_received, record_sent
+from repro.comms.accounting import record_received, record_sent
 from repro.comms.channel import Delivery, LossyChannel
 from repro.comms.codec import (
     CodecError,
@@ -34,7 +36,6 @@ from repro.comms.envelope import (
     decode_request,
     decode_response,
 )
-from repro.comms.message import V2VMessage
 from repro.comms.policy import TIER_LADDER, AdaptiveTierPolicy
 from repro.comms.tiers import (
     KeypointPayload,
@@ -44,13 +45,11 @@ from repro.comms.tiers import (
     build_message,
     decode_message,
     encode_message,
-    sniff_tier,
 )
 
 __all__ = [
     "AdaptiveTierPolicy",
     "CodecError",
-    "CommLedger",
     "Delivery",
     "KeypointPayload",
     "LossyChannel",
@@ -60,7 +59,6 @@ __all__ = [
     "Tier",
     "TierCodecConfig",
     "TieredMessage",
-    "V2VMessage",
     "build_message",
     "decode_boxes",
     "decode_bv_image",
@@ -72,5 +70,4 @@ __all__ = [
     "encode_message",
     "record_received",
     "record_sent",
-    "sniff_tier",
 ]

@@ -1,15 +1,12 @@
 """Per-message byte accounting for the comms layer.
 
-Two consumers, one vocabulary:
-
-* **Ambient counters** — :func:`record_sent` / :func:`record_received`
-  push per-tier byte and message counters into whatever
-  :class:`~repro.obs.metrics.MetricsRegistry` is installed (no-ops
-  otherwise).  Because sweeps install their timing registry around the
-  hot loop, ``--timings`` and ``--trace`` report KB per pair for free.
-* **Explicit ledgers** — :class:`CommLedger` aggregates the same facts
-  into a standalone object for code that needs totals without a
-  registry (the bandwidth grid experiment tallies one ledger per cell).
+:func:`record_sent` / :func:`record_received` push per-tier byte and
+message counters into whatever :class:`~repro.obs.metrics.MetricsRegistry`
+is installed (no-ops otherwise).  Because sweeps install their timing
+registry around the hot loop, ``--timings`` and ``--trace`` report KB per
+pair for free; code that needs totals of its own (the comms grid, one
+registry per cell) installs a registry of its own with
+:func:`~repro.obs.metrics.use_registry`.
 
 "Encoded bytes" are what crossed the wire (post quantization + zlib);
 "payload bytes" are the dense single-precision cost of the same content
@@ -19,11 +16,9 @@ Two consumers, one vocabulary:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.obs.metrics import counter
 
-__all__ = ["record_sent", "record_received", "CommLedger", "TierTally"]
+__all__ = ["record_sent", "record_received"]
 
 
 def record_sent(tier: str, encoded_bytes: int, payload_bytes: int) -> None:
@@ -42,88 +37,3 @@ def record_received(tier: str | None, num_bytes: int, ok: bool) -> None:
     counter("comms/decode/ok" if ok else "comms/decode/error").inc()
     if tier is not None:
         counter(f"comms/tier/{tier}/received").inc()
-
-
-@dataclass
-class TierTally:
-    """Accumulated sends for one tier."""
-
-    messages: int = 0
-    encoded_bytes: int = 0
-    payload_bytes: int = 0
-
-    @property
-    def mean_encoded_bytes(self) -> float:
-        return self.encoded_bytes / self.messages if self.messages else 0.0
-
-    @property
-    def compression_ratio(self) -> float:
-        return (self.payload_bytes / self.encoded_bytes
-                if self.encoded_bytes else 0.0)
-
-
-@dataclass
-class CommLedger:
-    """Standalone accountant mirroring the ambient counters.
-
-    Feed it from the sender loop (:meth:`sent`) and receiver loop
-    (:meth:`received`); read totals directly or via :meth:`snapshot`.
-    """
-
-    messages_sent: int = 0
-    messages_received: int = 0
-    encoded_bytes: int = 0
-    payload_bytes: int = 0
-    received_bytes: int = 0
-    decode_errors: int = 0
-    tiers: dict[str, TierTally] = field(default_factory=dict)
-
-    def sent(self, tier: str, encoded_bytes: int,
-             payload_bytes: int) -> None:
-        self.messages_sent += 1
-        self.encoded_bytes += encoded_bytes
-        self.payload_bytes += payload_bytes
-        tally = self.tiers.setdefault(tier, TierTally())
-        tally.messages += 1
-        tally.encoded_bytes += encoded_bytes
-        tally.payload_bytes += payload_bytes
-
-    def received(self, num_bytes: int, ok: bool = True) -> None:
-        self.messages_received += 1
-        self.received_bytes += num_bytes
-        if not ok:
-            self.decode_errors += 1
-
-    @property
-    def mean_encoded_bytes(self) -> float:
-        return (self.encoded_bytes / self.messages_sent
-                if self.messages_sent else 0.0)
-
-    @property
-    def compression_ratio(self) -> float:
-        return (self.payload_bytes / self.encoded_bytes
-                if self.encoded_bytes else 0.0)
-
-    def snapshot(self) -> dict:
-        """JSON-ready totals (used by the bandwidth grid artifact)."""
-        return {
-            "messages_sent": self.messages_sent,
-            "messages_received": self.messages_received,
-            "encoded_bytes": self.encoded_bytes,
-            "payload_bytes": self.payload_bytes,
-            "received_bytes": self.received_bytes,
-            "decode_errors": self.decode_errors,
-            "mean_encoded_bytes": round(self.mean_encoded_bytes, 1),
-            "compression_ratio": round(self.compression_ratio, 2),
-            "tiers": {
-                name: {
-                    "messages": tally.messages,
-                    "encoded_bytes": tally.encoded_bytes,
-                    "mean_encoded_bytes":
-                        round(tally.mean_encoded_bytes, 1),
-                    "compression_ratio":
-                        round(tally.compression_ratio, 2),
-                }
-                for name, tally in sorted(self.tiers.items())
-            },
-        }

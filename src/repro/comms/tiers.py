@@ -69,7 +69,6 @@ __all__ = [
     "build_message",
     "encode_message",
     "decode_message",
-    "sniff_tier",
     "pool_descriptors",
 ]
 
@@ -462,16 +461,6 @@ TIER_CODECS: dict[Tier, _TierCodec] = {
             "bytes")),
         encode_boxes, decode_boxes),
 }
-
-
-def sniff_tier(data: bytes) -> Tier | None:
-    """The tier a buffer claims to carry, or None for non-tier magics.
-
-    Purely a dispatch hint (e.g. "is this a legacy ``V2V1`` frame or a
-    tiered one?") — the claim is only *verified* by
-    :func:`decode_message`.
-    """
-    return _TIER_BY_MAGIC.get(bytes(data[:4]))
 
 
 def dense_payload_bytes(message: TieredMessage) -> int:

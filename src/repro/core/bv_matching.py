@@ -239,8 +239,9 @@ class BVMatcher:
         if not ransac.success:
             return BVMatch.failed(matches, ransac)
 
-        # Both images share one configuration, so either can convert the
-        # pixel-frame transform back to meters.
+        # Both images share one configuration (a received message at
+        # another one is refused first: BVImageConfig.foreign_geometry),
+        # so either can convert the pixel-frame transform back to meters.
         world = ego.bv_image.pixel_transform_to_world(ransac.transform)
         return BVMatch(transform=world,
                        inliers_bv=ransac.num_inliers,

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.bev.log_gabor import LogGaborConfig
-from repro.comms.tiers import TierCodecConfig
+from repro.comms.tiers import Tier, TierCodecConfig
 from repro.features.descriptors import BvftConfig
 from repro.features.fast import FastConfig
 
@@ -50,6 +50,28 @@ class BVImageConfig:
     @property
     def image_size(self) -> int:
         return int(round(2.0 * self.lidar_range / self.cell_size))
+
+    def foreign_geometry(self, message) -> tuple[int, float, float] | None:
+        """A partner message's BV geometry, when it is not this one.
+
+        Stage 1 converts matched pixels with the receiver's geometry, so
+        a BV image or keypoint payload rendered at another (edge, cell,
+        range) would be extracted at the sender's size (a Log-Gabor bank
+        of that size) and answered in the wrong metric scale.  Returns
+        the :class:`~repro.comms.tiers.TieredMessage`'s ``(size,
+        cell_size, lidar_range)`` when it differs from this config's,
+        ``None`` when it matches or the tier carries no BV geometry.
+        """
+        if message.tier is Tier.BV_IMAGE:
+            bv = message.bv_image
+            geometry = (bv.size, bv.cell_size, bv.lidar_range)
+        elif message.tier is Tier.KEYPOINTS:
+            kp = message.keypoints
+            geometry = (kp.image_size, kp.cell_size, kp.lidar_range)
+        else:
+            return None
+        own = (self.image_size, self.cell_size, self.lidar_range)
+        return None if geometry == own else geometry
 
 
 @dataclass(frozen=True)

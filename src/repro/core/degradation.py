@@ -46,6 +46,10 @@ class FailureReason(str, enum.Enum):
     #: The V2V message failed to decode (truncation, corruption,
     #: checksum mismatch — any :class:`repro.comms.CodecError`).
     MESSAGE_UNDECODABLE = "message-undecodable"
+    #: The message's BV image or keypoints were rendered at another
+    #: (size, cell, range) than the receiver's: stage 1 would extract
+    #: at the sender's size and answer in the wrong metric scale.
+    GEOMETRY_MISMATCH = "geometry-mismatch"
     #: Stage-1 feature extraction raised (degenerate image or cloud).
     EXTRACTION_ERROR = "extraction-error"
     #: Stage-1 matching raised an internal exception.
@@ -114,8 +118,7 @@ class StageDiagnostics:
         stage1_error / stage2_error: captured exception reprs when a
             stage raised instead of returning.
         tier: the :class:`repro.comms.tiers.Tier` value the decoded
-            message carried (``None`` for direct cloud/feature calls
-            and legacy ``V2V1`` frames).
+            message carried (``None`` for direct cloud/feature calls).
     """
 
     nonfinite_ego_points: int = 0

@@ -13,9 +13,9 @@ The class is plug-and-play in the paper's sense: it takes two point clouds
 and two detection lists and needs no prior pose and no training.
 
 **One entry point.**  :meth:`BBAlign.recover` dispatches on its inputs:
-raw clouds, precomputed :class:`BVFeatures`, wire payloads (legacy
-``V2V1`` frames or any :class:`repro.comms.tiers.Tier`), deliveries, and
-decoded messages all go through the same two-stage core.
+raw clouds, precomputed :class:`BVFeatures`, wire payloads (any
+:class:`repro.comms.tiers.Tier`), deliveries, and decoded messages all
+go through the same two-stage core.
 
 **Graceful degradation.**  Field inputs are hostile — dropped packets,
 corrupt buffers, NaN-polluted scans, featureless scenes — so
@@ -182,19 +182,22 @@ class BBAlign:
           combination); ``other_boxes`` carries the other car's
           detections.  Extraction runs only for the cloud inputs.
         * **wire payload** — ``other`` is the raw received ``bytes`` (a
-          legacy ``V2V1`` frame or any :class:`repro.comms.tiers.Tier`
-          message), a :class:`repro.comms.Delivery`, or ``None`` for a
-          dropped frame.  Boxes travel inside the message, so
-          ``other_boxes`` must be omitted.
+          :class:`repro.comms.tiers.Tier` message), a
+          :class:`repro.comms.Delivery`, or ``None`` for a dropped
+          frame.  Boxes travel inside the message, so ``other_boxes``
+          must be omitted.
         * **decoded message** — ``other`` is an already-decoded
-          :class:`~repro.comms.V2VMessage` or
           :class:`~repro.comms.tiers.TieredMessage`.
 
         The stage ladder adapts to what the tier carries: a boxes-only
         message skips BV matching entirely and runs stage-2 alignment
         from the pose prior (``DegradationLevel.BOXES_ONLY``); a
         keypoints message matches transmitted descriptors against an
-        identically pooled copy of the ego descriptors.
+        identically pooled copy of the ego descriptors.  A BV image or
+        keypoint payload must share the receiver's BV geometry
+        (:meth:`~repro.core.config.BVImageConfig.foreign_geometry`);
+        another one answers ``geometry-mismatch`` before any
+        extraction.
 
         Args:
             ego: ego car's lidar scan, or its precomputed features.
@@ -434,7 +437,6 @@ class BBAlign:
         from repro.comms import accounting
         from repro.comms.channel import Delivery
         from repro.comms.codec import CodecError
-        from repro.comms.message import V2VMessage
         from repro.comms.tiers import Tier, TieredMessage, decode_message
 
         if other_boxes is not None:
@@ -459,21 +461,17 @@ class BBAlign:
                                              StageDiagnostics(),
                                              message_bytes=num_bytes)
             try:
-                if payload[:4] == b"V2V1":
-                    message = V2VMessage.from_bytes(payload)
-                else:
-                    message = decode_message(payload)
+                message = decode_message(payload)
             except CodecError as error:
                 accounting.record_received(None, num_bytes, ok=False)
                 return self._degraded_result(
                     FailureReason.MESSAGE_UNDECODABLE,
                     StageDiagnostics(decode_error=str(error)),
                     message_bytes=num_bytes)
-            tier_name = (message.tier.value
-                         if isinstance(message, TieredMessage) else "v2v1")
-            accounting.record_received(tier_name, num_bytes, ok=True)
+            accounting.record_received(message.tier.value, num_bytes,
+                                       ok=True)
             histogram("comms/message_bytes").observe(float(num_bytes))
-        elif isinstance(payload, (V2VMessage, TieredMessage)):
+        elif isinstance(payload, TieredMessage):
             message = payload
             num_bytes = message.size_bytes
             if stale:
@@ -483,16 +481,19 @@ class BBAlign:
         else:
             raise TypeError(
                 f"other must be a PointCloud, BVFeatures, bytes payload, "
-                f"Delivery, V2VMessage, TieredMessage or None, got "
+                f"Delivery, TieredMessage or None, got "
                 f"{type(payload)!r}")
 
-        if isinstance(message, TieredMessage) \
-                and message.tier is Tier.BOXES_ONLY:
+        if self.config.bv_image.foreign_geometry(message) is not None:
+            return self._degraded_result(
+                FailureReason.GEOMETRY_MISMATCH,
+                StageDiagnostics(tier=message.tier.value),
+                message_bytes=num_bytes)
+        if message.tier is Tier.BOXES_ONLY:
             return self._recover_boxes_only(message, ego_boxes, rng, timer,
                                             num_bytes)
 
-        if isinstance(message, V2VMessage) \
-                or message.tier is Tier.BV_IMAGE:
+        if message.tier is Tier.BV_IMAGE:
             other_job = (self.bv_matcher.extract, message.bv_image)
         elif message.tier is Tier.FULL_SCAN:
             other_job = (self.extract_features, message.cloud)
@@ -512,12 +513,6 @@ class BBAlign:
         if other_features is None:
             return self._recover_keypoints(ego_features, message, ego_boxes,
                                            rng, timer, num_bytes)
-        if isinstance(message, V2VMessage):
-            # Legacy frames keep the historical dense-size estimate so
-            # pre-tier sweeps stay byte-for-byte reproducible.
-            return self._recover_features(ego_features, other_features,
-                                          ego_boxes, message.boxes,
-                                          rng=rng, timer=timer)
         return self._recover_features(ego_features, other_features,
                                       ego_boxes, message.boxes,
                                       rng=rng, timer=timer,

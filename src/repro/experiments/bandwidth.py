@@ -23,17 +23,16 @@ byte-identical to a clean direct run (the ``control_identical`` check).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.comms.accounting import CommLedger
+from repro.comms.accounting import record_sent
 from repro.comms.channel import LossyChannel
-from repro.comms.message import V2VMessage
 from repro.comms.policy import TIER_LADDER, AdaptiveTierPolicy
 from repro.comms.tiers import (
     Tier,
+    TieredMessage,
     build_message,
     dense_payload_bytes,
     encode_message,
@@ -45,6 +44,7 @@ from repro.core.pipeline import BBAlign
 from repro.detection.simulated import SimulatedDetector
 from repro.experiments.common import default_dataset, detect_for_pair
 from repro.experiments.registry import ExperimentSpec, register
+from repro.obs.metrics import MetricsRegistry, active_registry, use_registry
 
 __all__ = ["BandwidthResult", "run_bandwidth", "format_bandwidth",
            "compute_bandwidth", "CommsCell", "CommsGridResult",
@@ -118,7 +118,8 @@ def compute_bandwidth(outcomes=None, *, num_pairs: int = 20,
         boxes = [d.box.to_bev() for d in other_dets]
         raw.append(BBAlign.raw_cloud_bytes(pair.other_cloud))
         dense.append(bv.message_size_bytes() + 20 * len(boxes))
-        encoded.append(V2VMessage(bv, boxes).size_bytes)
+        encoded.append(
+            TieredMessage(Tier.BV_IMAGE, boxes, bv_image=bv).size_bytes)
 
     raw_mean = float(np.mean(raw))
     dense_mean = float(np.mean(dense))
@@ -286,47 +287,53 @@ def run_comms_grid(num_pairs: int = 10, seed: int = 2024, *,
         channel = LossyChannel(drop_rate=drop, corruption_rate=corruption)
         aligner = BBAlign()  # fresh temporal memory per cell
         tier_policy = AdaptiveTierPolicy() if policy == "adaptive" else None
-        ledger = CommLedger()
+        # The cell's comms counters: record_sent below, record_received
+        # inside recover().
+        registry = MetricsRegistry()
         successes = delivered = 0
-        tier_messages: Counter[str] = Counter()
-        for pair_slot, (index, ego_features, _other_features, ego_boxes,
-                        _other_boxes, payloads, payload_cost) \
-                in enumerate(prepared):
-            tier_name = (tier_policy.tier.value if tier_policy is not None
-                         else policy)
-            payload = payloads[tier_name]
-            ledger.sent(tier_name, len(payload), payload_cost[tier_name])
-            tier_messages[tier_name] += 1
-            delivery = channel.transmit(
-                payload, rng=np.random.default_rng(
-                    [seed, cell_index, index, _CHANNEL_STREAM]))
-            result = aligner.recover(
-                ego_features, delivery, ego_boxes,
-                rng=np.random.default_rng([seed, index, _RECOVERY_STREAM]))
-            decoded = (result.failure_reason
-                       is not FailureReason.MESSAGE_UNDECODABLE)
-            if delivery.delivered:
-                delivered += 1
-                ledger.received(len(delivery.payload), ok=decoded)
-            if tier_policy is not None:
-                tier_policy.observe(delivery, decoded=decoded)
-            if result.success:
-                successes += 1
-            if policy == Tier.FULL_SCAN.value and impairment == "clean":
-                full_scan_clean_seen = True
-                ctrl = control[pair_slot]
-                same = (ctrl.success == result.success
-                        and ctrl.transform.theta == result.transform.theta
-                        and ctrl.transform.tx == result.transform.tx
-                        and ctrl.transform.ty == result.transform.ty)
-                control_identical = control_identical and same
+        with use_registry(registry):
+            for pair_slot, (index, ego_features, _other_features, ego_boxes,
+                            _other_boxes, payloads, payload_cost) \
+                    in enumerate(prepared):
+                tier_name = (tier_policy.tier.value
+                             if tier_policy is not None else policy)
+                payload = payloads[tier_name]
+                record_sent(tier_name, len(payload), payload_cost[tier_name])
+                delivery = channel.transmit(
+                    payload, rng=np.random.default_rng(
+                        [seed, cell_index, index, _CHANNEL_STREAM]))
+                result = aligner.recover(
+                    ego_features, delivery, ego_boxes,
+                    rng=np.random.default_rng(
+                        [seed, index, _RECOVERY_STREAM]))
+                delivered += delivery.delivered
+                if tier_policy is not None:
+                    tier_policy.observe(
+                        delivery, decoded=result.failure_reason
+                        is not FailureReason.MESSAGE_UNDECODABLE)
+                if result.success:
+                    successes += 1
+                if policy == Tier.FULL_SCAN.value and impairment == "clean":
+                    full_scan_clean_seen = True
+                    ctrl = control[pair_slot]
+                    same = (ctrl.success == result.success
+                            and ctrl.transform.theta == result.transform.theta
+                            and ctrl.transform.tx == result.transform.tx
+                            and ctrl.transform.ty == result.transform.ty)
+                    control_identical = control_identical and same
+        ambient = active_registry()
+        if ambient is not None:  # --timings / --trace see the grid too
+            ambient.merge(registry)
+        counters = registry.counter_values("comms/")
         cells.append(CommsCell(
             policy=policy, impairment=impairment, drop_rate=drop,
             corruption_rate=corruption, num_pairs=len(prepared),
             successes=successes, delivered=delivered,
-            decode_errors=ledger.decode_errors,
-            total_sent_bytes=ledger.encoded_bytes,
-            tier_messages=dict(sorted(tier_messages.items()))))
+            decode_errors=counters.get("comms/decode/error", 0),
+            total_sent_bytes=counters.get("comms/bytes/encoded", 0),
+            tier_messages={name.split("/")[2]: count
+                           for name, count in counters.items()
+                           if name.endswith("/messages")}))
     if not full_scan_clean_seen:
         # A policy subset without the control cell can't attest identity.
         control_identical = False

@@ -2,7 +2,8 @@
 
 The paper evaluates BB-Align on cleanly delivered messages.  A deployed
 V2V link drops, truncates and corrupts frames; this extension study
-pushes every pair's encoded :class:`~repro.comms.V2VMessage` through a
+pushes every pair's encoded BV-image tier message (the paper's message:
+the BV image and the boxes) through a
 :class:`~repro.comms.LossyChannel` over a (drop rate x corruption rate)
 grid and measures how the recovery degrades: success rate per cell,
 error on the surviving recoveries, and which rung of the fallback
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.comms.channel import LossyChannel
-from repro.comms.message import V2VMessage
+from repro.comms.tiers import Tier, build_message, encode_message
 from repro.core.pipeline import BBAlign
 from repro.detection.simulated import SimulatedDetector
 from repro.experiments.common import default_dataset, detect_for_pair
@@ -32,7 +33,7 @@ __all__ = ["RobustnessCell", "RobustnessResult", "run_robustness_sweep",
            "format_robustness_sweep"]
 
 # The grid: drop rate x per-byte corruption rate.  Corruption rates are
-# per *byte*, so 1e-3 on a ~40 kB message flips ~40 bytes — enough that
+# per *byte*, so 1e-3 on a ~1.7 kB message flips ~2 bytes — enough that
 # most frames fail their CRC and the decode rung of the ladder carries
 # the cell.
 DROP_RATES: tuple[float, ...] = (0.0, 0.1, 0.3)
@@ -124,9 +125,9 @@ def run_robustness_sweep(num_pairs: int = 12, seed: int = 2024, *,
                                                record.index)
         ego_features = encoder.extract_features(pair.ego_cloud)
         other_features = encoder.extract_features(pair.other_cloud)
-        payload = V2VMessage(
-            other_features.bv_image,
-            [d.box.to_bev() for d in other_dets]).to_bytes()
+        payload = encode_message(build_message(
+            Tier.BV_IMAGE, [d.box.to_bev() for d in other_dets],
+            features=other_features), record=False)
         prepared.append((record.index, pair, ego_features,
                          [d.box for d in ego_dets], payload))
 

@@ -2,9 +2,9 @@
 
 Implements the remainder of the paper's Section IV-A: FAST keypoints on
 the BV image, BVFT-style rotation-normalized descriptors computed from the
-MIM, and nearest-neighbor descriptor matching.  A gradient-histogram
-("SIFT-like") baseline is included to reproduce the paper's observation
-that classic intensity features fail on sparse BV images.
+MIM, and nearest-neighbor descriptor matching.  The paper's observation
+that classic intensity features (SIFT/ORB) fail on sparse BV images is
+not exercised here.
 """
 
 from repro.features.descriptors import (
@@ -13,7 +13,6 @@ from repro.features.descriptors import (
     DescriptorSet,
 )
 from repro.features.fast import FastConfig, Keypoints, detect_fast
-from repro.features.gradient_baseline import GradientDescriptorExtractor
 from repro.features.harris import HarrisConfig, detect_harris
 from repro.features.pc_keypoints import PcKeypointConfig, detect_pc_keypoints
 from repro.features.matching import MatchResult, match_descriptors
@@ -23,7 +22,6 @@ __all__ = [
     "BvftDescriptorExtractor",
     "DescriptorSet",
     "FastConfig",
-    "GradientDescriptorExtractor",
     "HarrisConfig",
     "Keypoints",
     "MatchResult",

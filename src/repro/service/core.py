@@ -210,10 +210,9 @@ class PoseService:
         self.timings = SweepTimings()
         self.registry = self.timings.registry
         self._workers = _Workers(self.pool.workers)
-        #: The BV geometry stage 1 runs at (size, cell, range): a
-        #: partner's BV image or keypoints must share it.
-        bv = (self.config.config or BBAlignConfig()).bv_image
-        self._bv_geometry = (bv.image_size, bv.cell_size, bv.lidar_range)
+        #: The BV geometry stage 1 runs at: a partner's BV image or
+        #: keypoints must share it.
+        self._bv_config = (self.config.config or BBAlignConfig()).bv_image
         #: The service's one stage-1 feature cache.
         self._scans = ScanTable(self.config.config,
                                 self.config.worker_cache_mb, self.registry,
@@ -387,24 +386,14 @@ class PoseService:
                 f"full-scan tier with its scan, got "
                 f"{request.ego.tier.value!r} (the other side may use any "
                 "tier)")
-        other = request.other
-        if other.tier is Tier.BV_IMAGE:
-            bv = other.bv_image
-            geometry = (bv.size, bv.cell_size, bv.lidar_range)
-        elif other.tier is Tier.KEYPOINTS:
-            kp = other.keypoints
-            geometry = (kp.image_size, kp.cell_size, kp.lidar_range)
-        else:
-            return
-        if geometry != self._bv_geometry:
-            # Stage 1 assumes the receiver's BV geometry: another one
-            # would be extracted at the sender's size (a Log-Gabor bank
-            # of that size) and answered in the wrong metric scale.
+        foreign = self._bv_config.foreign_geometry(request.other)
+        if foreign is not None:
+            bv = self._bv_config
             self.registry.counter("service/rejected_unsupported").inc()
             raise ServiceUnsupported(
-                f"partner {other.tier.value} geometry (size, cell, "
-                f"range) {geometry} is not the service's "
-                f"{self._bv_geometry}")
+                f"partner {request.other.tier.value} geometry (size, "
+                f"cell, range) {foreign} is not the service's "
+                f"{(bv.image_size, bv.cell_size, bv.lidar_range)}")
 
     # ------------------------------------------------------------------
     # Resolution

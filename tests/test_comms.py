@@ -8,11 +8,15 @@ from hypothesis import strategies as st
 from repro.bev.projection import BVImage, height_map
 from repro.boxes.box import Box2D
 from repro.comms import (
-    V2VMessage,
+    CodecError,
+    Tier,
+    TieredMessage,
     decode_boxes,
     decode_bv_image,
+    decode_message,
     encode_boxes,
     encode_bv_image,
+    encode_message,
 )
 
 
@@ -102,18 +106,20 @@ class TestBoxCodec:
 
 
 class TestV2VMessage:
+    """The paper's message (Algorithm 1, line 3): the BV-image tier."""
+
     def test_roundtrip(self, small_scan):
         bv = height_map(small_scan, 0.8, 76.8)
         boxes = [Box2D(5.0, 2.0, 4.5, 1.9, 0.1)]
-        message = V2VMessage(bv, boxes)
-        parsed = V2VMessage.from_bytes(message.to_bytes())
+        message = TieredMessage(Tier.BV_IMAGE, boxes, bv_image=bv)
+        parsed = decode_message(encode_message(message, record=False))
         assert parsed.bv_image.size == bv.size
         assert len(parsed.boxes) == 1
 
     def test_size_far_below_raw_cloud(self, small_scan):
         from repro.core.pipeline import BBAlign
         bv = height_map(small_scan, 0.8, 76.8)
-        message = V2VMessage(bv, [])
+        message = TieredMessage(Tier.BV_IMAGE, [], bv_image=bv)
         assert message.size_bytes < BBAlign.raw_cloud_bytes(small_scan) / 10
 
     def test_recovery_works_on_decoded_message(self, frame_pair,
@@ -121,8 +127,8 @@ class TestV2VMessage:
         """End-to-end: stage 1 run on the *transmitted* (quantized,
         decoded) BV image still matches."""
         bv_other = bv_matcher.make_bv_image(frame_pair.other_cloud)
-        message = V2VMessage(bv_other, [])
-        received = V2VMessage.from_bytes(message.to_bytes())
+        message = TieredMessage(Tier.BV_IMAGE, [], bv_image=bv_other)
+        received = decode_message(encode_message(message, record=False))
         ego_features = bv_matcher.extract_from_cloud(frame_pair.ego_cloud)
         other_features = bv_matcher.extract(received.bv_image)
         result = bv_matcher.match(other_features, ego_features, rng=0)
@@ -131,8 +137,8 @@ class TestV2VMessage:
         assert err < 1.5
 
     def test_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            V2VMessage.from_bytes(b"nope")
+        with pytest.raises(CodecError):
+            decode_message(b"nope")
 
 
 class TestCompressedCodec:

@@ -1,6 +1,6 @@
-"""Byte accounting: ambient counters and the standalone ledger."""
+"""Byte accounting: the ambient comms counters."""
 
-from repro.comms import CommLedger, record_received, record_sent
+from repro.comms import record_received, record_sent
 from repro.obs.metrics import MetricsRegistry, use_registry
 
 
@@ -35,39 +35,3 @@ class TestAmbientCounters:
         # Must not raise when no registry is installed.
         record_sent("bv-image", 10, 10)
         record_received(None, 10, ok=False)
-
-
-class TestCommLedger:
-    def test_totals_and_ratios(self):
-        ledger = CommLedger()
-        ledger.sent("bv-image", 2000, 50000)
-        ledger.sent("bv-image", 1000, 40000)
-        ledger.sent("boxes-only", 100, 80)
-        ledger.received(2000, ok=True)
-        ledger.received(64, ok=False)
-        assert ledger.messages_sent == 3
-        assert ledger.messages_received == 2
-        assert ledger.encoded_bytes == 3100
-        assert ledger.received_bytes == 2064
-        assert ledger.decode_errors == 1
-        assert ledger.mean_encoded_bytes == 3100 / 3
-        assert ledger.compression_ratio == 90080 / 3100
-        bv = ledger.tiers["bv-image"]
-        assert bv.messages == 2
-        assert bv.mean_encoded_bytes == 1500.0
-        assert bv.compression_ratio == 30.0
-
-    def test_empty_ledger_is_well_defined(self):
-        ledger = CommLedger()
-        assert ledger.mean_encoded_bytes == 0.0
-        assert ledger.compression_ratio == 0.0
-        assert ledger.snapshot()["messages_sent"] == 0
-
-    def test_snapshot_is_json_ready(self):
-        import json
-        ledger = CommLedger()
-        ledger.sent("keypoints", 1400, 9000)
-        ledger.received(1400, ok=True)
-        snapshot = ledger.snapshot()
-        assert json.loads(json.dumps(snapshot)) == snapshot
-        assert snapshot["tiers"]["keypoints"]["messages"] == 1

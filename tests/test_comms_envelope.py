@@ -12,9 +12,9 @@ from repro.comms import (
     ServiceResponse,
     Tier,
     TieredMessage,
+    decode_message,
     decode_request,
     decode_response,
-    sniff_tier,
 )
 from repro.comms.codec import _frame
 from repro.comms.envelope import _REQ_HEAD, REQUEST_MAGIC
@@ -146,6 +146,7 @@ class TestSniff:
         scans = TieredMessage(Tier.BOXES_ONLY, [])
         request = ServiceRequest(request_id=1, ego=scans,
                                  other=scans).encode()
-        assert sniff_tier(request) is None
+        with pytest.raises(CodecError, match="unknown message tier"):
+            decode_message(request)
         with pytest.raises(CodecError):
             decode_response(request)

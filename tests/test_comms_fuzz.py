@@ -21,7 +21,6 @@ from repro.comms import (
     CodecError,
     Tier,
     TieredMessage,
-    V2VMessage,
     decode_message,
     encode_message,
 )
@@ -128,8 +127,9 @@ class TestRoundTrip:
             assert abs(a.yaw - b.yaw) < 1e-6
 
     def test_message_round_trip(self):
-        message = V2VMessage(small_bv_image(), some_boxes())
-        decoded = V2VMessage.from_bytes(message.to_bytes())
+        message = TieredMessage(Tier.BV_IMAGE, some_boxes(),
+                                bv_image=small_bv_image())
+        decoded = decode_message(encode_message(message, record=False))
         assert len(decoded.boxes) == len(message.boxes)
         assert decoded.bv_image.size == message.bv_image.size
 
@@ -159,12 +159,6 @@ class TestEveryTruncationPoint:
         for cut in range(len(data)):
             with pytest.raises(CodecError):
                 decode_boxes(data[:cut])
-
-    def test_v2v_message_all_prefixes(self):
-        data = V2VMessage(small_bv_image(), some_boxes()).to_bytes()
-        for cut in range(len(data)):
-            with pytest.raises(CodecError):
-                V2VMessage.from_bytes(data[:cut])
 
     @pytest.mark.parametrize("tier", list(Tier))
     def test_tiered_message_all_prefixes(self, tier):
@@ -206,15 +200,6 @@ class TestByteFlips:
         with pytest.raises(CodecError):
             decode_bv_image(bytes(data))
 
-    @given(st.integers(0, 10 ** 9), st.integers(1, 255))
-    @settings(max_examples=60, deadline=None)
-    def test_v2v_message_single_flip_detected(self, position_seed, flip):
-        data = bytearray(V2VMessage(small_bv_image(),
-                                    some_boxes()).to_bytes())
-        data[position_seed % len(data)] ^= flip
-        with pytest.raises(CodecError):
-            V2VMessage.from_bytes(bytes(data))
-
     @pytest.mark.parametrize("tier", list(Tier))
     @given(position_seed=st.integers(0, 10 ** 9),
            flip=st.integers(1, 255))
@@ -254,8 +239,6 @@ class TestByteFlips:
             decode_bv_image(garbage)
         with pytest.raises(CodecError):
             decode_boxes(garbage)
-        with pytest.raises(CodecError):
-            V2VMessage.from_bytes(garbage)
         with pytest.raises(CodecError):
             decode_message(garbage)
         with pytest.raises(CodecError):

@@ -14,7 +14,6 @@ from repro.comms import (
     build_message,
     decode_message,
     encode_message,
-    sniff_tier,
 )
 from repro.comms.tiers import (
     KeypointPayload,
@@ -173,13 +172,6 @@ class TestFullScanStored:
 
 
 class TestEnvelope:
-    def test_sniff_tier(self):
-        data = encode_message(TieredMessage(Tier.BOXES_ONLY, []),
-                              record=False)
-        assert sniff_tier(data) is Tier.BOXES_ONLY
-        assert sniff_tier(b"V2V1....") is None
-        assert sniff_tier(b"") is None
-
     def test_unknown_magic_raises_codec_error(self):
         data = bytearray(encode_message(
             TieredMessage(Tier.BOXES_ONLY, some_boxes()), record=False))

@@ -5,17 +5,23 @@ messages) — these tests pin the dispatch rules and the tier-aware
 fallback ladder.
 """
 
+import dataclasses
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.bev import mim
+from repro.bev.projection import height_map
 from repro.comms import (
     KeypointPayload,
     Tier,
     TieredMessage,
-    V2VMessage,
     build_message,
+    decode_message,
+    encode_boxes,
+    encode_bv_image,
     encode_message,
 )
 from repro.comms.channel import Delivery
@@ -185,19 +191,85 @@ class TestTierPaths:
         assert result.diagnostics.tier == Tier.BOXES_ONLY.value
         assert result.message_bytes == message.size_bytes
 
-    def test_legacy_v2v_frame_still_decodes(self, aligner, pair_features,
-                                            pair_boxes):
+    def test_retired_v2v1_frame_is_undecodable(self, aligner,
+                                               pair_features, pair_boxes):
+        """The pre-tier ``V2V1`` frame (magic, two lengths, BV image,
+        boxes) is an unknown magic like any other."""
         _, other_features = pair_features
-        bev_boxes = [b.to_bev() if hasattr(b, "to_bev") else b
-                     for b in pair_boxes[1]]
-        frame = V2VMessage(other_features.bv_image, bev_boxes).to_bytes()
-        assert frame[:4] == b"V2V1"
+        bv = encode_bv_image(other_features.bv_image)
+        boxes = encode_boxes([b.to_bev() for b in pair_boxes[1]])
+        frame = struct.pack("<4sII", b"V2V1", len(bv), len(boxes)) \
+            + bv + boxes
         result = aligner.recover(pair_features[0], frame, pair_boxes[0],
                                  rng=0)
-        # Legacy frames keep the historical dense estimate, not the
-        # actual wire size.
+        assert result.failure_reason is FailureReason.MESSAGE_UNDECODABLE
         assert result.diagnostics.tier is None
-        assert result.message_bytes != len(frame)
+        assert result.message_bytes == len(frame)
+
+
+class TestReceiverGeometry:
+    """A BV image or keypoint payload at another (size, cell, range)
+    than the receiver's answers ``geometry-mismatch`` before any
+    extraction, so no Log-Gabor bank of the sender's size is built."""
+
+    @staticmethod
+    def _messages(frame_pair, pair_features, pair_boxes, cell_size):
+        _, other_features = pair_features
+        size = int(round(2 * 76.8 / cell_size))
+        keypoints = build_message(Tier.KEYPOINTS, [],
+                                  features=other_features).keypoints
+        return [
+            TieredMessage(Tier.BV_IMAGE, pair_boxes[1], bv_image=height_map(
+                frame_pair.other_cloud, cell_size, 76.8)),
+            TieredMessage(Tier.KEYPOINTS, pair_boxes[1],
+                          keypoints=dataclasses.replace(
+                              keypoints, image_size=size,
+                              cell_size=cell_size,
+                              xy=keypoints.xy * size
+                              // keypoints.image_size)),
+        ]
+
+    @pytest.mark.parametrize("cell_size", [1.6, 0.4])
+    def test_foreign_geometry_is_refused(self, frame_pair, pair_features,
+                                         pair_boxes, cell_size):
+        messages = self._messages(frame_pair, pair_features, pair_boxes,
+                                  cell_size)
+        assert [m.bv_image.size for m in messages[:1]] \
+            == [int(round(153.6 / cell_size))]
+        banks = list(mim._BANK_CACHE)
+        for message in messages:
+            payload = encode_message(message, record=False)
+            result = BBAlign().recover(pair_features[0], payload,
+                                       pair_boxes[0], rng=0)
+            assert result.failure_reason is FailureReason.GEOMETRY_MISMATCH
+            assert result.degradation is DegradationLevel.IDENTITY
+            assert result.transform.is_close(SE2.identity())
+            assert result.diagnostics.tier == message.tier.value
+            assert result.message_bytes == len(payload)
+        assert list(mim._BANK_CACHE) == banks
+
+    def test_receiver_geometry_answers_as_before(self, frame_pair,
+                                                 pair_features, pair_boxes):
+        """The receiver's own 192 px geometry passes the check, and the
+        BV-image answer equals recovering from the decoded image."""
+        ego_features, other_features = pair_features
+        for tier in (Tier.BV_IMAGE, Tier.KEYPOINTS):
+            payload = encode_message(build_message(
+                tier, pair_boxes[1], features=other_features), record=False)
+            result = BBAlign().recover(ego_features, payload,
+                                       pair_boxes[0], rng=0)
+            assert result.failure_reason \
+                is not FailureReason.GEOMETRY_MISMATCH
+            assert result.diagnostics.tier == tier.value
+            if tier is Tier.BV_IMAGE:
+                decoded = decode_message(payload)
+                assert decoded.bv_image.size == 192
+                direct = BBAlign().recover(
+                    ego_features,
+                    BBAlign().bv_matcher.extract(decoded.bv_image),
+                    pair_boxes[0], decoded.boxes, rng=0)
+                assert result.success == direct.success
+                assert result.transform == direct.transform
 
 
 class TestKeypointTier:

@@ -131,7 +131,7 @@ class TestExtremeGeometry:
 @pytest.fixture(scope="module")
 def wire_setup():
     """A frame pair, its ego boxes, and the other car's encoded message."""
-    from repro.comms.message import V2VMessage
+    from repro.comms.tiers import Tier, build_message, encode_message
     from repro.detection.simulated import SimulatedDetector
     from repro.simulation.scenario import ScenarioConfig, make_frame_pair
 
@@ -144,8 +144,9 @@ def wire_setup():
                                  np.random.default_rng(2))
     sender = BBAlign()
     other_features = sender.extract_features(pair.other_cloud)
-    payload = V2VMessage(other_features.bv_image,
-                         [d.box.to_bev() for d in other_dets]).to_bytes()
+    payload = encode_message(build_message(
+        Tier.BV_IMAGE, [d.box.to_bev() for d in other_dets],
+        features=other_features), record=False)
     return pair, [d.box for d in ego_dets], payload
 
 
@@ -292,3 +293,48 @@ class TestSuccessCriterionHonesty:
                                      rng=0)
             if result.success:
                 assert result.translation_error(pair.gt_relative) < 5.0
+
+
+class TestRobustnessSweep:
+    def test_zero_impairment_cell_is_the_control(self):
+        """The clean-channel cell equals a direct recovery loop over the
+        decoded messages with the same recovery streams: the channel
+        and wire plumbing perturb nothing."""
+        from repro.comms.tiers import (
+            Tier,
+            build_message,
+            decode_message,
+            encode_message,
+        )
+        from repro.detection.simulated import SimulatedDetector
+        from repro.experiments.common import default_dataset, detect_for_pair
+        from repro.experiments.robustness_sweep import run_robustness_sweep
+        from repro.metrics.pose_error import pose_errors
+
+        seed = 2024
+        cell = run_robustness_sweep(3, seed).cell(0.0, 0.0)
+        detector = SimulatedDetector()
+        sender, receiver = BBAlign(), BBAlign()
+        translation, rotation = [], []
+        for record in default_dataset(3, seed):
+            pair = record.pair
+            ego_dets, other_dets = detect_for_pair(pair, detector, seed,
+                                                   record.index)
+            message = decode_message(encode_message(build_message(
+                Tier.BV_IMAGE, [d.box.to_bev() for d in other_dets],
+                features=sender.extract_features(pair.other_cloud)),
+                record=False))
+            result = receiver.recover(
+                sender.extract_features(pair.ego_cloud),
+                receiver.bv_matcher.extract(message.bv_image),
+                [d.box for d in ego_dets], message.boxes,
+                rng=np.random.default_rng([seed, record.index, 2]))
+            if result.success:
+                errors = pose_errors(result.transform, pair.gt_relative)
+                translation.append(errors.translation)
+                rotation.append(errors.rotation_deg)
+        assert translation, "no clean recovery to compare"
+        assert cell.num_pairs == 3
+        assert cell.successes == len(translation)
+        assert cell.mean_translation_error == float(np.mean(translation))
+        assert cell.mean_rotation_error_deg == float(np.mean(rotation))
